@@ -47,6 +47,7 @@ Eligibility (:func:`batch_execution` returns ``None`` otherwise):
 
 from __future__ import annotations
 
+import threading
 from typing import Any, Callable, Dict, Optional
 
 import numpy as np
@@ -75,6 +76,10 @@ class BatchExecution:
     eligibility checks; :meth:`run` then produces per-trial success
     indicators bit-identical to scalar engine executions on the
     per-trial streams ``root.child("mc", i)``.
+
+    Safe to run from several threads at once: the one
+    :class:`BatchProgram` holds per-chunk state, so chunks run one at
+    a time under a lock.
     """
 
     def __init__(self, algorithm: Algorithm, failure_model: FailureModel,
@@ -85,6 +90,7 @@ class BatchExecution:
         self._program = program
         self._codec = codec
         self._expected_code = expected_code
+        self._lock = threading.Lock()
 
     @property
     def algorithm(self) -> Algorithm:
@@ -130,9 +136,10 @@ class BatchExecution:
             return indicators
         for lo in range(start, stop, chunk):
             hi = min(lo + chunk, stop)
-            indicators[lo - start:hi - start] = self._run_chunk(
-                root_seed, lo, hi
-            )
+            with self._lock:
+                indicators[lo - start:hi - start] = self._run_chunk(
+                    root_seed, lo, hi
+                )
         return indicators
 
     def _run_chunk(self, root_seed: int, start: int, stop: int) -> np.ndarray:

@@ -17,12 +17,12 @@ all of them.
 """
 
 from repro.batchsim.engine import supports_batchsim
-from repro.montecarlo.asyncrun import AsyncTrialRunner
 from repro.montecarlo.executors import (
     InProcessExecutor,
     LocalProcessExecutor,
     RemoteSocketExecutor,
     ShardExecutor,
+    WorkerCrashError,
     WorkerDisconnect,
     make_executor,
 )
@@ -40,7 +40,6 @@ from repro.montecarlo.dispatch import (
     unregister_sampler,
 )
 from repro.montecarlo import samplers as _builtin_samplers  # noqa: F401  (registers)
-from repro.montecarlo.pool import WorkerCrashError
 from repro.montecarlo.trials import (
     BATCHSIM_BACKEND,
     ENGINE_BACKEND,
@@ -55,7 +54,6 @@ from repro.montecarlo.trials import (
 __all__ = [
     "TrialRunner",
     "TrialResult",
-    "AsyncTrialRunner",
     "scenario_fingerprint",
     "FINGERPRINT_VERSION",
     "RunningTally",

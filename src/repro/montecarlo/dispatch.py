@@ -20,8 +20,8 @@ Backend tiers
 Dispatch walks three tiers, most specialised first; the tier taken is
 reported as ``TrialResult.backend``, and the *sharding* column says how
 ``workers=N`` maps onto processes (``TrialResult.workers`` reports the
-count actually used — both sharded tiers run on the shared pool harness
-of :mod:`repro.montecarlo.pool`):
+count actually used — both sharded tiers run on the runner's shard
+executor, :mod:`repro.montecarlo.executors`):
 
 ==================  ==============================  ====================  ====================
 tier / backend tag  eligibility                     what runs             process sharding

@@ -4,8 +4,8 @@ Three backends behind one :class:`ShardExecutor` contract (see
 :mod:`~repro.montecarlo.executors.base` for the guarantees):
 
 * :class:`InProcessExecutor` — serial, zero overhead, ``workers=1``;
-* :class:`LocalProcessExecutor` — the historical process pool, now
-  with bounded shard retry on worker death;
+* :class:`LocalProcessExecutor` — a local process pool with bounded
+  shard retry on worker death;
 * :class:`RemoteSocketExecutor` — multi-host shards over the
   ``repro.distrib`` NDJSON worker protocol.
 

@@ -1,15 +1,13 @@
-"""Local process-pool backend — the historical ``pool.py`` semantics.
+"""Local process-pool backend.
 
 One fresh :class:`~concurrent.futures.ProcessPoolExecutor` per retry
 round, with the explicit start method from
 :func:`~repro.montecarlo.executors.base.pool_context` (fork on Linux,
-spawn elsewhere).  The completion loop is the original harness loop:
-in-order streaming through :class:`OrderedMerge`, a **single** cancel
-sweep fired on the first failure, and lowest-shard-index error
-propagation.
+spawn elsewhere).  The completion loop streams results in order
+through :class:`OrderedMerge`, fires a **single** cancel sweep on the
+first failure, and propagates the lowest-shard-index error.
 
-On top of the historical contract this backend adds **bounded shard
-retry**: a worker death (``BrokenProcessPool``) no longer condemns the
+The backend also offers **bounded shard retry**: a worker death (``BrokenProcessPool``) no longer condemns the
 run outright — every shard the broken pool took down is re-run in a
 fresh pool, up to ``max_shard_retries`` times per shard, before a
 :class:`WorkerCrashError` surfaces.  Retried shards re-run the same
@@ -17,11 +15,9 @@ absolute trial ranges, so the merged results are bit-identical to an
 undisturbed run.  Deterministic shard exceptions are never retried —
 they would just raise again.
 
-Metrics are emitted twice per completed shard: the backend-labelled
+Every completed shard records the backend-labelled
 ``mc.executor.*{backend="local-process"}`` series shared by every
-executor, and the historical ``mc.pool.*{function=...}`` series keyed
-by worker entrypoint, which existing dashboards (and the shard-skew
-reading in ARCHITECTURE.md) already consume.
+executor.
 """
 
 from __future__ import annotations
@@ -29,8 +25,6 @@ from __future__ import annotations
 import time
 from concurrent.futures import BrokenExecutor, ProcessPoolExecutor, as_completed
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
-
-from repro.obs import get_registry
 
 from repro.montecarlo.executors.base import (
     OrderedMerge,
@@ -137,7 +131,8 @@ class LocalProcessExecutor(ShardExecutor):
                     else:
                         merge.fail(index, error)
                     continue
-                self._record_shard_timing(function, submitted, timing)
+                started, seconds = timing
+                self._record_shard(max(0.0, started - submitted), seconds)
                 merge.complete(index, value)
         incomplete = [index for index in pending if index not in resolved]
         return crashes, incomplete
@@ -148,19 +143,3 @@ class LocalProcessExecutor(ShardExecutor):
             f"segfault) while the pool was running shard {lowest} of "
             f"{total}; shard args: {_summarise_args(args)}"
         )
-
-    def _record_shard_timing(self, function: Callable[..., Any],
-                             submitted: float,
-                             timing: Tuple[float, float]) -> None:
-        started, seconds = timing
-        queue_seconds = max(0.0, started - submitted)
-        self._record_shard(queue_seconds, seconds)
-        # Historical mc.pool.* series, labelled by worker entrypoint so
-        # engine shards and batchsim chunks stay distinguishable.
-        name = getattr(function, "__name__", "shard")
-        registry = get_registry()
-        registry.counter("mc.pool.shards", function=name).inc()
-        registry.histogram("mc.pool.shard.seconds",
-                           function=name).observe(seconds)
-        registry.histogram("mc.pool.shard.queue_seconds",
-                           function=name).observe(queue_seconds)

@@ -32,15 +32,18 @@ centralises that loop and makes it fast through a three-tier dispatch
   :func:`repro.analysis.estimation.estimate_success` under the same
   root stream.
 
-Both sharded paths run on the same pool harness
-(:mod:`repro.montecarlo.pool`): explicit start method, shard-ordered
-merging, and first-exception propagation with cancellation.
+Both sharded paths hand their shards to the runner's
+:class:`~repro.montecarlo.executors.ShardExecutor` (in-process, local
+process pool or remote workers): shard-ordered merging, and
+first-exception propagation with cancellation.
 
 Besides fixed budgets (:meth:`TrialRunner.run`), the runner offers a
 **sequential mode** (:meth:`TrialRunner.run_until`): the batch grows in
 powers of two, each extension folding into a :class:`RunningTally`,
 until the Chernoff–Hoeffding or empirical-Bernstein interval width
-drops below a target.  The stopping rule is a pure function of the
+drops below a target.  Both modes execute trial ranges through one
+core: ``run(T)`` is the range ``[0, T)`` and each extension the range
+``[prev, next)``.  The stopping rule is a pure function of the
 per-trial indicator prefix, so a sequential run's indicators are
 exactly the prefix of a fixed-budget run under the same root seed — on
 all three tiers and for any worker count.
@@ -88,9 +91,35 @@ __all__ = ["TrialRunner", "TrialResult", "RunningTally",
 
 AlgorithmFactory = Callable[[], Algorithm]
 SuccessPredicate = Callable[[ExecutionResult], bool]
+_Tiers = Tuple[Optional[SamplerEntry], Optional[BatchExecution],
+               Optional[Algorithm]]
 
 ENGINE_BACKEND = "engine"
 BATCHSIM_BACKEND = "batchsim"
+
+
+#: Interval estimators by name: the one counts→interval table behind
+#: :class:`RunningTally`, :class:`TrialResult` and the sequential
+#: stopping rule (whose bound names are keys here).
+_INTERVALS = {
+    "wilson": wilson_interval,
+    "hoeffding": hoeffding_interval,
+    "bernstein": empirical_bernstein_interval,
+    "clopper_pearson": clopper_pearson,
+}
+
+
+def _interval(name: str, successes: int, trials: int,
+              confidence: float) -> Tuple[float, float]:
+    """The ``name`` interval on the counts; ``(0, 1)`` at zero trials.
+
+    Zero trials support no claim narrower than all of ``[0, 1]``, and
+    the sequential stopping rule consults the tally before its first
+    extension, so the empty case answers instead of raising.
+    """
+    if trials == 0:
+        return 0.0, 1.0
+    return _INTERVALS[name](successes, trials, confidence)
 
 
 class RunningTally:
@@ -133,15 +162,12 @@ class RunningTally:
 
     def wilson(self, confidence: float = 0.99) -> Tuple[float, float]:
         """Wilson score interval on the current counts (``(0, 1)`` empty)."""
-        if self._trials == 0:
-            return 0.0, 1.0
-        return wilson_interval(self._successes, self._trials, confidence)
+        return _interval("wilson", self._successes, self._trials, confidence)
 
     def hoeffding(self, confidence: float = 0.99) -> Tuple[float, float]:
         """Chernoff–Hoeffding interval on the current counts (``(0, 1)`` empty)."""
-        if self._trials == 0:
-            return 0.0, 1.0
-        return hoeffding_interval(self._successes, self._trials, confidence)
+        return _interval("hoeffding", self._successes, self._trials,
+                         confidence)
 
     def bernstein(self, confidence: float = 0.99) -> Tuple[float, float]:
         """Empirical-Bernstein interval on the counts (``(0, 1)`` empty).
@@ -152,17 +178,13 @@ class RunningTally:
         ``1/t`` where Hoeffding only manages ``1/sqrt(t)`` — the
         preferred stopping bound for sequential threshold sweeps.
         """
-        if self._trials == 0:
-            return 0.0, 1.0
-        return empirical_bernstein_interval(
-            self._successes, self._trials, confidence
-        )
+        return _interval("bernstein", self._successes, self._trials,
+                         confidence)
 
     def clopper_pearson(self, confidence: float = 0.99) -> Tuple[float, float]:
         """Exact Clopper–Pearson interval on the counts (``(0, 1)`` empty)."""
-        if self._trials == 0:
-            return 0.0, 1.0
-        return clopper_pearson(self._successes, self._trials, confidence)
+        return _interval("clopper_pearson", self._successes, self._trials,
+                         confidence)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"RunningTally({self._successes}/{self._trials})"
@@ -236,12 +258,7 @@ class TrialResult:
         interval — zero trials support no narrower claim.
         """
         confidence = self.confidence if confidence is None else confidence
-        if self.trials == 0:
-            lower, upper = 0.0, 1.0
-        else:
-            lower, upper = clopper_pearson(
-                self.successes, self.trials, confidence
-            )
+        lower, upper = self._interval_at("clopper_pearson", confidence)
         return MonteCarloResult(
             successes=self.successes, trials=self.trials,
             confidence=confidence, lower=lower, upper=upper,
@@ -249,26 +266,20 @@ class TrialResult:
 
     def wilson(self, confidence: Optional[float] = None) -> Tuple[float, float]:
         """Wilson score interval on the batch counts (``(0, 1)`` empty)."""
-        confidence = self.confidence if confidence is None else confidence
-        if self.trials == 0:
-            return 0.0, 1.0
-        return wilson_interval(self.successes, self.trials, confidence)
+        return self._interval_at("wilson", confidence)
 
     def hoeffding(self, confidence: Optional[float] = None) -> Tuple[float, float]:
         """Chernoff–Hoeffding interval on the batch counts (``(0, 1)`` empty)."""
-        confidence = self.confidence if confidence is None else confidence
-        if self.trials == 0:
-            return 0.0, 1.0
-        return hoeffding_interval(self.successes, self.trials, confidence)
+        return self._interval_at("hoeffding", confidence)
 
     def bernstein(self, confidence: Optional[float] = None) -> Tuple[float, float]:
         """Empirical-Bernstein interval on the batch counts (``(0, 1)`` empty)."""
+        return self._interval_at("bernstein", confidence)
+
+    def _interval_at(self, name: str,
+                     confidence: Optional[float]) -> Tuple[float, float]:
         confidence = self.confidence if confidence is None else confidence
-        if self.trials == 0:
-            return 0.0, 1.0
-        return empirical_bernstein_interval(
-            self.successes, self.trials, confidence
-        )
+        return _interval(name, self.successes, self.trials, confidence)
 
     def describe(self) -> str:
         """Human-readable one-liner for tables and logs."""
@@ -385,6 +396,14 @@ class SequentialResult:
                 f"(target {self.target_width:.4f} {verdict})")
 
 
+def _backend(tiers: _Tiers) -> str:
+    """The backend tag a dispatch triple runs on."""
+    entry, batch, _ = tiers
+    if entry is not None:
+        return f"fastsim:{entry.name}"
+    return BATCHSIM_BACKEND if batch is not None else ENGINE_BACKEND
+
+
 def _default_metadata(algorithm: Algorithm) -> Dict[str, Any]:
     """``algorithm.metadata()`` when offered, else empty."""
     metadata = getattr(algorithm, "metadata", None)
@@ -456,20 +475,6 @@ def _shard_bounds(trials: int, shards: int) -> List[Tuple[int, int]]:
 #: the engine's internal ``DEFAULT_CHUNK`` keeps every spawned worker's
 #: first vectorised call reasonably full.
 MIN_BATCHSIM_SHARD = 128
-
-
-def _batchsim_shards(trials: int, workers: int) -> List[Tuple[int, int]]:
-    """Contiguous batchsim chunk bounds: one per worker, floor-limited.
-
-    Unlike the engine path (4 shards per worker for load balancing),
-    batchsim chunks have uniform per-trial cost, so exactly one chunk
-    per worker minimises the per-process eligibility-reprobe overhead.
-    """
-    if workers == 1:
-        return _shard_bounds(trials, 1)
-    return _shard_bounds(
-        trials, min(workers, max(1, trials // MIN_BATCHSIM_SHARD))
-    )
 
 
 class TrialRunner:
@@ -560,15 +565,8 @@ class TrialRunner:
         self._parallelism = self._executor.worker_count()
         self._use_fastsim = bool(use_fastsim)
         self._use_batchsim = bool(use_batchsim)
-        self._probe: Optional[Tuple[Optional[SamplerEntry],
-                                    Optional[BatchExecution],
-                                    Optional[Algorithm]]] = None
-        # Sequential-mode fallback probe: when a matching fastsim entry
-        # is not prefix-stable, run_until needs the batchsim
-        # eligibility answer _probe_dispatch never computed (it stops
-        # at the first matching tier).  Cached separately.
-        self._sequential_batch: Optional[BatchExecution] = None
-        self._sequential_probed = False
+        # Dispatch probes, keyed by ``sequential`` (see :meth:`_tiers`).
+        self._probes: Dict[bool, _Tiers] = {}
 
     @property
     def algorithm_factory(self) -> AlgorithmFactory:
@@ -594,46 +592,61 @@ class TrialRunner:
 
     def dispatch_entry(self) -> Optional[SamplerEntry]:
         """The fastsim sampler this runner would dispatch to, if any."""
-        entry, _, _ = self._probe_dispatch()
-        return entry
+        return self._tiers()[0]
 
     def dispatch_backend(self) -> str:
         """The backend tag ``run()`` would report for this scenario."""
-        entry, batch, _ = self._probe_dispatch()
-        if entry is not None:
-            return f"fastsim:{entry.name}"
-        if batch is not None:
-            return BATCHSIM_BACKEND
-        return ENGINE_BACKEND
+        return _backend(self._tiers())
 
-    def _probe_dispatch(self) -> Tuple[Optional[SamplerEntry],
-                                       Optional[BatchExecution],
-                                       Optional[Algorithm]]:
-        """Probe the dispatch tiers, returning the probe algorithm too.
+    def sequential_backend(self) -> str:
+        """The backend tag ``run_until()`` would report.
 
-        The (entry, batch execution, algorithm) triple is cached on the
-        runner, so the factory, the registry scan and the batchsim
-        eligibility check run once per runner no matter how many times
-        ``dispatch_entry()`` / ``run()`` are called — algorithms are
-        immutable (all per-run state lives in their protocols) and safe
-        to share across batches.  A custom success predicate disables
-        both vectorised tiers: they only reproduce the
-        broadcast-success law.
+        Differs from :meth:`dispatch_backend` exactly when the matching
+        fastsim entry is not prefix-stable — sequential runs then fall
+        through to the batchsim or engine tier.
+        """
+        return _backend(self._tiers(sequential=True))
+
+    def _tiers(self, sequential: bool = False) -> _Tiers:
+        """The ``(sampler entry, batch execution, algorithm)`` dispatch triple.
+
+        Probed once per runner and mode, so the factory, the registry
+        scan and the batchsim eligibility check run once no matter how
+        many batches follow — algorithms are immutable (all per-run
+        state lives in their protocols) and safe to share.  A custom
+        success predicate disables both vectorised tiers: they only
+        reproduce the broadcast-success law.
+
+        ``sequential`` selects the triple :meth:`run_until` extensions
+        use: a matching fastsim entry without the ``prefix_stable``
+        contract is replaced by the tier below it, because extensions
+        re-draw the sampler's grown prefix, which is only sound under
+        that contract.
         """
         if self._success is not None or not (self._use_fastsim
                                              or self._use_batchsim):
             return None, None, None
-        if self._probe is None:
-            algorithm = self._factory()
-            entry = (find_sampler(algorithm, self._failure_model)
-                     if self._use_fastsim else None)
-            batch = None
-            if entry is None and self._use_batchsim:
-                batch = batch_execution(
-                    algorithm, self._failure_model, metadata=self._metadata
-                )
-            self._probe = (entry, batch, algorithm)
-        return self._probe
+        tiers = self._probes.get(sequential)
+        if tiers is None:
+            if sequential:
+                entry, batch, algorithm = self._tiers()
+                if entry is not None and not entry.prefix_stable:
+                    entry, batch = None, self._batch_execution(algorithm)
+            else:
+                algorithm = self._factory()
+                entry = (find_sampler(algorithm, self._failure_model)
+                         if self._use_fastsim else None)
+                batch = (self._batch_execution(algorithm)
+                         if entry is None else None)
+            tiers = self._probes[sequential] = (entry, batch, algorithm)
+        return tiers
+
+    def _batch_execution(self, algorithm: Algorithm
+                         ) -> Optional[BatchExecution]:
+        if not self._use_batchsim:
+            return None
+        return batch_execution(algorithm, self._failure_model,
+                               metadata=self._metadata)
 
     def run(self, trials: int, seed_or_stream=0,
             confidence: float = 0.99,
@@ -662,96 +675,21 @@ class TrialRunner:
         confidence = check_probability(confidence, "confidence",
                                        allow_zero=False)
         stream = as_stream(seed_or_stream)
-        root_seed = stream.seed
-        tally = RunningTally()
-
         probe_start = time.perf_counter()
-        entry, batch, algorithm = self._probe_dispatch()
+        tiers = self._tiers()
         run_start = time.perf_counter()
-        probe_seconds = run_start - probe_start
-
-        def finish(seconds: float) -> Dict[str, float]:
-            """Timings breakdown shared by every backend branch."""
-            return {"probe": probe_seconds, "run": seconds,
-                    "total": probe_seconds + seconds}
-
-        if entry is not None:
-            indicators = np.asarray(
-                entry.sample(algorithm, self._failure_model, trials, stream),
-                dtype=bool,
-            )
-            tally.update(indicators)
-            if progress is not None:
-                progress(tally)
-            run_seconds = time.perf_counter() - run_start
-            backend = f"fastsim:{entry.name}"
-            _record_batch(backend, trials, run_seconds)
-            return TrialResult(
-                indicators=indicators, backend=backend,
-                workers=1, seed=root_seed, confidence=confidence,
-                timings=finish(run_seconds),
-            )
-        if batch is not None:
-            chunks = _batchsim_shards(trials, self._parallelism)
-            if len(chunks) <= 1:
-                indicators = batch.run(trials, root_seed)
-                used_workers = 1
-                tally.update(indicators)
-                if progress is not None:
-                    progress(tally)
-            else:
-                parts = self._executor.run_sharded(
-                    run_batch_shard,
-                    [
-                        (self._factory, self._failure_model, self._metadata,
-                         root_seed, start, stop)
-                        for start, stop in chunks
-                    ],
-                    on_result=self._fold_shard(tally, progress),
-                )
-                indicators = np.concatenate(parts)
-                used_workers = len(chunks)
-            run_seconds = time.perf_counter() - run_start
-            _record_batch(BATCHSIM_BACKEND, trials, run_seconds)
-            return TrialResult(
-                indicators=indicators, backend=BATCHSIM_BACKEND,
-                workers=used_workers, seed=root_seed, confidence=confidence,
-                timings=finish(run_seconds),
-            )
-
-        shards = _shard_bounds(trials, self._effective_shards(trials))
-        if len(shards) <= 1 or self._parallelism == 1:
-            parts = []
-            for start, stop in shards:
-                part = _run_shard(
-                    self._factory, self._failure_model, self._metadata,
-                    self._success, root_seed, start, stop,
-                    algorithm=algorithm,
-                )
-                tally.update(part)
-                if progress is not None:
-                    progress(tally)
-                parts.append(part)
-            indicators = np.concatenate(parts)
-            used_workers = 1
-        else:
-            parts = self._executor.run_sharded(
-                _run_shard,
-                [
-                    (self._factory, self._failure_model, self._metadata,
-                     self._success, root_seed, start, stop)
-                    for start, stop in shards
-                ],
-                on_result=self._fold_shard(tally, progress),
-            )
-            indicators = np.concatenate(parts)
-            used_workers = min(self._parallelism, len(shards))
+        indicators, workers = self._run_range(
+            tiers, 0, trials, stream, RunningTally(), progress
+        )
         run_seconds = time.perf_counter() - run_start
-        _record_batch(ENGINE_BACKEND, trials, run_seconds)
+        probe_seconds = run_start - probe_start
+        backend = _backend(tiers)
+        _record_batch(backend, trials, run_seconds)
         return TrialResult(
-            indicators=indicators, backend=ENGINE_BACKEND,
-            workers=used_workers, seed=root_seed, confidence=confidence,
-            timings=finish(run_seconds),
+            indicators=indicators, backend=backend,
+            workers=workers, seed=stream.seed, confidence=confidence,
+            timings={"probe": probe_seconds, "run": run_seconds,
+                     "total": probe_seconds + run_seconds},
         )
 
     def run_until(self, target_width: float, max_trials: int,
@@ -818,8 +756,9 @@ class TrialRunner:
             raise ValueError(
                 f"bound must be one of {SEQUENTIAL_BOUNDS}, got {bound!r}"
             )
-        stream = as_stream(seed_or_stream)
-        root_seed = stream.seed
+        root_seed = as_stream(seed_or_stream).seed
+        tiers = self._tiers(sequential=True)
+        backend = _backend(tiers)
         tally = RunningTally()
         steps: List[SequentialStep] = []
         pieces: List[np.ndarray] = []
@@ -832,13 +771,15 @@ class TrialRunner:
                 initial_trials if budget == 0 else 2 * budget, max_trials
             )
             extension_start = time.perf_counter()
-            part, workers = self._run_extension(
-                budget, next_budget, root_seed, tally, progress
+            # A fresh root stream per extension: a fastsim sampler
+            # re-draws the whole grown prefix and keeps only the tail.
+            part, workers = self._run_range(
+                tiers, budget, next_budget, as_stream(root_seed), tally,
+                progress,
             )
             extension_seconds = time.perf_counter() - extension_start
             total_seconds += extension_seconds
-            _record_batch(self.sequential_backend(), int(len(part)),
-                          extension_seconds)
+            _record_batch(backend, int(len(part)), extension_seconds)
             pieces.append(part)
             used_workers = max(used_workers, workers)
             budget = next_budget
@@ -849,7 +790,7 @@ class TrialRunner:
         indicators = (np.concatenate(pieces) if pieces
                       else np.zeros(0, dtype=bool))
         result = TrialResult(
-            indicators=indicators, backend=self.sequential_backend(),
+            indicators=indicators, backend=backend,
             workers=used_workers, seed=root_seed, confidence=confidence,
             timings={"total": total_seconds},
         )
@@ -858,123 +799,71 @@ class TrialRunner:
             bound=bound, met=width <= target_width,
         )
 
-    def sequential_backend(self) -> str:
-        """The backend tag ``run_until()`` would report.
+    def _run_range(self, tiers: _Tiers, start: int, stop: int,
+                   stream: RngStream, tally: RunningTally,
+                   progress: Optional[Callable[[RunningTally], None]]
+                   ) -> Tuple[np.ndarray, int]:
+        """Run trials ``start..stop-1`` on ``tiers``; the one range core.
 
-        Differs from :meth:`dispatch_backend` exactly when the matching
-        fastsim entry is not prefix-stable — sequential runs then fall
-        through to the batchsim or engine tier.
+        :meth:`run` is the range ``[0, T)`` and every :meth:`run_until`
+        extension is ``[prev, next)``.  Engine and batchsim trial ``i``
+        draws from ``root.child("mc", i)`` whatever the range bounds, so
+        ranges concatenate bit-identically; a fastsim sampler draws
+        ``stop`` trials from ``stream`` and keeps ``[start, stop)``.
+        Shards fold into ``tally`` in order as they land.  Returns the
+        range's indicators and the worker count it actually used.
         """
-        entry, batch, _ = self._sequential_tiers()
+        entry, batch, algorithm = tiers
+        fold = self._fold_shard(tally, progress)
         if entry is not None:
-            return f"fastsim:{entry.name}"
-        if batch is not None:
-            return BATCHSIM_BACKEND
-        return ENGINE_BACKEND
-
-    def _sequential_tiers(self) -> Tuple[Optional[SamplerEntry],
-                                         Optional[BatchExecution],
-                                         Optional[Algorithm]]:
-        """The dispatch triple sequential extensions actually use.
-
-        Identical to :meth:`_probe_dispatch` except that a matching
-        fastsim entry without the ``prefix_stable`` contract is
-        replaced by the tier below it: extensions re-draw the sampler's
-        grown prefix, which is only sound under that contract.
-        """
-        entry, batch, algorithm = self._probe_dispatch()
-        if entry is not None and not entry.prefix_stable:
-            entry = None
-            if self._use_batchsim and not self._sequential_probed:
-                self._sequential_batch = batch_execution(
-                    algorithm, self._failure_model, metadata=self._metadata
-                )
-                self._sequential_probed = True
-            batch = self._sequential_batch
-        return entry, batch, algorithm
-
-    def _run_extension(self, start: int, stop: int, root_seed: int,
-                       tally: RunningTally,
-                       progress: Optional[Callable[[RunningTally], None]]
-                       ) -> Tuple[np.ndarray, int]:
-        """Run trials ``start..stop-1`` of a sequential run.
-
-        Returns the extension's indicators and the worker count it
-        actually used, folding shards into ``tally`` in order as they
-        land (exactly like :meth:`run`).
-        """
-        entry, batch, algorithm = self._sequential_tiers()
-        if entry is not None:
-            full = np.asarray(
-                entry.sample(algorithm, self._failure_model, stop,
-                             as_stream(root_seed)),
+            indicators = np.asarray(
+                entry.sample(algorithm, self._failure_model, stop, stream),
                 dtype=bool,
-            )
-            part = full[start:]
-            tally.update(part)
-            if progress is not None:
-                progress(tally)
-            return part, 1
+            )[start:]
+            fold(0, indicators)
+            return indicators, 1
+        root_seed = stream.seed
         length = stop - start
-        if batch is not None:
-            chunks = [(lo + start, hi + start)
-                      for lo, hi in _batchsim_shards(length, self._parallelism)]
-            if len(chunks) <= 1:
-                part = batch.run_range(start, stop, root_seed)
-                tally.update(part)
-                if progress is not None:
-                    progress(tally)
-                return part, 1
-            parts = self._executor.run_sharded(
-                run_batch_shard,
-                [
-                    (self._factory, self._failure_model, self._metadata,
-                     root_seed, lo, hi)
-                    for lo, hi in chunks
-                ],
-                on_result=self._fold_shard(tally, progress),
-            )
-            return np.concatenate(parts), len(chunks)
-        shards = [
-            (lo + start, hi + start)
-            for lo, hi in _shard_bounds(length, self._effective_shards(length))
-        ]
-        if len(shards) <= 1 or self._parallelism == 1:
-            parts = []
-            for lo, hi in shards:
-                part = _run_shard(
+        bounds = _shard_bounds(length,
+                               self._shard_count(length, batch is not None))
+        if len(bounds) <= 1:
+            if batch is not None:
+                indicators = batch.run_range(start, stop, root_seed)
+            else:
+                indicators = _run_shard(
                     self._factory, self._failure_model, self._metadata,
-                    self._success, root_seed, lo, hi, algorithm=algorithm,
+                    self._success, root_seed, start, stop,
+                    algorithm=algorithm,
                 )
-                tally.update(part)
-                if progress is not None:
-                    progress(tally)
-                parts.append(part)
-            return np.concatenate(parts), 1
+            fold(0, indicators)
+            return indicators, 1
+        if batch is not None:
+            function, head = run_batch_shard, (
+                self._factory, self._failure_model, self._metadata)
+        else:
+            function, head = _run_shard, (
+                self._factory, self._failure_model, self._metadata,
+                self._success)
         parts = self._executor.run_sharded(
-            _run_shard,
-            [
-                (self._factory, self._failure_model, self._metadata,
-                 self._success, root_seed, lo, hi)
-                for lo, hi in shards
-            ],
-            on_result=self._fold_shard(tally, progress),
+            function,
+            [head + (root_seed, lo + start, hi + start) for lo, hi in bounds],
+            on_result=fold,
         )
-        return np.concatenate(parts), min(self._parallelism, len(shards))
+        return np.concatenate(parts), min(self._parallelism, len(bounds))
 
     @staticmethod
     def _bound_width(tally: RunningTally, bound: str,
                      confidence: float) -> float:
         """Interval width of the stopping bound on the current counts."""
-        lower, upper = (tally.hoeffding(confidence) if bound == "hoeffding"
-                        else tally.bernstein(confidence))
+        lower, upper = _interval(bound, tally.successes, tally.trials,
+                                 confidence)
         return upper - lower
 
     @staticmethod
     def _fold_shard(tally: RunningTally,
                     progress: Optional[Callable[[RunningTally], None]]
                     ) -> Callable[[int, np.ndarray], None]:
-        """The pool's in-order shard callback: stream counts as they land."""
+        """The executor's in-order shard callback: fold counts as they land."""
 
         def fold(index: int, part: np.ndarray) -> None:
             tally.update(part)
@@ -983,8 +872,17 @@ class TrialRunner:
 
         return fold
 
-    def _effective_shards(self, trials: int) -> int:
-        """Shard count: a few shards per worker, never exceeding trials."""
+    def _shard_count(self, trials: int, batchsim: bool) -> int:
+        """Shards for a range of ``trials`` on the executor's workers.
+
+        Batchsim chunks have uniform per-trial cost, so one chunk per
+        worker, never under :data:`MIN_BATCHSIM_SHARD` trials, minimises
+        the per-process eligibility-reprobe overhead.  Engine trials
+        vary in cost, so a few shards per worker balance the load.
+        """
         if self._parallelism == 1:
             return 1
+        if batchsim:
+            return min(self._parallelism,
+                       max(1, trials // MIN_BATCHSIM_SHARD))
         return min(trials, self._parallelism * 4)

@@ -60,7 +60,7 @@ from __future__ import annotations
 
 import asyncio
 import json
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple, Union
 
 from repro.experiments.registry import all_families
 from repro.obs import get_registry
@@ -71,6 +71,7 @@ from repro.serve.service import (
     QueryError,
     SequentialAnswer,
     SequentialQuery,
+    ServiceStats,
     SimulationService,
 )
 
@@ -81,18 +82,87 @@ __all__ = ["SimulationServer", "query_one", "query_many",
 #: buffering, far above any legitimate query.
 MAX_LINE_BYTES = 64 * 1024
 
-_QUERY_KEYS = {"id", "op", "scenario", "p", "n", "trials", "seed", "params"}
-_RUN_UNTIL_KEYS = {"id", "op", "scenario", "p", "n", "seed", "params",
-                   "target_width", "max_trials", "bound"}
+
+class _OpSchema:
+    """Wire fields of one query op, checked by :func:`_parse_query`.
+
+    An absent optional field takes the query type's own default.  Only
+    the listed fields are type-checked here; values (ranges, seeds,
+    scenario names) are the service's to validate.
+    """
+
+    #: Fields that must be JSON objects.
+    objects = ("params",)
+
+    def __init__(self, query_type: type, submit: str,
+                 required: Tuple[str, ...], optional: Tuple[str, ...],
+                 numbers: Tuple[str, ...], strings: Tuple[str, ...] = ()):
+        self.query_type = query_type
+        #: Name of the :class:`SimulationService` method answering the op.
+        self.submit = submit
+        self.required = required
+        self.required_set = frozenset(required)
+        self.allowed = frozenset(required + optional)
+        #: Fields that must be JSON numbers (coerced to ``float``).
+        self.numbers = numbers
+        self.strings = strings
+
+
+_SCHEMAS: Dict[str, _OpSchema] = {
+    "query": _OpSchema(
+        Query, "submit",
+        required=("scenario", "p", "n", "trials"),
+        optional=("seed", "params"),
+        numbers=("p",),
+    ),
+    "run_until": _OpSchema(
+        SequentialQuery, "submit_until",
+        required=("scenario", "p", "n", "target_width", "max_trials"),
+        optional=("seed", "bound", "params"),
+        numbers=("p", "target_width"),
+        strings=("bound",),
+    ),
+}
+
+
+def _parse_query(schema: _OpSchema, request: Dict[str, Any]) -> Any:
+    """Build the op's query from ``request`` or raise ``bad-request``."""
+    fields = dict(request)
+    fields.pop("id", None)
+    fields.pop("op", None)
+    unknown = fields.keys() - schema.allowed
+    if unknown:
+        raise QueryError(
+            "bad-request",
+            f"unknown request field(s): {', '.join(sorted(unknown))}")
+    if not schema.required_set <= fields.keys():
+        missing = [key for key in schema.required if key not in fields]
+        raise QueryError(
+            "bad-request", f"missing required field(s): {', '.join(missing)}")
+    for key in schema.numbers:
+        value = fields[key]
+        if not isinstance(value, (int, float)) or isinstance(value, bool):
+            raise QueryError("bad-request", f"{key} must be a number")
+        fields[key] = float(value)
+    for key in schema.objects:
+        if key in fields and not isinstance(fields[key], dict):
+            raise QueryError("bad-request", f"{key} must be a JSON object")
+    for key in schema.strings:
+        if key in fields and not isinstance(fields[key], str):
+            raise QueryError("bad-request", f"{key} must be a string")
+    return schema.query_type(**fields)
+
+
+def _with_id(payload: Dict[str, Any], request_id: Any) -> Dict[str, Any]:
+    if request_id is not None:
+        payload["id"] = request_id
+    return payload
 
 
 def _error(code: str, message: str,
            request_id: Any = None) -> Dict[str, Any]:
-    payload: Dict[str, Any] = {"ok": False, "error": code,
-                               "message": message}
-    if request_id is not None:
-        payload["id"] = request_id
-    return payload
+    return _with_id({"ok": False, "error": code, "message": message},
+                    request_id)
 
 
 def _query_error(error: QueryError, request_id: Any) -> Dict[str, Any]:
@@ -102,53 +172,35 @@ def _query_error(error: QueryError, request_id: Any) -> Dict[str, Any]:
     return payload
 
 
-def _answer_payload(answer: Answer, request_id: Any) -> Dict[str, Any]:
+def _answer_payload(answer: Union[Answer, SequentialAnswer],
+                    request_id: Any) -> Dict[str, Any]:
+    result = answer.result
     payload = {
         "ok": True,
         "scenario": answer.query.scenario,
-        "estimate": answer.estimate,
-        "successes": answer.successes,
-        "trials": answer.trials,
-        "backend": answer.backend,
-        "workers": answer.result.workers,
-        "seed": answer.result.seed,
+        "estimate": result.estimate,
+        "successes": result.successes,
+        "trials": result.trials,
+        "backend": result.backend,
+        "workers": result.workers,
+        "seed": result.seed,
         "source": answer.source,
         "fingerprint": answer.fingerprint,
         "indicators_sha256": answer.indicators_digest(),
         "elapsed_ms": round(answer.elapsed * 1000.0, 3),
     }
-    if request_id is not None:
-        payload["id"] = request_id
-    return payload
-
-
-def _sequential_payload(answer: SequentialAnswer,
-                        request_id: Any) -> Dict[str, Any]:
-    sequential = answer.sequential
-    payload = {
-        "ok": True,
-        "scenario": answer.query.scenario,
-        "estimate": answer.estimate,
-        "successes": answer.result.successes,
-        "trials": answer.result.trials,
-        "backend": answer.result.backend,
-        "workers": answer.result.workers,
-        "seed": answer.result.seed,
-        "source": answer.source,
-        "fingerprint": answer.fingerprint,
-        "indicators_sha256": answer.indicators_digest(),
-        "elapsed_ms": round(answer.elapsed * 1000.0, 3),
-        "target_width": sequential.target_width,
-        "max_trials": answer.query.max_trials,
-        "bound": sequential.bound,
-        "met": sequential.met,
-        "width": answer.width,
-        "steps": [[step.trials, step.successes, step.width]
-                  for step in sequential.steps],
-    }
-    if request_id is not None:
-        payload["id"] = request_id
-    return payload
+    if isinstance(answer, SequentialAnswer):
+        sequential = answer.sequential
+        payload.update({
+            "target_width": sequential.target_width,
+            "max_trials": answer.query.max_trials,
+            "bound": sequential.bound,
+            "met": sequential.met,
+            "width": answer.width,
+            "steps": [[step.trials, step.successes, step.width]
+                      for step in sequential.steps],
+        })
+    return _with_id(payload, request_id)
 
 
 class SimulationServer:
@@ -295,90 +347,18 @@ class SimulationServer:
             return self._catalog_payload(request_id)
         if op == "metrics":
             return self._metrics_payload(request_id)
-        if op == "run_until":
-            return await self._run_until_payload(request, request_id)
-        if op != "query":
+        schema = _SCHEMAS.get(op)
+        if schema is None:
             return _error("bad-request", f"unknown op {op!r}", request_id)
-        unknown = set(request) - _QUERY_KEYS
-        if unknown:
-            return _error(
-                "bad-request",
-                f"unknown request field(s): {', '.join(sorted(unknown))}",
-                request_id,
-            )
-        missing = [key for key in ("scenario", "p", "n", "trials")
-                   if key not in request]
-        if missing:
-            return _error(
-                "bad-request",
-                f"missing required field(s): {', '.join(missing)}",
-                request_id,
-            )
-        if not isinstance(request.get("p"), (int, float)) or isinstance(
-                request.get("p"), bool):
-            return _error("bad-request", "p must be a number", request_id)
-        params = request.get("params", {})
-        if not isinstance(params, dict):
-            return _error("bad-request", "params must be a JSON object",
-                          request_id)
-        query = Query(
-            scenario=request["scenario"], p=float(request["p"]),
-            n=request["n"], trials=request["trials"],
-            seed=request.get("seed", 0), params=params,
-        )
         try:
-            answer = await self._service.submit(query)
+            query = _parse_query(schema, request)
+            answer = await getattr(self._service, schema.submit)(query)
         except QueryError as error:
             return _query_error(error, request_id)
         except Exception as error:  # pragma: no cover - defensive
             return _error("internal", f"{type(error).__name__}: {error}",
                           request_id)
         return _answer_payload(answer, request_id)
-
-    async def _run_until_payload(self, request: Dict[str, Any],
-                                 request_id: Any) -> Dict[str, Any]:
-        unknown = set(request) - _RUN_UNTIL_KEYS
-        if unknown:
-            return _error(
-                "bad-request",
-                f"unknown request field(s): {', '.join(sorted(unknown))}",
-                request_id,
-            )
-        missing = [key for key in ("scenario", "p", "n", "target_width",
-                                   "max_trials") if key not in request]
-        if missing:
-            return _error(
-                "bad-request",
-                f"missing required field(s): {', '.join(missing)}",
-                request_id,
-            )
-        for field in ("p", "target_width"):
-            if not isinstance(request.get(field), (int, float)) or \
-                    isinstance(request.get(field), bool):
-                return _error("bad-request", f"{field} must be a number",
-                              request_id)
-        params = request.get("params", {})
-        if not isinstance(params, dict):
-            return _error("bad-request", "params must be a JSON object",
-                          request_id)
-        bound = request.get("bound", "hoeffding")
-        if not isinstance(bound, str):
-            return _error("bad-request", "bound must be a string",
-                          request_id)
-        query = SequentialQuery(
-            scenario=request["scenario"], p=float(request["p"]),
-            n=request["n"], target_width=float(request["target_width"]),
-            max_trials=request["max_trials"], seed=request.get("seed", 0),
-            bound=bound, params=params,
-        )
-        try:
-            answer = await self._service.submit_until(query)
-        except QueryError as error:
-            return _query_error(error, request_id)
-        except Exception as error:  # pragma: no cover - defensive
-            return _error("internal", f"{type(error).__name__}: {error}",
-                          request_id)
-        return _sequential_payload(answer, request_id)
 
     def _stats_payload(self, request_id: Any) -> Dict[str, Any]:
         stats = self._service.stats()
@@ -404,15 +384,12 @@ class SimulationServer:
                 "started": stats.coalesce_started,
                 "joined": stats.coalesce_joined,
             },
-            "admission": self._admission_block(),
+            "admission": self._admission_block(stats),
             "executor": dict(stats.executor),
         }
-        if request_id is not None:
-            payload["id"] = request_id
-        return payload
+        return _with_id(payload, request_id)
 
-    def _admission_block(self) -> Dict[str, Any]:
-        stats = self._service.stats()
+    def _admission_block(self, stats: ServiceStats) -> Dict[str, Any]:
         admission = self._service.admission.stats()
         return {
             "admitted": admission.admitted,
@@ -423,13 +400,8 @@ class SimulationServer:
         }
 
     def _metrics_payload(self, request_id: Any) -> Dict[str, Any]:
-        payload: Dict[str, Any] = {
-            "ok": True,
-            "metrics": get_registry().snapshot(),
-        }
-        if request_id is not None:
-            payload["id"] = request_id
-        return payload
+        return _with_id({"ok": True, "metrics": get_registry().snapshot()},
+                        request_id)
 
     def _catalog_payload(self, request_id: Any) -> Dict[str, Any]:
         payload: Dict[str, Any] = {
@@ -445,9 +417,7 @@ class SimulationServer:
                 for family in all_families()
             ],
         }
-        if request_id is not None:
-            payload["id"] = request_id
-        return payload
+        return _with_id(payload, request_id)
 
 
 # -- client helpers ----------------------------------------------------

@@ -8,40 +8,42 @@ registered scenario family (:mod:`repro.serve.catalog`) plus
 the synthetic traffic generator (:mod:`repro.serve.traffic`) both
 drive this same API.
 
-Data flow per query::
+Every query kind — a fixed-budget Monte-Carlo :class:`Query`, an exact
+(combinatorial) :class:`Query`, and an adaptive :class:`SequentialQuery`
+— runs through one pipeline, fed by a small per-kind plan::
 
-    resolve   spec -> (factory, failure model) -> TrialRunner   (memoised)
+    validate       field and range checks for the query kind
+    resolve        spec -> (factory, failure model) -> TrialRunner
+                   (memoised); the plan names the blocking run
     fingerprint    scenario_fingerprint(factory, model, trials, seed)
     cache          exact LRU hit?  ->  answer (source="cache")
-    admission      fresh work takes a bounded run slot
+    admit          fresh work takes a bounded run slot
                    (serve/admission.py) or sheds with `overloaded`
-    fastsim        dispatch tier 1?  ->  run instantly, memoise
-    coalesce       Monte-Carlo: single flight per fingerprint;
-                   concurrent identical queries await one shared
-                   (sharded) BatchExecution and get the same
-                   TrialResult object
+    coalesce       single flight per key: concurrent identical
+                   queries await one run on the thread executor and
+                   get the same result object; fastsim misses skip
+                   this step (one closed-form draw is cheaper than
+                   the bookkeeping)
     memoise        completed results enter the LRU and, when a
                    memo journal is configured (serve/persistence.py),
                    the on-disk journal — restarts rehydrate it
 
-:meth:`SimulationService.submit_until` is the adaptive twin: a
-:class:`SequentialQuery` drives :meth:`TrialRunner.run_until` through
-the same pipeline, coalescing on ``(fingerprint, target_width)`` and
-memo-keyed on the scenario alone — because sequential indicators are
-bit-identical *prefixes* of each other, a cached stricter run answers
-any wider-target query by truncation, byte-identically.
-
-Purely combinatorial families (``kind="exact"``, E10) bypass the
-Monte-Carlo machinery entirely: the family's picklable ``compute`` is
-run once on the executor and its verdict served memo-only as a
-single-indicator ``backend="exact"`` result.
+The kinds differ only in their plan.  A :class:`SequentialQuery`
+(:meth:`SimulationService.submit_until`) drives
+:meth:`TrialRunner.run_until`, coalesces on ``(fingerprint,
+target_width)`` and is memo-keyed on the scenario alone — because
+sequential indicators are bit-identical *prefixes* of each other, a
+cached stricter run answers any wider-target query by truncation,
+byte-identically.  A purely combinatorial family (``kind="exact"``,
+E10) runs its picklable ``compute`` instead of a Monte-Carlo batch and
+is served as a single-indicator ``backend="exact"`` result.
 
 Everything rests on the repo's determinism invariant: a result is a
 pure function of ``(scenario fingerprint, seed, trials)``, so the
 cache is exact and coalesced waiters lose nothing — bit-identical
 indicators either way.
 
-Every ``submit`` runs under a ``serve.query`` span (:mod:`repro.obs`)
+Every query runs under a ``serve.query`` span (:mod:`repro.obs`)
 whose resolve / fingerprint / cache / run / coalesce phases are child
 spans, so per-phase latency histograms (``serve.query.seconds``,
 ``serve.run.seconds``, ...) and the slow-query log come for free;
@@ -60,7 +62,9 @@ import time
 from concurrent.futures import Executor
 from dataclasses import dataclass, field
 from hashlib import sha256
-from typing import Any, Callable, Dict, Mapping, Optional, Tuple, Union
+from functools import partial
+from typing import (Any, Callable, Dict, Mapping, NamedTuple, Optional,
+                    Tuple, Union)
 
 import numpy as np
 
@@ -71,7 +75,6 @@ from repro.experiments.registry import (
     get_family,
 )
 from repro.montecarlo import (
-    AsyncTrialRunner,
     ShardExecutor,
     TrialResult,
     TrialRunner,
@@ -275,6 +278,67 @@ class ServiceStats:
         return (self.coalesced_hits + self.cache_hits) / answered
 
 
+class _Plan(NamedTuple):
+    """What one query kind contributes to the shared serving pipeline."""
+
+    #: ``scenario_fingerprint`` arguments: factory, failure model,
+    #: trials and seed.
+    key: Tuple[Any, Any, int, int]
+    #: The fingerprint's ``extra`` discriminator.
+    extra: Any
+    #: The blocking cache-miss run, hosted on the thread executor.
+    compute: Callable[[], Union[TrialResult, SequentialResult]]
+    #: ``serve.run`` span tag.
+    tier: str
+    #: Admission op class.
+    op: str = "query"
+    #: ``run_until`` target width; ``None`` for fixed-budget kinds.
+    target: Optional[float] = None
+    #: The Monte-Carlo runner, whose fastsim misses skip coalescing.
+    runner: Optional[TrialRunner] = None
+
+
+def _exact_result(compute: Callable[[], object]) -> TrialResult:
+    """An exact family's verdict as a single-indicator result."""
+    return TrialResult(indicators=np.array([bool(compute())], dtype=bool),
+                       backend=BACKEND_EXACT, workers=1, seed=0)
+
+
+def _truncate_sequential(cached: SequentialResult,
+                         target_width: float) -> Optional[SequentialResult]:
+    """Serve ``target_width`` from a cached (stricter) run, if valid.
+
+    Sequential indicators are bit-identical prefixes: a run asked for a
+    *wider* target walks the same extension trace and stops at the
+    first step whose width clears it, so the cached run's prefix up to
+    that step IS the fresh answer.  A cached run that exhausted its cap
+    (``met=False``) is the full trace any target would produce.
+    Returns ``None`` when the cached run stopped early of what
+    ``target_width`` needs — the caller recomputes (and the stricter
+    fresh run then replaces the cache entry, extending it).
+    """
+    for index, step in enumerate(cached.steps):
+        if step.width <= target_width:
+            result = dataclasses.replace(
+                cached.result,
+                indicators=cached.result.indicators[:step.trials],
+                timings=None,
+            )
+            return SequentialResult(
+                result=result, steps=cached.steps[:index + 1],
+                target_width=target_width, bound=cached.bound, met=True,
+            )
+    if not cached.met:
+        # Capped run: a stricter target runs the identical trace and
+        # caps too — only the honest `met` recomputation (still False
+        # here: no step cleared the target) differs.
+        return SequentialResult(
+            result=cached.result, steps=cached.steps,
+            target_width=target_width, bound=cached.bound, met=False,
+        )
+    return None
+
+
 class SimulationService:
     """Always-on query service over the scenario-family catalog.
 
@@ -432,17 +496,22 @@ class SimulationService:
             ) from error
         return (query.scenario, float(query.p), query.n, params)
 
-    def _resolve(self, query: Union[Query, SequentialQuery]) -> TrialRunner:
+    @staticmethod
+    def _build(query: Union[Query, SequentialQuery],
+               family: ScenarioFamily) -> Tuple[Any, Any]:
+        """The family's ``(factory or compute, failure model)`` pair."""
+        try:
+            return family.build(query.p, query.n, **dict(query.params))
+        except (TypeError, ValueError) as error:
+            raise QueryError("bad-parameters", str(error)) from error
+
+    def _resolve(self, query: Union[Query, SequentialQuery],
+                 family: ScenarioFamily) -> TrialRunner:
         """The memoised ``TrialRunner`` for this query's scenario."""
         key = self._runner_key(query)
         runner = self._runners.get(key)
         if runner is None:
-            try:
-                factory, failure_model = self._family(query.scenario).build(
-                    query.p, query.n, **dict(query.params)
-                )
-            except (TypeError, ValueError) as error:
-                raise QueryError("bad-parameters", str(error)) from error
+            factory, failure_model = self._build(query, family)
             runner = TrialRunner(factory, failure_model,
                                  workers=self._workers,
                                  executor=self._shard_executor)
@@ -453,11 +522,7 @@ class SimulationService:
 
     def _resolve_exact(self, query: Query,
                        family: ScenarioFamily) -> Callable[[], object]:
-        try:
-            compute, failure_model = family.build(query.p, query.n,
-                                                  **dict(query.params))
-        except (TypeError, ValueError) as error:
-            raise QueryError("bad-parameters", str(error)) from error
+        compute, failure_model = self._build(query, family)
         if failure_model is not None:
             raise QueryError(
                 "bad-parameters",
@@ -473,19 +538,20 @@ class SimulationService:
             raise QueryError("bad-request",
                              f"seed must be non-negative, got {seed}")
 
+    def _validate_trials(self, value: Any, name: str) -> None:
+        if not isinstance(value, int) or isinstance(value, bool):
+            raise QueryError("bad-request", f"{name} must be an int")
+        if not 1 <= value <= self._max_trials:
+            raise QueryError(
+                "bad-request",
+                f"{name} must lie in [1, {self._max_trials}], got {value}"
+            )
+
     def _validate(self, query: Query) -> None:
         if not isinstance(query.scenario, str) or not query.scenario:
             raise QueryError("bad-request", "scenario must be a non-empty "
                                             "string")
-        if not isinstance(query.trials, int) or isinstance(query.trials,
-                                                           bool):
-            raise QueryError("bad-request", "trials must be an int")
-        if not 1 <= query.trials <= self._max_trials:
-            raise QueryError(
-                "bad-request",
-                f"trials must lie in [1, {self._max_trials}], got "
-                f"{query.trials}"
-            )
+        self._validate_trials(query.trials, "trials")
         self._validate_seed(query.seed)
 
     def _validate_exact(self, query: Query) -> None:
@@ -518,15 +584,7 @@ class SimulationService:
                 "bad-request",
                 f"target_width must lie in (0, 1], got {query.target_width}"
             )
-        if not isinstance(query.max_trials, int) or isinstance(
-                query.max_trials, bool):
-            raise QueryError("bad-request", "max_trials must be an int")
-        if not 1 <= query.max_trials <= self._max_trials:
-            raise QueryError(
-                "bad-request",
-                f"max_trials must lie in [1, {self._max_trials}], got "
-                f"{query.max_trials}"
-            )
+        self._validate_trials(query.max_trials, "max_trials")
         if query.bound not in SEQUENTIAL_BOUNDS:
             raise QueryError(
                 "bad-request",
@@ -535,39 +593,61 @@ class SimulationService:
             )
         self._validate_seed(query.seed)
 
-    # -- fingerprints --------------------------------------------------
+    # -- plans ---------------------------------------------------------
 
-    def fingerprint(self, query: Query) -> str:
-        """The canonical memo key this query resolves to."""
+    def _plan(self, query: Union[Query, SequentialQuery]) -> _Plan:
+        """Validate and resolve ``query`` into its kind's pipeline plan."""
+        if isinstance(query, SequentialQuery):
+            family = self._family(query.scenario)
+            if family.kind == FAMILY_EXACT:
+                raise QueryError(
+                    "bad-request",
+                    f"scenario {query.scenario!r} is exact "
+                    f"(combinatorial); run_until does not apply"
+                )
+            self._validate_sequential(query)
+            runner = self._resolve(query, family)
+            target = float(query.target_width)
+            return _Plan(
+                key=(runner.algorithm_factory, runner.failure_model,
+                     query.max_trials, query.seed),
+                extra=("run_until", query.bound, SEQUENTIAL_CONFIDENCE,
+                       SEQUENTIAL_INITIAL_TRIALS),
+                compute=partial(runner.run_until, target, query.max_trials,
+                                query.seed, SEQUENTIAL_CONFIDENCE,
+                                bound=query.bound,
+                                initial_trials=SEQUENTIAL_INITIAL_TRIALS),
+                tier="run_until", op="run_until", target=target,
+            )
         self._validate(query)
         family = self._family(query.scenario)
         if family.kind == FAMILY_EXACT:
             self._validate_exact(query)
             compute = self._resolve_exact(query, family)
-            return scenario_fingerprint(compute, None, 1, 0,
-                                        extra="exact-search")
-        runner = self._resolve(query)
-        return scenario_fingerprint(
-            runner.algorithm_factory, runner.failure_model, query.trials, query.seed
+            return _Plan(key=(compute, None, 1, 0), extra="exact-search",
+                         compute=partial(_exact_result, compute),
+                         tier="exact")
+        runner = self._resolve(query, family)
+        return _Plan(
+            key=(runner.algorithm_factory, runner.failure_model,
+                 query.trials, query.seed),
+            extra=None,
+            compute=partial(runner.run, query.trials, query.seed),
+            tier="montecarlo", runner=runner,
         )
 
-    def sequential_fingerprint(self, query: SequentialQuery) -> str:
-        """The scenario-level memo key of a ``run_until`` query.
+    def fingerprint(self, query: Union[Query, SequentialQuery]) -> str:
+        """The canonical memo key this query resolves to.
 
-        Deliberately **excludes** ``target_width``: every target over
-        the same ``(scenario, seed, bound, max_trials)`` shares one
-        key, because sequential indicator vectors are bit-identical
-        prefixes of each other — the cache keeps the strictest run
-        seen and truncates it for wider targets.
+        A ``run_until`` key deliberately **excludes** ``target_width``:
+        every target over the same ``(scenario, seed, bound,
+        max_trials)`` shares one key, because sequential indicator
+        vectors are bit-identical prefixes of each other — the cache
+        keeps the strictest run seen and truncates it for wider
+        targets.
         """
-        self._validate_sequential(query)
-        runner = self._resolve(query)
-        return scenario_fingerprint(
-            runner.algorithm_factory, runner.failure_model,
-            query.max_trials, query.seed,
-            extra=("run_until", query.bound, SEQUENTIAL_CONFIDENCE,
-                   SEQUENTIAL_INITIAL_TRIALS),
-        )
+        plan = self._plan(query)
+        return scenario_fingerprint(*plan.key, extra=plan.extra)
 
     # -- memo ----------------------------------------------------------
 
@@ -593,165 +673,7 @@ class SimulationService:
         Raises :class:`QueryError` for client-side problems (including
         :class:`OverloadedError` when admission control sheds the run).
         """
-        start = time.perf_counter()
-        self._queries += 1
-        registry = get_registry()
-        registry.counter("serve.queries").inc()
-        try:
-            with span("serve.query", scenario=query.scenario):
-                with span("serve.resolve"):
-                    self._validate(query)
-                    family = self._family(query.scenario)
-                    if family.kind == FAMILY_EXACT:
-                        self._validate_exact(query)
-                        compute = self._resolve_exact(query, family)
-                        runner = None
-                    else:
-                        runner = self._resolve(query)
-                with span("serve.fingerprint"):
-                    if runner is None:
-                        fingerprint = scenario_fingerprint(
-                            compute, None, 1, 0, extra="exact-search")
-                    else:
-                        fingerprint = scenario_fingerprint(
-                            runner.algorithm_factory, runner.failure_model,
-                            query.trials, query.seed
-                        )
-                with span("serve.cache"):
-                    cached = self._cache.get(fingerprint)
-                if isinstance(cached, TrialResult):
-                    self._cache_hits += 1
-                    registry.counter("serve.answers",
-                                     source=SOURCE_CACHE).inc()
-                    return Answer(
-                        query=query, result=cached, fingerprint=fingerprint,
-                        source=SOURCE_CACHE,
-                        elapsed=time.perf_counter() - start,
-                    )
-                if runner is None:
-                    return await self._run_exact(query, compute, fingerprint,
-                                                 start)
-                return await self._run_montecarlo(query, runner, fingerprint,
-                                                  start)
-        except QueryError as error:
-            self._errors += 1
-            if isinstance(error, OverloadedError):
-                self._overloaded += 1
-            registry.counter("serve.errors", code=error.code).inc()
-            raise
-
-    async def _run_montecarlo(self, query: Query, runner: TrialRunner,
-                              fingerprint: str, start: float) -> Answer:
-        registry = get_registry()
-        arunner = AsyncTrialRunner(runner, self._executor)
-        if runner.dispatch_entry() is not None:
-            # Fastsim tier: one closed-form vectorised draw — answered
-            # immediately, no coalescing needed (the draw itself is
-            # cheaper than the bookkeeping would save), but still a
-            # fresh execution, so it takes an admission slot.
-            async with self._admission.admit("query"):
-                with span("serve.run", tier="fastsim"):
-                    result = await arunner.run(query.trials, query.seed)
-            self._computed += 1
-            self._fastsim_answers += 1
-            self._memoise(fingerprint, result)
-            registry.counter("serve.answers",
-                             source=SOURCE_COMPUTED).inc()
-            return Answer(
-                query=query, result=result, fingerprint=fingerprint,
-                source=SOURCE_COMPUTED,
-                elapsed=time.perf_counter() - start,
-            )
-
-        async def compute() -> TrialResult:
-            async with self._admission.admit("query"):
-                with span("serve.run", tier="montecarlo"):
-                    return await arunner.run(query.trials, query.seed)
-
-        with span("serve.coalesce"):
-            result, coalesced = await self._coalescer.run(
-                fingerprint, compute)
-        if coalesced:
-            self._coalesced_hits += 1
-        else:
-            self._computed += 1
-            self._memoise(fingerprint, result)
-        source = SOURCE_COALESCED if coalesced else SOURCE_COMPUTED
-        registry.counter("serve.answers", source=source).inc()
-        return Answer(
-            query=query, result=result, fingerprint=fingerprint,
-            source=source,
-            elapsed=time.perf_counter() - start,
-        )
-
-    async def _run_exact(self, query: Query, compute: Callable[[], object],
-                         fingerprint: str, start: float) -> Answer:
-        registry = get_registry()
-
-        async def run() -> TrialResult:
-            async with self._admission.admit("query"):
-                with span("serve.run", tier="exact"):
-                    loop = asyncio.get_running_loop()
-                    verdict = await loop.run_in_executor(self._executor,
-                                                         compute)
-            return TrialResult(
-                indicators=np.array([bool(verdict)], dtype=bool),
-                backend=BACKEND_EXACT, workers=1, seed=0,
-            )
-
-        with span("serve.coalesce"):
-            result, coalesced = await self._coalescer.run(fingerprint, run)
-        if coalesced:
-            self._coalesced_hits += 1
-        else:
-            self._computed += 1
-            self._memoise(fingerprint, result)
-        source = SOURCE_COALESCED if coalesced else SOURCE_COMPUTED
-        registry.counter("serve.answers", source=source).inc()
-        return Answer(
-            query=query, result=result, fingerprint=fingerprint,
-            source=source,
-            elapsed=time.perf_counter() - start,
-        )
-
-    # -- adaptive serving ----------------------------------------------
-
-    @staticmethod
-    def _truncate_sequential(cached: SequentialResult,
-                             target_width: float
-                             ) -> Optional[SequentialResult]:
-        """Serve ``target_width`` from a cached (stricter) run, if valid.
-
-        Sequential indicators are bit-identical prefixes: a run asked
-        for a *wider* target walks the same extension trace and stops
-        at the first step whose width clears it, so the cached run's
-        prefix up to that step IS the fresh answer.  A cached run that
-        exhausted its cap (``met=False``) is the full trace any target
-        would produce.  Returns ``None`` when the cached run stopped
-        early of what ``target_width`` needs — the caller recomputes
-        (and the stricter fresh run then replaces the cache entry,
-        extending it).
-        """
-        for index, step in enumerate(cached.steps):
-            if step.width <= target_width:
-                result = dataclasses.replace(
-                    cached.result,
-                    indicators=cached.result.indicators[:step.trials],
-                    timings=None,
-                )
-                return SequentialResult(
-                    result=result, steps=cached.steps[:index + 1],
-                    target_width=target_width, bound=cached.bound, met=True,
-                )
-        if not cached.met:
-            # Capped run: a stricter target runs the identical trace
-            # and caps too — only the honest `met` recomputation
-            # (still False here: no step cleared the target) differs.
-            return SequentialResult(
-                result=cached.result, steps=cached.steps,
-                target_width=target_width, bound=cached.bound, met=False,
-            )
-        return None
+        return await self._serve(query)
 
     async def submit_until(self, query: SequentialQuery) -> SequentialAnswer:
         """Answer one adaptive query via :meth:`TrialRunner.run_until`.
@@ -761,6 +683,11 @@ class SimulationService:
         cached stricter run serves a wider target by prefix truncation
         (byte-identical, per the sequential prefix invariant).
         """
+        return await self._serve(query)
+
+    async def _serve(self, query: Union[Query, SequentialQuery]
+                     ) -> Union[Answer, SequentialAnswer]:
+        """The one pipeline every query kind runs through."""
         start = time.perf_counter()
         self._queries += 1
         registry = get_registry()
@@ -768,66 +695,65 @@ class SimulationService:
         try:
             with span("serve.query", scenario=query.scenario):
                 with span("serve.resolve"):
-                    family = self._family(query.scenario)
-                    if family.kind == FAMILY_EXACT:
-                        raise QueryError(
-                            "bad-request",
-                            f"scenario {query.scenario!r} is exact "
-                            f"(combinatorial); run_until does not apply"
-                        )
-                    self._validate_sequential(query)
-                    runner = self._resolve(query)
+                    plan = self._plan(query)
                 with span("serve.fingerprint"):
-                    fingerprint = scenario_fingerprint(
-                        runner.algorithm_factory, runner.failure_model,
-                        query.max_trials, query.seed,
-                        extra=("run_until", query.bound,
-                               SEQUENTIAL_CONFIDENCE,
-                               SEQUENTIAL_INITIAL_TRIALS),
-                    )
-                target = float(query.target_width)
+                    fingerprint = scenario_fingerprint(*plan.key,
+                                                       extra=plan.extra)
                 with span("serve.cache"):
                     cached = self._cache.get(fingerprint)
-                if isinstance(cached, SequentialResult):
-                    served = self._truncate_sequential(cached, target)
-                    if served is not None:
-                        self._cache_hits += 1
-                        registry.counter("serve.answers",
-                                         source=SOURCE_CACHE).inc()
-                        return SequentialAnswer(
-                            query=query, sequential=served,
-                            fingerprint=fingerprint, source=SOURCE_CACHE,
-                            elapsed=time.perf_counter() - start,
-                        )
-                arunner = AsyncTrialRunner(runner, self._executor)
+                if plan.target is None:
+                    answer = Answer
+                    served = (cached if isinstance(cached, TrialResult)
+                              else None)
+                else:
+                    answer = SequentialAnswer
+                    served = (_truncate_sequential(cached, plan.target)
+                              if isinstance(cached, SequentialResult)
+                              else None)
+                if served is not None:
+                    self._cache_hits += 1
+                    registry.counter("serve.answers",
+                                     source=SOURCE_CACHE).inc()
+                    return answer(query, served, fingerprint, SOURCE_CACHE,
+                                  time.perf_counter() - start)
+                # Fastsim tier: one closed-form vectorised draw — cheaper
+                # than coalescing bookkeeping would save, so it runs
+                # uncoalesced, but it is still fresh work and takes an
+                # admission slot.
+                fastsim = (plan.runner is not None
+                           and plan.runner.dispatch_entry() is not None)
+                tier = "fastsim" if fastsim else plan.tier
 
-                async def compute() -> SequentialResult:
-                    async with self._admission.admit("run_until"):
-                        with span("serve.run", tier="run_until"):
-                            return await arunner.run_until(
-                                target, query.max_trials, query.seed,
-                                SEQUENTIAL_CONFIDENCE, bound=query.bound,
-                                initial_trials=SEQUENTIAL_INITIAL_TRIALS,
-                            )
+                async def compute() -> Any:
+                    async with self._admission.admit(plan.op):
+                        with span("serve.run", tier=tier):
+                            loop = asyncio.get_running_loop()
+                            return await loop.run_in_executor(
+                                self._executor, plan.compute)
 
-                with span("serve.coalesce"):
-                    sequential, coalesced = await self._coalescer.run(
-                        (fingerprint, target), compute)
+                if fastsim:
+                    result, coalesced = await compute(), False
+                    self._fastsim_answers += 1
+                else:
+                    # run_until flights are per target; its memo key is not.
+                    flight = (fingerprint if plan.target is None
+                              else (fingerprint, plan.target))
+                    with span("serve.coalesce"):
+                        result, coalesced = await self._coalescer.run(
+                            flight, compute)
                 if coalesced:
                     self._coalesced_hits += 1
                 else:
                     self._computed += 1
-                    self._memoise(fingerprint, sequential)
+                    self._memoise(fingerprint, result)
                 source = SOURCE_COALESCED if coalesced else SOURCE_COMPUTED
                 registry.counter("serve.answers", source=source).inc()
-                return SequentialAnswer(
-                    query=query, sequential=sequential,
-                    fingerprint=fingerprint, source=source,
-                    elapsed=time.perf_counter() - start,
-                )
+                return answer(query, result, fingerprint, source,
+                              time.perf_counter() - start)
         except QueryError as error:
             self._errors += 1
             if isinstance(error, OverloadedError):
                 self._overloaded += 1
             registry.counter("serve.errors", code=error.code).inc()
             raise
+

@@ -16,6 +16,8 @@ Kučera compiled plans.  That identity is what lets
 numbers.
 """
 
+import sys
+from concurrent.futures import ThreadPoolExecutor
 from functools import partial
 
 import numpy as np
@@ -29,6 +31,7 @@ from repro.core.labels import PrimeScheduleBroadcast, RoundRobinBroadcast
 from repro.core.radio_repeat import ADOPT_ANY, ADOPT_MAJORITY, RadioRepeat
 from repro.core.windowed import WindowedMalicious
 from repro.engine import MESSAGE_PASSING, RADIO, run_execution
+from repro.experiments.registry import get_family
 from repro.failures import (
     ComplementAdversary,
     EqualizingStarAdversary,
@@ -48,6 +51,7 @@ from repro.montecarlo import TrialRunner
 from repro.radio.closed_form import line_schedule
 from repro.radio.layered_broadcast import LayeredScheduleBroadcast
 from repro.rng import RngStream, derive_seed
+from repro.serve import catalog as _catalog  # noqa: F401  (registers families)
 
 TRIALS = 48
 SEED = 20070
@@ -466,6 +470,30 @@ class TestDispatchTier:
         np.testing.assert_array_equal(
             runner.run(40, 9).indicators, engine.run(40, 9).indicators
         )
+
+
+class TestConcurrentRuns:
+    def test_threaded_runs_on_one_runner_match_serial_runs(self):
+        # One runner holds one BatchExecution whose program keeps
+        # per-chunk state; runs on several threads must not overwrite
+        # each other's chunks.
+        factory, model = get_family("windowed-malicious").build(0.2, 4)
+        seeds = range(4)
+        serial = [TrialRunner(factory, model).run(1024, seed).indicators
+                  for seed in seeds]
+        shared = TrialRunner(factory, model)
+        assert shared.dispatch_backend() == "batchsim"
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ThreadPoolExecutor(len(seeds)) as pool:
+                threaded = list(pool.map(
+                    lambda seed: shared.run(1024, seed).indicators, seeds,
+                    timeout=120))
+        finally:
+            sys.setswitchinterval(interval)
+        for expected, got in zip(serial, threaded):
+            np.testing.assert_array_equal(got, expected)
 
 
 class TestPayloadCodec:

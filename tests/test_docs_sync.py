@@ -127,7 +127,7 @@ class TestObservabilityDocs:
         assert "## Observability" in architecture
         for series in ("serve.query.seconds", "serve.cache.hits",
                        "serve.coalesce.started", "mc.trials",
-                       "mc.pool.shard.seconds", "mc.dispatch.match"):
+                       "mc.executor.shard.seconds", "mc.dispatch.match"):
             assert f"`{series}`" in architecture, (
                 f"metric series {series!r} missing from ARCHITECTURE.md's "
                 f"Observability section"

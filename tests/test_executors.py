@@ -17,6 +17,7 @@ test-module locals cannot cross the wire.
 from __future__ import annotations
 
 import concurrent.futures
+import time
 
 import pytest
 
@@ -203,7 +204,13 @@ class TestRemoteCrashSemantics:
                 assert registry.counter(
                     "mc.executor.retries",
                     backend="remote-socket").value == 1
-            # Exactly one of the pair died executing the shard.
+            # Exactly one of the pair died executing the shard.  The
+            # client can see the dead worker's socket close a moment
+            # before the process is reaped, so allow it time to exit.
+            deadline = time.monotonic() + 5.0
+            while (doomed.alive() and steady.alive()
+                   and time.monotonic() < deadline):
+                time.sleep(0.01)
             assert sum(1 for w in (doomed, steady) if w.alive()) == 1
         finally:
             doomed.close()

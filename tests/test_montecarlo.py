@@ -37,7 +37,7 @@ from repro.fastsim import sample_simple_omission
 from repro.graphs import bfs_tree, binary_tree, line, star
 from repro.montecarlo import (
     FINGERPRINT_VERSION,
-    AsyncTrialRunner,
+    LocalProcessExecutor,
     RunningTally,
     TrialRunner,
     find_sampler,
@@ -46,7 +46,7 @@ from repro.montecarlo import (
     scenario_fingerprint,
     unregister_sampler,
 )
-from repro.montecarlo.pool import pool_context, run_sharded
+from repro.montecarlo.executors.base import pool_context
 from repro.radio.closed_form import line_schedule
 from repro.rng import RngStream
 
@@ -331,27 +331,29 @@ fork_only = pytest.mark.skipif(
 
 class TestPoolHarness:
     def test_results_come_back_in_shard_order(self):
-        assert run_sharded(
-            _shard_square, [(i,) for i in range(7)], max_workers=3
+        assert LocalProcessExecutor(3, max_shard_retries=0).run_sharded(
+            _shard_square, [(i,) for i in range(7)]
         ) == [0, 1, 4, 9, 16, 25, 36]
 
     def test_lowest_shard_index_error_wins(self):
         # Shards 1, 3, 5 all raise; whichever order the workers crash
         # in, the surfaced error must be shard 1's.
         with pytest.raises(ValueError, match="shard 1 failed"):
-            run_sharded(
-                _shard_fail_on_odd, [(i,) for i in range(6)], max_workers=2
+            LocalProcessExecutor(2, max_shard_retries=0).run_sharded(
+                _shard_fail_on_odd, [(i,) for i in range(6)]
             )
 
     def test_single_shard_still_runs_through_the_pool(self):
-        assert run_sharded(_shard_square, [(5,)], max_workers=4) == [25]
+        assert LocalProcessExecutor(4, max_shard_retries=0).run_sharded(
+            _shard_square, [(5,)]
+        ) == [25]
 
     def test_on_result_streams_in_shard_order(self):
         # Shard 0 completes last, so shards 1..3 must be buffered and
         # the callback must still fire strictly in index order.
         seen = []
-        results = run_sharded(
-            _shard_slow_first, [(i,) for i in range(4)], max_workers=2,
+        results = LocalProcessExecutor(2, max_shard_retries=0).run_sharded(
+            _shard_slow_first, [(i,) for i in range(4)],
             on_result=lambda index, result: seen.append((index, result)),
         )
         assert results == [0, 1, 2, 3]
@@ -365,9 +367,8 @@ class TestPoolHarness:
         # completion loop first on the wall clock.
         seen = []
         with pytest.raises(ValueError, match="shard 2 failed"):
-            run_sharded(
+            LocalProcessExecutor(3, max_shard_retries=0).run_sharded(
                 _shard_low_slow_high_fails, [(i,) for i in range(3)],
-                max_workers=3,
                 on_result=lambda index, result: seen.append((index, result)),
             )
         assert seen == [(0, 0), (1, 1)]
@@ -377,9 +378,8 @@ class TestPoolHarness:
         # index 0 (the slow ones on 1 and 2): nothing may stream at all.
         seen = []
         with pytest.raises(ValueError, match="shard 2 failed"):
-            run_sharded(
+            LocalProcessExecutor(3, max_shard_retries=0).run_sharded(
                 _shard_low_slow_high_fails, [(2,), (0,), (1,)],
-                max_workers=3,
                 on_result=lambda index, result: seen.append((index, result)),
             )
         assert seen == []
@@ -401,7 +401,8 @@ class TestPoolHarness:
                             counting_cancel)
         shards = [(2 * i + 1,) for i in range(6)]  # all odd: all raise
         with pytest.raises(ValueError, match="shard 1 failed"):
-            run_sharded(_shard_fail_on_odd, shards, max_workers=2)
+            LocalProcessExecutor(2, max_shard_retries=0).run_sharded(
+                _shard_fail_on_odd, shards)
         assert len(calls) == len(shards)
 
     @fork_only
@@ -610,45 +611,3 @@ class TestScenarioFingerprint:
     def test_trials_validated(self):
         with pytest.raises(ValueError):
             scenario_fingerprint(mp_factory, OMISSION, 0, 0)
-
-
-class TestAsyncTrialRunner:
-    def test_rejects_non_runner(self):
-        with pytest.raises(TypeError, match="TrialRunner"):
-            AsyncTrialRunner("not-a-runner")
-
-    def test_run_matches_sync_bytes(self):
-        import asyncio
-
-        runner = TrialRunner(mp_factory, OMISSION)
-        sync_result = runner.run(64, 5)
-        async_result = asyncio.run(AsyncTrialRunner(runner).run(64, 5))
-        assert (async_result.indicators.tobytes()
-                == sync_result.indicators.tobytes())
-        assert async_result.backend == sync_result.backend
-
-    def test_run_until_matches_sync(self):
-        import asyncio
-
-        runner = TrialRunner(mp_factory, OMISSION)
-        sync_result = runner.run_until(0.5, 2048, 5)
-        async_result = asyncio.run(
-            AsyncTrialRunner(runner).run_until(0.5, 2048, 5))
-        assert (async_result.result.indicators.tobytes()
-                == sync_result.result.indicators.tobytes())
-
-    def test_concurrent_batches_overlap_on_the_loop(self):
-        import asyncio
-
-        runner = TrialRunner(mp_factory, OMISSION)
-        arunner = AsyncTrialRunner(runner)
-
-        async def scenario():
-            return await asyncio.gather(
-                arunner.run(32, 1), arunner.run(32, 2))
-
-        first, second = asyncio.run(scenario())
-        assert first.trials == second.trials == 32
-        assert (first.indicators.tobytes()
-                != second.indicators.tobytes()
-                or first.successes == second.successes)

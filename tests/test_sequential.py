@@ -51,11 +51,8 @@ from repro.montecarlo import (
     unregister_sampler,
 )
 from repro.montecarlo.trials import TrialResult
-from repro.montecarlo.pool import (
-    WorkerCrashError,
-    pool_context,
-    run_sharded,
-)
+from repro.montecarlo import LocalProcessExecutor, WorkerCrashError
+from repro.montecarlo.executors.base import pool_context
 from repro.radio.closed_form import line_schedule
 from repro.radio.layered_broadcast import LayeredScheduleBroadcast
 from repro.rng import RngStream, as_stream
@@ -321,6 +318,26 @@ class TestEdgeCaseGuards:
         assert result.hoeffding() == (0.0, 1.0)
         assert result.bernstein() == (0.0, 1.0)
 
+    @pytest.mark.parametrize("successes, trials", [
+        (0, 0), (0, 1), (1, 1), (0, 40), (17, 40), (40, 40), (731, 1000),
+    ])
+    def test_tally_and_result_share_one_interval_helper(self, successes,
+                                                        trials):
+        indicators = np.zeros(trials, dtype=bool)
+        indicators[:successes] = True
+        tally = RunningTally()
+        tally.update(indicators)
+        result = TrialResult(indicators=indicators, backend="engine",
+                             workers=1, seed=0)
+        for confidence in (None, 0.9):
+            kwargs = {} if confidence is None else {"confidence": confidence}
+            assert tally.wilson(**kwargs) == result.wilson(**kwargs)
+            assert tally.hoeffding(**kwargs) == result.hoeffding(**kwargs)
+            assert tally.bernstein(**kwargs) == result.bernstein(**kwargs)
+            stats = result.stats(confidence)
+            assert tally.clopper_pearson(**kwargs) == (stats.lower,
+                                                       stats.upper)
+
     def test_early_stop_failures_rejects_non_positive_caps(self):
         def trial(stream):
             return bool(stream.generator.random() < 0.5)
@@ -351,9 +368,11 @@ class TestWorkerCrashAttribution:
     @fork_only
     def test_abrupt_death_names_the_lowest_shard(self):
         with pytest.raises(WorkerCrashError, match=r"shard 0 of 3"):
-            run_sharded(_exit_worker, [(0,), (1,), (2,)], max_workers=2)
+            LocalProcessExecutor(2, max_shard_retries=0).run_sharded(
+                _exit_worker, [(0,), (1,), (2,)])
 
     @fork_only
     def test_crash_error_summarises_the_shard_args(self):
         with pytest.raises(WorkerCrashError, match=r"shard args: \(0,\)"):
-            run_sharded(_exit_worker, [(0,), (1,)], max_workers=2)
+            LocalProcessExecutor(2, max_shard_retries=0).run_sharded(
+                _exit_worker, [(0,), (1,)])

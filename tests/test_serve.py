@@ -26,7 +26,7 @@ from hypothesis import strategies as st
 
 import repro.batchsim.engine as engine_module
 from repro.experiments.registry import all_families, get_family, resolve_scenario
-from repro.montecarlo import scenario_fingerprint
+from repro.montecarlo import TrialRunner, scenario_fingerprint
 from repro.obs import render_prometheus, use_registry
 from repro.serve import (
     Coalescer,
@@ -273,6 +273,26 @@ class TestServiceCoalescing:
         assert second.result is first.result
         assert stats.cache_hits == 1
         assert stats.shared_work_rate == 0.5
+
+    def test_concurrent_seeds_of_one_scenario_answer_exactly(self):
+        # Distinct seeds do not coalesce, so four batchsim runs of the
+        # service's one memoised runner overlap on executor threads.
+        queries = [Query("windowed-malicious", 0.2, 4, 1024, seed)
+                   for seed in range(4)]
+
+        async def scenario():
+            service = SimulationService()
+            return await asyncio.gather(
+                *(service.submit(query) for query in queries)), service
+
+        answers, service = run(scenario())
+        factory, model = get_family("windowed-malicious").build(0.2, 4)
+        for query, answer in zip(queries, answers):
+            assert answer.source == "computed"
+            expected = TrialRunner(factory, model).run(1024, query.seed)
+            assert answer.result.indicators.tobytes() == \
+                expected.indicators.tobytes()
+        assert service.stats().computed == 4
 
 
 class TestServiceCacheExactness:
