@@ -164,19 +164,29 @@ class BatchExecution:
                 algorithm.model,
             )
             if radio:
-                heard_from = deliver_radio_batch(topology, actual != SILENCE)
-                received = np.where(
-                    heard_from >= 0,
-                    np.take_along_axis(
-                        actual, np.maximum(heard_from, 0), axis=1
-                    ),
-                    np.int64(SILENCE),
+                received = _heard_codes(
+                    actual, deliver_radio_batch(topology, actual != SILENCE)
                 )
             else:
                 received = deliver_mp_batch(topology, actual, targets)
             program.observe(round_index, received)
         outputs = program.output_codes()
         return (outputs == self._expected_code).all(axis=1)
+
+
+def _heard_codes(actual: np.ndarray, heard_from: np.ndarray) -> np.ndarray:
+    """The code each node hears: ``actual[b, heard_from[b, v]]``, or
+    ``SILENCE`` where ``heard_from`` is ``-1``.
+
+    One flat ``take`` from ``actual`` with a silence column prepended
+    to every row, so the ``-1`` speaker lands on it.
+    """
+    batch, order = actual.shape
+    padded = np.empty((batch, order + 1), dtype=np.int64)
+    padded[:, 0] = SILENCE
+    padded[:, 1:] = actual
+    row_starts = np.arange(batch)[:, np.newaxis] * (order + 1) + 1
+    return padded.ravel().take(heard_from + row_starts)
 
 
 def batch_execution(algorithm: Algorithm, failure_model: FailureModel,

@@ -612,7 +612,18 @@ class WindowedProgram(BatchProgram):
     threshold between checks without the newest arrival (evictions only
     decrease counts, and an earlier crossing would already have
     accepted), so the scalar protocol's in-order window scan reduces to
-    one membership count of the current payload.
+    the window count of the current payload.
+
+    Those counts are kept running rather than recounted: one ``(B, n)``
+    counter per payload code.  Each round's write into the circular
+    buffer decrements the evicted slot's code and increments the heard
+    code, so a round costs ``O(K)`` ``(B, n)`` operations for ``K``
+    codes instead of a ``(B, n, m)`` comparison; the buffer stays
+    because eviction needs the old code.  Buffer and counters advance
+    for every node, pending or not: a node never leaves the accepted
+    state, so once it accepts its window is never read again, and
+    unmasked writes keep the counters exact for the nodes still
+    pending.
     """
 
     model = MESSAGE_PASSING
@@ -635,10 +646,12 @@ class WindowedProgram(BatchProgram):
             [bool(tree.children(node)) for node in range(self._order)],
             dtype=bool,
         )
+        self._codes = codec.size
         self._batch = 0
         self._accepted: Optional[np.ndarray] = None
         self._transmissions_left: Optional[np.ndarray] = None
         self._window: Optional[np.ndarray] = None
+        self._counts: List[np.ndarray] = []
 
     def mp_targets(self) -> Optional[np.ndarray]:
         return self._views.targets
@@ -651,26 +664,36 @@ class WindowedProgram(BatchProgram):
         self._transmissions_left = np.zeros((batch, self._order),
                                             dtype=np.int64)
         self._transmissions_left[:, self._source] = self._window_length
-        self._window = np.full((batch, self._order, self._window_length),
+        # Slot-major, so each round's slot is one contiguous (B, n) block.
+        self._window = np.full((self._window_length, batch, self._order),
                                SILENCE, dtype=np.int64)
+        count_dtype = np.min_scalar_type(self._window_length)
+        self._counts = [np.zeros((batch, self._order), dtype=count_dtype)
+                        for _ in range(self._codes)]
 
     def intent_codes(self, round_index: int) -> np.ndarray:
         active = (self._accepted != SILENCE) & (self._transmissions_left > 0)
         # The scalar protocol spends a relay round even when it has no
         # children to address, so decrement before masking leaves out.
-        self._transmissions_left[active] -= 1
+        self._transmissions_left -= active
         return np.where(active & self._has_children, self._accepted,
                         np.int64(SILENCE))
 
     def observe(self, round_index: int, received: np.ndarray) -> None:
         heard = self._views.gather(received)
-        pending = self._accepted == SILENCE
-        slot = self._window[:, :, round_index % self._window_length]
-        np.copyto(slot, heard, where=pending)
-        copies = (self._window == heard[:, :, np.newaxis]).sum(axis=2)
-        accept = pending & (heard != SILENCE) & (copies >= self._threshold)
-        self._accepted[accept] = heard[accept]
-        self._transmissions_left[accept] = self._window_length
+        slot = self._window[round_index % self._window_length]
+        # Silence matches no code, so it never reaches the threshold.
+        accept = np.zeros(heard.shape, dtype=bool)
+        for code, count in enumerate(self._counts):
+            is_heard = heard == code
+            count += is_heard
+            count -= slot == code
+            accept |= is_heard & (count >= self._threshold)
+        slot[...] = heard
+        accept &= self._accepted == SILENCE
+        if accept.any():
+            self._accepted[accept] = heard[accept]
+            self._transmissions_left[accept] = self._window_length
 
     def output_codes(self) -> np.ndarray:
         return np.where(self._accepted != SILENCE, self._accepted,

@@ -150,7 +150,15 @@ def deliver_radio_batch(topology: Topology,
     exploit: Monte-Carlo batches re-deliver on the same topology with
     different transmitter sets, so the per-listener neighbour reduction
     is done for all rows in one ``reduceat`` over the cached CSR
-    arrays.
+    arrays.  Each speaking neighbour contributes ``1 << 32 | id``, so
+    one sum carries both the speaker count (high word) and, when that
+    count is exactly one, the speaker's id (low word).  The packing is
+    exact for graphs with fewer than ``2**31`` nodes: a lone speaker
+    leaves a high word of exactly 1, and two or more leave at least 2
+    (int64 wrap-around cannot bring that back to 1 below that size).
+    The reduction runs along axis 0 of the transposed ``(E, batch)``
+    speaker array, so each listener's region is a contiguous block of
+    rows.
 
     Parameters
     ----------
@@ -174,28 +182,27 @@ def deliver_radio_batch(topology: Topology,
             f"got {transmitting.shape}"
         )
     batch = transmitting.shape[0]
-    silence = np.full((batch, topology.order), -1, dtype=np.int64)
+    heard = np.full((topology.order, batch), -1, dtype=np.int64)
     indptr, indices = topology.csr_neighbors()
     if batch == 0 or indices.size == 0:
-        return silence
-    degrees = indptr[1:] - indptr[:-1]
+        return heard.T
     # Reduce only over nodes that have neighbours: their starts are
     # strictly increasing and in bounds (a trailing isolated node's
     # start would point one past the end, and clamping it would
     # truncate the previous node's reduction region), and consecutive
     # regions abut exactly because zero-degree nodes add nothing.
-    connected = degrees > 0
-    starts = indptr[:-1][connected]
-    speaking_neighbors = transmitting[:, indices]
-    counts = np.zeros((batch, topology.order), dtype=np.int64)
-    counts[:, connected] = np.add.reduceat(
-        speaking_neighbors.astype(np.int64), starts, axis=1
+    connected = np.diff(indptr) > 0
+    listening = ~transmitting.T
+    speaking = transmitting.T[indices]
+    packed = np.add.reduceat(
+        speaking * ((1 << 32) | indices)[:, np.newaxis],
+        indptr[:-1][connected], axis=0,
     )
-    speaker_sum = np.zeros((batch, topology.order), dtype=np.int64)
-    speaker_sum[:, connected] = np.add.reduceat(
-        speaking_neighbors * indices[np.newaxis, :], starts, axis=1
+    heard[connected] = np.where(
+        ((packed >> 32) == 1) & listening[connected],
+        packed & 0xFFFFFFFF, -1,
     )
-    return np.where((counts == 1) & ~transmitting, speaker_sum, silence)
+    return heard.T
 
 
 def deliver_mp_batch(topology: Topology, codes: np.ndarray,

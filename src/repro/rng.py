@@ -11,6 +11,14 @@ The implementation wraps :class:`numpy.random.Generator` over PCG64.
 Child streams are derived with ``SeedSequence.spawn``-style hashing of
 the (parent entropy, child name) pair, which keeps unrelated streams
 statistically independent.
+
+The generator is built lazily, on the first draw or the first read of
+:attr:`RngStream.generator`.  Seeding a PCG64 costs about as much as
+the seed derivation itself, and many streams are only ever used to
+derive children — the Monte-Carlo ``("mc", i)`` trial streams hand
+their ``child("faults")`` / ``child("adversary")`` streams to the
+failure model and never draw themselves — so they never pay for one.
+Laziness changes no seed, path or draw.
 """
 
 from __future__ import annotations
@@ -48,6 +56,12 @@ class RngStream:
         Non-negative integer seed.
     path:
         Optional name path used only for ``repr`` / debugging.
+
+    Construction and :meth:`child` only hash seeds; the underlying
+    generator is seeded on first use.  A stream is therefore not safe
+    to share across threads *on its first draw* (two threads could
+    each seed a generator), which no caller needs: every stream in the
+    library is drawn from by the one thread that derived it.
     """
 
     __slots__ = ("_seed", "_path", "_gen")
@@ -57,7 +71,7 @@ class RngStream:
             raise ValueError(f"seed must be non-negative, got {seed}")
         self._seed = int(seed)
         self._path = tuple(path)
-        self._gen = np.random.Generator(np.random.PCG64(self._seed))
+        self._gen: Optional[np.random.Generator] = None
 
     # -- identity ------------------------------------------------------
     @property
@@ -88,44 +102,48 @@ class RngStream:
     @property
     def generator(self) -> np.random.Generator:
         """The underlying :class:`numpy.random.Generator`."""
+        return self._gen or self._seed_generator()
+
+    def _seed_generator(self) -> np.random.Generator:
+        self._gen = np.random.Generator(np.random.PCG64(self._seed))
         return self._gen
 
     def bernoulli(self, prob: float, size: Optional[int] = None):
         """Sample Bernoulli(``prob``) as booleans (scalar or vector)."""
         if size is None:
-            return bool(self._gen.random() < prob)
-        return self._gen.random(size) < prob
+            return bool(self.generator.random() < prob)
+        return self.generator.random(size) < prob
 
     def random(self, size: Optional[int] = None):
         """Uniform floats in ``[0, 1)``."""
-        return self._gen.random() if size is None else self._gen.random(size)
+        return self.generator.random(size)
 
     def integers(self, low: int, high: int, size: Optional[int] = None):
         """Uniform integers in ``[low, high)``."""
-        return self._gen.integers(low, high, size=size)
+        return self.generator.integers(low, high, size=size)
 
     def choice(self, options: Sequence, size: Optional[int] = None):
         """Uniform choice from a sequence."""
-        index = self._gen.integers(0, len(options), size=size)
+        index = self.generator.integers(0, len(options), size=size)
         if size is None:
             return options[int(index)]
         return [options[int(i)] for i in np.atleast_1d(index)]
 
     def shuffle(self, items: list) -> None:
         """Shuffle a list in place."""
-        self._gen.shuffle(items)
+        self.generator.shuffle(items)
 
     def permutation(self, count: int) -> np.ndarray:
         """A random permutation of ``range(count)``."""
-        return self._gen.permutation(count)
+        return self.generator.permutation(count)
 
     def binomial(self, trials: int, prob: float, size: Optional[int] = None):
         """Binomial draws."""
-        return self._gen.binomial(trials, prob, size=size)
+        return self.generator.binomial(trials, prob, size=size)
 
     def geometric(self, prob: float, size: Optional[int] = None):
         """Geometric draws (number of trials until first success, >= 1)."""
-        return self._gen.geometric(prob, size=size)
+        return self.generator.geometric(prob, size=size)
 
 
 def as_stream(seed_or_stream) -> RngStream:

@@ -24,6 +24,7 @@ import numpy as np
 import pytest
 
 from repro.batchsim import PayloadCodec, batch_execution, supports_batchsim
+from repro.batchsim.codec import SILENCE
 from repro.core import FastFlooding, SimpleMalicious, SimpleOmission
 from repro.core.hello import HelloProtocolAlgorithm
 from repro.core.kucera import KuceraBroadcast
@@ -316,6 +317,91 @@ class TestTrialForTrialAgreement:
         whole = batch_indicators(algorithm, failure, chunk=TRIALS)
         slivers = batch_indicators(algorithm, failure, chunk=5)
         np.testing.assert_array_equal(whole, slivers)
+
+
+#: (label, algorithm factory, failure factory) for the windowed
+#: program's running per-code window counts.  Garbage makes a 3-code
+#: alphabet, so three counters advance side by side; on the 8-edge
+#: line the deepest node's window wraps several times before its
+#: parent relays anything, and the explicit horizon keeps every window
+#: wrapping long after acceptance.
+WINDOWED_COUNT_SCENARIOS = [
+    ("m1-garbage-tree",
+     lambda: WindowedMalicious(_tree(), 0, 1, window_length=1),
+     lambda: MaliciousFailures(0.3, GarbageAdversary())),
+    ("m2-garbage-limited-tree",
+     lambda: WindowedMalicious(_tree(), 0, 1, window_length=2),
+     lambda: MaliciousFailures(0.35, GarbageAdversary(), Restriction.LIMITED)),
+    ("m3-garbage-grid",
+     lambda: WindowedMalicious(grid(3, 3), 0, 1, window_length=3),
+     lambda: MaliciousFailures(0.4, GarbageAdversary())),
+    ("m3-garbage-line-wraps",
+     lambda: WindowedMalicious(line(8), 0, 1, window_length=3, horizon=40),
+     lambda: MaliciousFailures(0.45, GarbageAdversary())),
+]
+
+WINDOWED_COUNT_TRIALS = 256
+
+
+@pytest.mark.parametrize(
+    "make_algorithm,make_failure",
+    [pytest.param(algo, fail, id=label)
+     for label, algo, fail in WINDOWED_COUNT_SCENARIOS],
+)
+class TestWindowedRunningCounts:
+    """Running window counts reproduce the scalar in-order window scan."""
+
+    def test_batch_equals_scalar_engine(self, make_algorithm, make_failure):
+        algorithm = make_algorithm()
+        failure = make_failure()
+        execution = batch_execution(algorithm, failure)
+        assert execution is not None
+        assert execution.codec.size >= 3
+        batch = execution.run(WINDOWED_COUNT_TRIALS, SEED, chunk=100)
+        scalar = scalar_indicators(algorithm, failure,
+                                   trials=WINDOWED_COUNT_TRIALS)
+        np.testing.assert_array_equal(batch, scalar)
+        # Both outcomes occur, so the comparison is not vacuous.
+        assert 0 < scalar.sum() < WINDOWED_COUNT_TRIALS
+
+
+@pytest.mark.parametrize("window_length", [1, 2, 3, 5])
+def test_windowed_counts_track_arbitrary_inboxes(window_length):
+    """Evictions matter once parents can be heard outside their relay.
+
+    Under every batchable message-passing adversary a node hears its
+    parent only during the parent's ``m``-round relay, which one window
+    holds whole, so an evicted copy can never change an acceptance
+    there.  Feeding the program random, mostly silent inboxes instead
+    makes copies leave the window before the threshold is met; the
+    scalar protocols, fed the same payloads, are the reference.
+    """
+    algorithm = WindowedMalicious(_tree(), 0, 1, window_length=window_length)
+    codec = PayloadCodec(["garbage", 0, 1])
+    program = algorithm.batch_program(codec)
+    batch, order, rounds = 64, algorithm.topology.order, 12 * window_length
+    indptr, _ = algorithm.topology.csr_neighbors()
+    owners = np.repeat(np.arange(order), np.diff(indptr))
+    parent = algorithm.tree.parent
+    rng = np.random.default_rng(derive_seed(SEED, "inboxes", window_length))
+    protocols = [[algorithm.protocol(node) for node in range(order)]
+                 for _ in range(batch)]
+    program.reset(batch)
+    for round_index in range(rounds):
+        program.intent_codes(round_index)
+        heard = np.where(rng.random((batch, order)) < 0.7, SILENCE,
+                         rng.integers(0, codec.size, (batch, order)))
+        program.observe(round_index, heard[:, owners])
+        for trial, row in enumerate(protocols):
+            for node, protocol in enumerate(row):
+                protocol.intent(round_index)
+                code = heard[trial, node]
+                payload = None if code == SILENCE else codec.decode(code)
+                protocol.deliver(round_index, {parent[node]: payload})
+    expected = np.array([[codec.code_of(protocol.output()) for protocol in row]
+                         for row in protocols])
+    np.testing.assert_array_equal(program.output_codes(), expected)
+    assert set(np.unique(expected)) == set(range(codec.size))
 
 
 class TestEligibility:

@@ -1,7 +1,10 @@
 """Integration: the paper's four-scenario feasibility matrix on one graph.
 
 One network, one story — the whole Section 2 feasibility map exercised
-end to end through the reference engine:
+end to end, through the reference engine except for malicious message
+passing, whose 20,000-round collapse run goes through the batchsim
+tier of :class:`~repro.montecarlo.TrialRunner` (bit-identical to the
+engine on the same per-trial streams):
 
 * omission + message passing  -> almost-safe even at p = 0.8
 * omission + radio            -> almost-safe even at p = 0.8
@@ -20,6 +23,7 @@ from repro.core import SimpleMalicious, SimpleOmission
 from repro.engine import MESSAGE_PASSING, RADIO, run_execution
 from repro.failures import ComplementAdversary, MaliciousFailures, OmissionFailures
 from repro.graphs import random_tree
+from repro.montecarlo import TrialRunner
 from repro.rng import RngStream
 
 TRIALS = 60
@@ -51,18 +55,26 @@ class TestOmissionScenarios:
 
 
 class TestMaliciousMessagePassing:
+    """Run through the batchsim tier: the collapse run is 60 trials of
+    over 20,000 rounds each, minutes on the scalar engine.  Batchsim
+    draws trial ``i`` from the same ``child("mc", i)`` stream that
+    ``estimate_success`` hands the engine and reproduces its
+    indicators bit for bit (pinned in ``tests/test_batchsim.py``)."""
+
+    @staticmethod
+    def _batchsim_rate(algo, p):
+        result = TrialRunner(
+            lambda: algo, MaliciousFailures(p, ComplementAdversary()),
+            use_fastsim=False,
+        ).run(TRIALS, 17)
+        # Not the fastsim sampler: it would answer from other draws.
+        assert result.backend == "batchsim"
+        return result.estimate
+
     def test_below_half_succeeds(self, network):
         p = 0.35
         algo = SimpleMalicious(network, 0, 1, MESSAGE_PASSING, p=p)
-
-        def trial(stream: RngStream) -> bool:
-            failure = MaliciousFailures(p, ComplementAdversary())
-            result = run_execution(algo, failure, stream,
-                                   metadata=algo.metadata(),
-                                   record_trace=False)
-            return result.is_successful_broadcast()
-
-        assert _rate(trial) >= 1 - 2.5 / network.order
+        assert self._batchsim_rate(algo, p) >= 1 - 2.5 / network.order
 
     def test_above_half_collapses(self, network):
         feasible_m = SimpleMalicious(
@@ -71,15 +83,7 @@ class TestMaliciousMessagePassing:
         p = 0.6
         algo = SimpleMalicious(network, 0, 1, MESSAGE_PASSING,
                                phase_length=feasible_m)
-
-        def trial(stream: RngStream) -> bool:
-            failure = MaliciousFailures(p, ComplementAdversary())
-            result = run_execution(algo, failure, stream,
-                                   metadata=algo.metadata(),
-                                   record_trace=False)
-            return result.is_successful_broadcast()
-
-        assert _rate(trial) < 0.3
+        assert self._batchsim_rate(algo, p) < 0.3
 
 
 class TestMaliciousRadio:

@@ -11,6 +11,8 @@ Two invariants:
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.engine import deliver_radio, deliver_radio_batch
 from repro.engine.simulator import _deliver_radio_dense
@@ -98,6 +100,59 @@ class TestBatchedDeliveryMatchesScalar:
                 else:
                     speaker = int(heard_from[row, node])
                     assert actual[speaker] == scalar[node]
+
+
+@st.composite
+def radio_rounds(draw):
+    """A random graph plus a ``(batch, n)`` transmitter mask.
+
+    Graphs may be edgeless and may carry a trailing isolated node (the
+    shape whose ``reduceat`` start once truncated its predecessor's
+    region); one draw in two makes the whole batch transmit.
+    """
+    order = draw(st.integers(min_value=1, max_value=10))
+    pairs = [(u, v) for u in range(order) for v in range(u + 1, order)]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    order += draw(st.booleans())  # trailing isolated node
+    topology = Topology(order, edges, name="drawn")
+    batch = draw(st.integers(min_value=1, max_value=6))
+    if draw(st.booleans()):
+        return topology, np.ones((batch, order), dtype=bool)
+    cells = draw(st.lists(st.booleans(), min_size=batch * order,
+                          max_size=batch * order))
+    return topology, np.array(cells, dtype=bool).reshape(batch, order)
+
+
+def _scalar_heard_from(topology, transmitting):
+    """Per-row scalar deliveries, mapped back to speaker ids (-1 silent)."""
+    out = np.full(transmitting.shape, -1, dtype=np.int64)
+    for row, mask in enumerate(transmitting):
+        actual = {int(node): int(node) for node in np.nonzero(mask)[0]}
+        for node, payload in deliver_radio(topology, actual).items():
+            if payload is not None:
+                out[row, node] = payload
+    return out
+
+
+class TestBatchedDeliveryDifferential:
+    """``deliver_radio_batch`` against the scalar path on drawn graphs."""
+
+    @given(radio_rounds())
+    @example((Topology(4, [], name="edgeless"), np.ones((3, 4), dtype=bool)))
+    @example((Topology(4, [(0, 1), (0, 2), (1, 2)], name="triangle-tail"),
+              np.ones((2, 4), dtype=bool)))
+    @example((Topology(5, [(0, 1), (1, 2), (2, 3)], name="line-tail"),
+              np.array([[True, False, True, False, False],
+                        [False, True, False, False, False]])))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_scalar_delivery(self, case):
+        topology, transmitting = case
+        heard_from = deliver_radio_batch(topology, transmitting)
+        assert heard_from.shape == transmitting.shape
+        assert heard_from.dtype == np.int64
+        np.testing.assert_array_equal(
+            heard_from, _scalar_heard_from(topology, transmitting)
+        )
 
 
 class TestScalarDensePath:

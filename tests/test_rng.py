@@ -1,5 +1,7 @@
 """Tests for the hierarchical RNG streams."""
 
+import pickle
+
 import numpy as np
 import pytest
 
@@ -95,6 +97,70 @@ class TestRngStream:
 
     def test_seed_property(self):
         assert RngStream(99).seed == 99
+
+
+class TestLazyGenerator:
+    """The PCG64 behind a stream is seeded on first use, not on creation."""
+
+    @pytest.fixture
+    def pcg64_builds(self, monkeypatch):
+        builds = []
+        real = np.random.PCG64
+
+        def counting(*args, **kwargs):
+            builds.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(np.random, "PCG64", counting)
+        return builds
+
+    def test_generator_first_or_method_first_draws_agree(self):
+        via_generator = RngStream(42).child("mc", 3)
+        via_method = RngStream(42).child("mc", 3)
+        first = via_generator.generator.random(4)
+        np.testing.assert_array_equal(first, via_method.random(4))
+        np.testing.assert_array_equal(
+            via_generator.integers(0, 100, size=8),
+            via_method.generator.integers(0, 100, size=8),
+        )
+        assert via_generator.bernoulli(0.5) == via_method.bernoulli(0.5)
+
+    def test_lazy_draws_match_an_eager_generator(self):
+        seed = derive_seed(7, "faults")
+        eager = np.random.Generator(np.random.PCG64(seed))
+        np.testing.assert_array_equal(
+            RngStream(7).child("faults").random(16), eager.random(16)
+        )
+
+    def test_construction_and_derivation_build_no_pcg64(self, pcg64_builds):
+        root = RngStream(2005)
+        trial = root.child("mc", 17)
+        faults = trial.child("faults")
+        list(root.children(5, prefix="mc"))
+        assert pcg64_builds == []
+        faults.random(3)
+        assert pcg64_builds == [(faults.seed,)]
+
+    def test_generator_is_built_once(self, pcg64_builds):
+        stream = RngStream(11)
+        generator = stream.generator
+        stream.random(2)
+        stream.integers(0, 5)
+        assert stream.generator is generator
+        assert len(pcg64_builds) == 1
+
+    @pytest.mark.parametrize("consumed", [0, 5])
+    def test_pickle_round_trip_continues_the_sequence(self, consumed):
+        stream = RngStream(99).child("x", 1)
+        reference = RngStream(99).child("x", 1)
+        if consumed:
+            stream.random(consumed)
+            reference.random(consumed)
+        clone = pickle.loads(pickle.dumps(stream))
+        assert clone.seed == stream.seed and clone.path == stream.path
+        expected = reference.random(6)
+        np.testing.assert_array_equal(clone.random(6), expected)
+        np.testing.assert_array_equal(stream.random(6), expected)
 
 
 class TestAsStream:
