@@ -5,10 +5,10 @@ newline-delimited JSON over TCP, one request object per line, one
 response object per line, responses echo the request ``id``.  The
 payload layer differs — shard arguments and results are arbitrary
 picklable Python objects, so they travel as base64-encoded pickle
-bytes at the pinned :data:`~repro.montecarlo.fingerprint.PICKLE_PROTOCOL`,
-stamped with a :func:`~repro.montecarlo.fingerprint.payload_fingerprint`
-content address.  A frame whose digest does not match its bytes is
-rejected (``bad-payload``), never silently mis-simulated.
+bytes at the pinned :data:`PICKLE_PROTOCOL`, stamped with a
+:func:`payload_fingerprint` content address.  A frame whose digest
+does not match its bytes is rejected (``bad-payload``), never silently
+mis-simulated.
 
 Workers are **stateless**: a ``run`` request carries everything needed
 to execute one shard — the worker entrypoint as a ``module:qualname``
@@ -48,18 +48,19 @@ Ops::
 from __future__ import annotations
 
 import base64
+import hashlib
 import importlib
 import json
 import pickle
 from typing import Any, Callable, Dict, Tuple
-
-from repro.montecarlo.fingerprint import PICKLE_PROTOCOL, payload_fingerprint
 
 __all__ = [
     "PROTOCOL_VERSION",
     "MAX_LINE_BYTES",
     "WORKER_ROLE",
     "TRUSTED_FUNCTION_PREFIX",
+    "PICKLE_PROTOCOL",
+    "payload_fingerprint",
     "encode_payload",
     "decode_payload",
     "function_spec",
@@ -88,6 +89,19 @@ WORKER_ROLE = "repro-distrib-worker"
 #: the library namespace turns "point it at os:system" from a oneliner
 #: into a non-option.
 TRUSTED_FUNCTION_PREFIX = "repro."
+
+#: Pinned pickle protocol, so client and worker agree on the payload
+#: bytes regardless of interpreter defaults.
+PICKLE_PROTOCOL = 4
+
+
+def payload_fingerprint(payload: bytes) -> str:
+    """Content address of raw payload bytes, as a SHA-256 hex digest.
+
+    Every shard payload and result is stamped with it, so a corrupted
+    or truncated frame is rejected instead of silently mis-simulated.
+    """
+    return hashlib.sha256(payload).hexdigest()
 
 
 def encode_payload(value: Any) -> Tuple[str, str]:

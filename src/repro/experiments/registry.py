@@ -223,12 +223,13 @@ class ScenarioFamily:
     client of :mod:`repro.serve` names a family and supplies ``(p, n)``
     (plus optional family-specific ``params``), and :attr:`build`
     returns the ``(algorithm_factory, failure_model)`` pair the service
-    turns into a :class:`~repro.montecarlo.TrialRunner`.  The factory
-    must be **picklable** (a module-level callable or
-    :func:`functools.partial` over one) — that is what makes it
-    process-shardable *and* fingerprintable
-    (:func:`repro.montecarlo.scenario_fingerprint`), so results are
-    exactly memoisable.
+    turns into a :class:`~repro.montecarlo.TrialRunner`.  Results are
+    memoised on the canonical wire spec ``(name, p, n, params)``
+    (:func:`repro.montecarlo.scenario_fingerprint`), never on the
+    built objects, so a builder must be a pure function of its
+    arguments.  The factory needs to be **picklable** (a module-level
+    callable or :func:`functools.partial` over one) only for process
+    or remote sharding.
 
     Attributes
     ----------
@@ -256,8 +257,8 @@ class ScenarioFamily:
         returns ``(algorithm_factory, failure_model)`` and run through
         :class:`~repro.montecarlo.TrialRunner`; ``FAMILY_EXACT`` for
         purely combinatorial families (E10) whose build returns
-        ``(compute, None)`` with ``compute`` a picklable zero-argument
-        callable returning a bool — the service runs it once and serves
+        ``(compute, None)`` with ``compute`` a zero-argument callable
+        returning a bool — the service runs it once and serves
         the verdict memo-only.
     """
 

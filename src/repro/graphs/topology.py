@@ -157,12 +157,10 @@ class Topology:
 
     # -- pickling ------------------------------------------------------
     def __getstate__(self):
-        # Pickle only the defining data, in a canonical layout: the
-        # lazy caches (``_neighbor_sets``, ``_csr``) and the unordered
-        # ``_edges`` frozenset are all derivable from ``_adjacency``.
-        # Equal topologies must pickle to *identical bytes* whether or
-        # not they have been simulated on — scenario fingerprints
-        # (repro.montecarlo.fingerprint) hash these bytes.
+        # Pickle only the defining data: the lazy caches
+        # (``_neighbor_sets``, ``_csr``) and the unordered ``_edges``
+        # frozenset are all derivable from ``_adjacency``, so leaving
+        # them out keeps process and remote shard payloads small.
         return {"order": self._order, "adjacency": self._adjacency,
                 "name": self._name}
 

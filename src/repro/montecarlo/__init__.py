@@ -28,8 +28,6 @@ from repro.montecarlo.executors import (
 )
 from repro.montecarlo.fingerprint import (
     FINGERPRINT_VERSION,
-    PICKLE_PROTOCOL,
-    payload_fingerprint,
     scenario_fingerprint,
 )
 from repro.montecarlo.dispatch import (
@@ -65,8 +63,6 @@ __all__ = [
     "LocalProcessExecutor",
     "RemoteSocketExecutor",
     "make_executor",
-    "payload_fingerprint",
-    "PICKLE_PROTOCOL",
     "WorkerCrashError",
     "WorkerDisconnect",
     "SamplerEntry",

@@ -10,101 +10,71 @@ queries with the same fingerprint are guaranteed byte-identical
 indicators, so the serving layer (:mod:`repro.serve`) can answer the
 second one from memory without changing a single bit of the answer.
 
-The fingerprint hashes the same description the process-sharding path
-already relies on being complete: the **picklable factory spec**
-(worker processes rebuild the entire scenario from it, so by the
-sharding contract it captures every scenario-defining datum —
-topology, source, payloads, phase lengths), the **failure model** with
-all its parameters, the **root seed** and the **trial count**.  Pickle
-bytes are produced at a pinned protocol, so equal specs hash equal and
-the digest is stable across runs of the same interpreter/library
-versions; the digest is SHA-256, so distinct specs colliding is not a
-practical concern.
+The fingerprint hashes the scenario's **canonical wire spec** — the
+sorted-key, NaN-free JSON of ``[family, p, n, params]`` that the
+service builds from every query — together with the **trial count**,
+the **root seed** and an optional discriminator, all inside one more
+canonical JSON array.  It never looks at the built factory, so it is
+independent of pickle bytes, class module paths and library layout:
+the same spec hashes the same on any interpreter.
 
-A fingerprint is *conservative* the same way the sharding contract is:
-a factory that is not a pure scenario description (builds differently
-per call) would already break process sharding, and it breaks
-memoisation the same way — both are documented requirements on
-factories, not new constraints.
+The price is that the digest cannot see *what a spec computes*.
+:data:`FINGERPRINT_VERSION` is therefore a **semantics** version:
+any change to a family builder, algorithm, failure model or kernel
+that changes the indicators of some spec must bump it, so persisted
+memos from the old semantics can never alias the new ones.  The
+literal fingerprint and indicator-digest pins in
+``tests/test_serve_catalog.py`` fail until it is bumped.
 """
 
 from __future__ import annotations
 
 import hashlib
-import pickle
-from typing import Any, Callable, Optional
+import json
+from typing import Any
 
 from repro._validation import check_positive_int
-from repro.failures.base import FailureModel
 
-__all__ = ["scenario_fingerprint", "payload_fingerprint",
-           "FINGERPRINT_VERSION", "PICKLE_PROTOCOL"]
+__all__ = ["scenario_fingerprint", "canonical_json", "FINGERPRINT_VERSION"]
 
-#: Bumped whenever the fingerprint layout changes, so persisted caches
-#: from older layouts can never alias new ones.
-FINGERPRINT_VERSION = 1
-
-#: Pinned pickle protocol: the fingerprint must not change bytes when
-#: the interpreter's default protocol moves.  Public because the
-#: distributed worker protocol (:mod:`repro.distrib`) pickles shard
-#: payloads at the same pin, so client and worker agree on the wire
-#: bytes regardless of interpreter defaults.
-PICKLE_PROTOCOL = 4
-_PICKLE_PROTOCOL = PICKLE_PROTOCOL
+#: Semantics version: bumped whenever a spec may compute different
+#: indicators (or the fingerprint layout changes), so persisted caches
+#: keyed under an older version can never alias new results.
+FINGERPRINT_VERSION = 2
 
 
-def payload_fingerprint(payload: bytes) -> str:
-    """Content address of raw payload bytes, as a SHA-256 hex digest.
+#: One shared encoder: ``json.dumps`` with non-default options builds a
+#: fresh one per call, which costs as much as the encoding itself.
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"),
+                            allow_nan=False)
 
-    The same digest family as :func:`scenario_fingerprint`, applied to
-    bytes the caller already has — the distributed worker protocol
-    stamps every shard payload and result with it so a corrupted or
-    truncated frame is rejected instead of silently mis-simulated.
+
+def canonical_json(value: Any) -> str:
+    """``value`` as compact, sorted-key JSON; NaN and infinities refused.
+
+    Raises ``TypeError`` for values JSON cannot represent (e.g. a
+    numpy array) and ``ValueError`` for non-finite floats.
     """
-    return hashlib.sha256(payload).hexdigest()
+    return _ENCODER.encode(value)
 
 
-def scenario_fingerprint(factory: Callable[[], Any],
-                         failure_model: Optional[FailureModel],
-                         trials: int, seed: int, *,
+def scenario_fingerprint(spec: str, trials: int, seed: int, *,
                          extra: Any = None) -> str:
-    """The canonical memo key of one Monte-Carlo batch, as a hex digest.
+    """The canonical memo key of one batch, as a SHA-256 hex digest.
 
     Parameters
     ----------
-    factory:
-        The scenario's picklable algorithm factory — the same object
-        the process-sharding path ships to workers, which is exactly
-        why hashing it captures the whole scenario.
-    failure_model:
-        The failure model instance (or ``None`` for fault-free); its
-        parameters (rates, adversary, restriction) pickle with it.
+    spec:
+        The scenario's canonical wire spec (a :func:`canonical_json`
+        string of ``[family, p, n, params]``).
     trials, seed:
         The batch shape: trial count and root seed.
     extra:
-        Optional picklable discriminator for callers whose result
-        depends on more than the batch (e.g. a custom success
-        predicate's registered name).  ``None`` adds nothing.
-
-    Raises
-    ------
-    TypeError
-        When the factory (or failure model / extra) is not picklable —
-        e.g. a lambda.  Unpicklable factories cannot shard across
-        processes either; the error says so.
+        Optional JSON-serialisable discriminator for callers whose
+        result depends on more than the batch (e.g. the run_until
+        stopping constants).  ``None`` adds nothing.
     """
     trials = check_positive_int(trials, "trials")
-    try:
-        payload = pickle.dumps(
-            (FINGERPRINT_VERSION, factory, failure_model, int(seed),
-             trials, extra),
-            protocol=_PICKLE_PROTOCOL,
-        )
-    except Exception as error:
-        raise TypeError(
-            f"scenario_fingerprint needs a picklable scenario spec "
-            f"(module-level factory/partial, picklable failure model) — "
-            f"the same contract process sharding requires; pickling "
-            f"failed with: {error}"
-        ) from error
-    return hashlib.sha256(payload).hexdigest()
+    payload = canonical_json(
+        [FINGERPRINT_VERSION, spec, trials, int(seed), extra])
+    return hashlib.sha256(payload.encode("utf8")).hexdigest()

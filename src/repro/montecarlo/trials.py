@@ -570,7 +570,7 @@ class TrialRunner:
 
     @property
     def algorithm_factory(self) -> AlgorithmFactory:
-        """The scenario's algorithm factory (what fingerprints hash)."""
+        """The scenario's algorithm factory (what shards rebuild from)."""
         return self._factory
 
     @property

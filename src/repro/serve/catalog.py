@@ -3,11 +3,11 @@
 Each family maps the wire triple ``(scenario name, p, n)`` — plus
 optional family-specific ``params`` — to a picklable
 ``(algorithm_factory, failure_model)`` pair via
-:func:`repro.experiments.registry.register_family`.  Picklability is
-the load-bearing property: the same factory object shards across
-worker processes *and* feeds
-:func:`repro.montecarlo.scenario_fingerprint`, so every family's
-results are exactly memoisable.
+:func:`repro.experiments.registry.register_family`.  Builders are pure
+functions of the wire spec, which is what
+:func:`repro.montecarlo.scenario_fingerprint` hashes, so every
+family's results are exactly memoisable; picklability lets the same
+factory shard across worker processes.
 
 The catalog covers **every registered experiment E01–E15** (each
 family carries its ``experiments`` tag; the completeness is pinned by
@@ -20,7 +20,7 @@ family carries its ``experiments`` tag; the completeness is pinned by
   ``kucera-flip``, ``equalizing-mp``, ...) — the expensive queries the
   coalescer collapses and the LRU memoises;
 * the one **exact** family (``layered-opt``, E10) — no Monte-Carlo at
-  all: the build returns a picklable zero-argument ``compute`` whose
+  all: the build returns a zero-argument ``compute`` whose
   verdict (the Lemma 3.3 exhaustive search) the service runs once and
   serves memo-only.
 
@@ -318,9 +318,9 @@ def _build_kucera_flip(p: float, n: int) -> FactoryAndFailures:
 def _layered_opt_verdict(m: int) -> bool:
     """The Lemma 3.3 claim for ``G(m)``, checked exhaustively.
 
-    Module-level (hence picklable/fingerprintable): the exhaustive
-    layer-2 search must need exactly ``m`` steps, and the constructive
-    schedule must achieve the matching ``m + 1`` total.
+    The exhaustive layer-2 search must need exactly ``m`` steps, and
+    the constructive schedule must achieve the matching ``m + 1``
+    total.
     """
     graph = layered_graph(m)
     constructive = layered_schedule(graph).length == m + 1

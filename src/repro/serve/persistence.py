@@ -8,10 +8,12 @@ that produced it.  This module owns the on-disk format:
 * **Header** (first line, versioned)::
 
       {"format": "repro-serve-memo", "version": 1,
-       "fingerprint_version": 1}
+       "fingerprint_version": 2}
 
-  Unknown *newer* versions refuse to load (never clobber a future
-  format); a missing or mangled header restarts the journal fresh.
+  Unknown *newer* format or fingerprint versions refuse to load (never
+  clobber a future format); a missing or mangled header, or an older
+  version of either, restarts the journal fresh — records keyed under
+  an older fingerprint semantics are never served.
 
 * **Records** (one JSON object per line, appended as results are
   computed)::
@@ -302,17 +304,20 @@ class MemoJournal:
             logger.warning("memo journal %s: not a %s file — "
                            "restarting fresh", self._path, FORMAT_NAME)
             return False
-        version = header.get("version")
-        if isinstance(version, int) and version > FORMAT_VERSION:
-            raise ValueError(
-                f"memo journal {self._path} has format version {version}, "
-                f"newer than this build's {FORMAT_VERSION} — refusing to "
-                f"load or overwrite it"
-            )
-        if version != FORMAT_VERSION:
-            logger.warning("memo journal %s: unsupported version %r — "
-                           "restarting fresh", self._path, version)
-            return False
+        for field, current in (("version", FORMAT_VERSION),
+                               ("fingerprint_version", FINGERPRINT_VERSION)):
+            version = header.get(field)
+            if isinstance(version, int) and version > current:
+                raise ValueError(
+                    f"memo journal {self._path} has {field} {version}, "
+                    f"newer than this build's {current} — refusing to "
+                    f"load or overwrite it"
+                )
+            if version != current:
+                logger.warning("memo journal %s: unsupported %s %r — "
+                               "restarting fresh", self._path, field,
+                               version)
+                return False
         return True
 
     def _decode_record(self, line: bytes) -> Optional[MemoRecord]:

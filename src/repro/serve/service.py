@@ -13,9 +13,10 @@ Every query kind — a fixed-budget Monte-Carlo :class:`Query`, an exact
 — runs through one pipeline, fed by a small per-kind plan::
 
     validate       field and range checks for the query kind
-    resolve        spec -> (factory, failure model) -> TrialRunner
-                   (memoised); the plan names the blocking run
-    fingerprint    scenario_fingerprint(factory, model, trials, seed)
+    resolve        canonical spec -> (factory, failure model) ->
+                   TrialRunner (memoised on the spec); the plan names
+                   the blocking run
+    fingerprint    scenario_fingerprint(spec, trials, seed)
     cache          exact LRU hit?  ->  answer (source="cache")
     admit          fresh work takes a bounded run slot
                    (serve/admission.py) or sheds with `overloaded`
@@ -35,13 +36,15 @@ target_width)`` and is memo-keyed on the scenario alone — because
 sequential indicators are bit-identical *prefixes* of each other, a
 cached stricter run answers any wider-target query by truncation,
 byte-identically.  A purely combinatorial family (``kind="exact"``,
-E10) runs its picklable ``compute`` instead of a Monte-Carlo batch and
-is served as a single-indicator ``backend="exact"`` result.
+E10) runs its zero-argument ``compute`` instead of a Monte-Carlo batch
+and is served as a single-indicator ``backend="exact"`` result.
 
+A scenario has one identity: its **canonical spec**, the sorted-key
+JSON of ``[family, p, n, params]`` (:meth:`SimulationService._spec`).
+It keys the runner memo and is what the fingerprint hashes.
 Everything rests on the repo's determinism invariant: a result is a
-pure function of ``(scenario fingerprint, seed, trials)``, so the
-cache is exact and coalesced waiters lose nothing — bit-identical
-indicators either way.
+pure function of ``(spec, seed, trials)``, so the cache is exact and
+coalesced waiters lose nothing — bit-identical indicators either way.
 
 Every query runs under a ``serve.query`` span (:mod:`repro.obs`)
 whose resolve / fingerprint / cache / run / coalesce phases are child
@@ -81,6 +84,7 @@ from repro.montecarlo import (
     make_executor,
     scenario_fingerprint,
 )
+from repro.montecarlo.fingerprint import canonical_json
 from repro.montecarlo.trials import SEQUENTIAL_BOUNDS, SequentialResult
 from repro.obs import get_registry, span
 from repro.serve.admission import AdmissionController
@@ -281,9 +285,9 @@ class ServiceStats:
 class _Plan(NamedTuple):
     """What one query kind contributes to the shared serving pipeline."""
 
-    #: ``scenario_fingerprint`` arguments: factory, failure model,
-    #: trials and seed.
-    key: Tuple[Any, Any, int, int]
+    #: ``scenario_fingerprint`` arguments: canonical spec, trials and
+    #: seed.
+    key: Tuple[str, int, int]
     #: The fingerprint's ``extra`` discriminator.
     extra: Any
     #: The blocking cache-miss run, hosted on the thread executor.
@@ -421,9 +425,9 @@ class SimulationService:
                 self._cache.put(key, value)
         # Scenario resolution is itself worth memoising: building a
         # runner re-probes dispatch (builds the algorithm, scans the
-        # registry, checks batchsim eligibility).  Keyed by the wire
-        # identity, bounded like the result cache.
-        self._runners: Dict[Tuple, TrialRunner] = {}
+        # registry, checks batchsim eligibility).  Keyed by the
+        # canonical spec, bounded like the result cache.
+        self._runners: Dict[str, TrialRunner] = {}
         self._queries = 0
         self._computed = 0
         self._coalesced_hits = 0
@@ -486,15 +490,22 @@ class SimulationService:
             raise QueryError("unknown-scenario",
                              str(error.args[0])) from error
 
-    def _runner_key(self, query: Union[Query, SequentialQuery]) -> Tuple:
+    @staticmethod
+    def _spec(query: Union[Query, SequentialQuery]) -> str:
+        """The query's canonical spec: its one scenario identity.
+
+        Two spellings of one scenario (an omitted param vs. its
+        explicit default) get distinct specs — a lost cache hit, never
+        a wrong answer.  What JSON cannot encode (NaN, a numpy array, a
+        non-numeric ``p``) is a ``bad-parameters`` error.
+        """
         try:
-            params = tuple(sorted(dict(query.params).items()))
-        except (TypeError, AttributeError) as error:
-            raise QueryError(
-                "bad-parameters", f"params must be a string-keyed mapping "
-                f"of sortable items: {error}"
-            ) from error
-        return (query.scenario, float(query.p), query.n, params)
+            return canonical_json(
+                [query.scenario, float(query.p), query.n, dict(query.params)])
+        except (TypeError, ValueError) as error:
+            raise QueryError("bad-parameters",
+                             f"scenario spec is not canonical: {error}"
+                             ) from error
 
     @staticmethod
     def _build(query: Union[Query, SequentialQuery],
@@ -506,10 +517,10 @@ class SimulationService:
             raise QueryError("bad-parameters", str(error)) from error
 
     def _resolve(self, query: Union[Query, SequentialQuery],
-                 family: ScenarioFamily) -> TrialRunner:
-        """The memoised ``TrialRunner`` for this query's scenario."""
-        key = self._runner_key(query)
-        runner = self._runners.get(key)
+                 family: ScenarioFamily, spec: str) -> TrialRunner:
+        """The ``TrialRunner`` for this query's scenario, memoised on
+        its canonical ``spec``."""
+        runner = self._runners.get(spec)
         if runner is None:
             factory, failure_model = self._build(query, family)
             runner = TrialRunner(factory, failure_model,
@@ -517,7 +528,7 @@ class SimulationService:
                                  executor=self._shard_executor)
             if len(self._runners) >= max(self._cache.capacity, 1):
                 self._runners.pop(next(iter(self._runners)))
-            self._runners[key] = runner
+            self._runners[spec] = runner
         return runner
 
     def _resolve_exact(self, query: Query,
@@ -606,11 +617,11 @@ class SimulationService:
                     f"(combinatorial); run_until does not apply"
                 )
             self._validate_sequential(query)
-            runner = self._resolve(query, family)
+            spec = self._spec(query)
+            runner = self._resolve(query, family, spec)
             target = float(query.target_width)
             return _Plan(
-                key=(runner.algorithm_factory, runner.failure_model,
-                     query.max_trials, query.seed),
+                key=(spec, query.max_trials, query.seed),
                 extra=("run_until", query.bound, SEQUENTIAL_CONFIDENCE,
                        SEQUENTIAL_INITIAL_TRIALS),
                 compute=partial(runner.run_until, target, query.max_trials,
@@ -621,16 +632,16 @@ class SimulationService:
             )
         self._validate(query)
         family = self._family(query.scenario)
+        spec = self._spec(query)
         if family.kind == FAMILY_EXACT:
             self._validate_exact(query)
             compute = self._resolve_exact(query, family)
-            return _Plan(key=(compute, None, 1, 0), extra="exact-search",
+            return _Plan(key=(spec, 1, 0), extra="exact-search",
                          compute=partial(_exact_result, compute),
                          tier="exact")
-        runner = self._resolve(query, family)
+        runner = self._resolve(query, family, spec)
         return _Plan(
-            key=(runner.algorithm_factory, runner.failure_model,
-                 query.trials, query.seed),
+            key=(spec, query.trials, query.seed),
             extra=None,
             compute=partial(runner.run, query.trials, query.seed),
             tier="montecarlo", runner=runner,

@@ -47,6 +47,7 @@ from repro.montecarlo import (
     unregister_sampler,
 )
 from repro.montecarlo.executors.base import pool_context
+from repro.montecarlo.fingerprint import canonical_json
 from repro.radio.closed_form import line_schedule
 from repro.rng import RngStream
 
@@ -580,34 +581,34 @@ class TestValidation:
         assert result.estimate == 1.0
 
 
+SPEC = '["simple-omission",0.4,3,{}]'
+
+
 class TestScenarioFingerprint:
     def test_equal_specs_hash_equal(self):
-        a = partial(SimpleOmission, binary_tree(3), 0, 1, MESSAGE_PASSING, 2)
-        b = partial(SimpleOmission, binary_tree(3), 0, 1, MESSAGE_PASSING, 2)
-        assert (scenario_fingerprint(a, OmissionFailures(0.4), 100, 7)
-                == scenario_fingerprint(b, OmissionFailures(0.4), 100, 7))
+        a = canonical_json(["flooding", 0.1, 5, {"rounds": 9, "phase": 2}])
+        b = canonical_json(["flooding", 0.1, 5, {"phase": 2, "rounds": 9}])
+        assert a == '["flooding",0.1,5,{"phase":2,"rounds":9}]'
+        assert (scenario_fingerprint(a, 100, 7)
+                == scenario_fingerprint(b, 100, 7))
 
     def test_every_component_is_distinguished(self):
-        base = scenario_fingerprint(mp_factory, OMISSION, 100, 7)
-        assert base != scenario_fingerprint(mp_factory, OMISSION, 101, 7)
-        assert base != scenario_fingerprint(mp_factory, OMISSION, 100, 8)
-        assert base != scenario_fingerprint(mp_factory,
-                                            OmissionFailures(0.3), 100, 7)
-        assert base != scenario_fingerprint(radio_factory, OMISSION, 100, 7)
-        assert base != scenario_fingerprint(mp_factory, None, 100, 7)
-        assert base != scenario_fingerprint(mp_factory, OMISSION, 100, 7,
+        base = scenario_fingerprint(SPEC, 100, 7)
+        assert base != scenario_fingerprint(SPEC, 101, 7)
+        assert base != scenario_fingerprint(SPEC, 100, 8)
+        assert base != scenario_fingerprint(
+            '["simple-omission",0.3,3,{}]', 100, 7)
+        assert base != scenario_fingerprint(
+            '["simple-omission-radio",0.4,3,{}]', 100, 7)
+        assert base != scenario_fingerprint(SPEC, 100, 7,
                                             extra="predicate-name")
 
     def test_digest_shape_and_version(self):
-        digest = scenario_fingerprint(mp_factory, OMISSION, 10, 0)
+        digest = scenario_fingerprint(SPEC, 10, 0)
         assert len(digest) == 64
         int(digest, 16)  # valid hex
-        assert FINGERPRINT_VERSION == 1
-
-    def test_unpicklable_factory_raises_type_error(self):
-        with pytest.raises(TypeError, match="picklable"):
-            scenario_fingerprint(lambda: None, OMISSION, 10, 0)
+        assert FINGERPRINT_VERSION == 2
 
     def test_trials_validated(self):
         with pytest.raises(ValueError):
-            scenario_fingerprint(mp_factory, OMISSION, 0, 0)
+            scenario_fingerprint(SPEC, 0, 0)

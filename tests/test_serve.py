@@ -19,6 +19,7 @@ under ``asyncio.run`` inside a plain test function.
 
 import asyncio
 import json
+import pickle
 
 import pytest
 from hypothesis import given, settings
@@ -26,13 +27,14 @@ from hypothesis import strategies as st
 
 import repro.batchsim.engine as engine_module
 from repro.experiments.registry import all_families, get_family, resolve_scenario
-from repro.montecarlo import TrialRunner, scenario_fingerprint
+from repro.montecarlo import TrialRunner
 from repro.obs import render_prometheus, use_registry
 from repro.serve import (
     Coalescer,
     Query,
     QueryError,
     ResultCache,
+    SequentialQuery,
     SimulationServer,
     SimulationService,
     query_many,
@@ -72,21 +74,44 @@ class TestFingerprint:
         assert len(fingerprints) == len(variants)
 
     def test_stable_across_execution(self):
-        """Running trials must not change the fingerprint.
+        """Running trials must not change the fingerprint (a re-keyed
+        scenario would split coalescing and caching)."""
+        async def scenario():
+            service = SimulationService()
+            before = service.fingerprint(MC_QUERY)
+            await service.submit(MC_QUERY)
+            return before, service.fingerprint(MC_QUERY)
 
-        Regression: lazily-built topology caches used to leak into the
-        pickled spec, so the first execution silently re-keyed the
-        scenario and split coalescing/caching.
-        """
-        factory, model = resolve_scenario("windowed-malicious", 0.25, 2, {})
-        before = scenario_fingerprint(factory, model, 200, 5)
+        before, after = run(scenario())
+        assert after == before
+
+    def test_param_key_order_does_not_change_fingerprint(self):
+        service = SimulationService()
+        forward = Query("hetero-omission", 0.5, 2, 16,
+                        params={"p_low": 0.1, "phase_length": 3})
+        backward = Query("hetero-omission", 0.5, 2, 16,
+                         params={"phase_length": 3, "p_low": 0.1})
+        assert service.fingerprint(forward) == service.fingerprint(backward)
+
+    def test_fingerprint_and_cache_hits_pickle_nothing(self, monkeypatch):
+        sequential = SequentialQuery("windowed-malicious", 0.25, 2, 0.5,
+                                     2048, seed=5)
 
         async def scenario():
             service = SimulationService()
             await service.submit(MC_QUERY)
-            return service.fingerprint(MC_QUERY)
+            await service.submit_until(sequential)
 
-        assert run(scenario()) == before
+            def refuse(*args, **kwargs):
+                raise AssertionError("pickle.dumps called")
+
+            monkeypatch.setattr(pickle, "dumps", refuse)
+            assert len(service.fingerprint(MC_QUERY)) == 64
+            hit = await service.submit(MC_QUERY)
+            sequential_hit = await service.submit_until(sequential)
+            return hit.source, sequential_hit.source
+
+        assert run(scenario()) == ("cache", "cache")
 
 
 class TestResultCache:
@@ -390,6 +415,8 @@ class TestServiceValidation:
         Query("windowed-malicious", 1.5, 2, 10),
         Query("windowed-malicious", 0.25, 0, 10),
         Query("flooding", 0.1, 5, 10, params={"bogus": 1}),
+        Query("flooding", 0.1, 8, 16, params={"rounds": [1, 2]}),
+        Query("flooding", 0.1, 8, 16, params={"rounds": {"a": 1}}),
     ])
     def test_bad_parameters(self, query):
         with pytest.raises(QueryError) as excinfo:
@@ -596,6 +623,25 @@ class TestWireProtocol:
                    if entry["name"] == "serve.wire.errors"}
         assert by_code["unknown-scenario"] == 1
         assert by_code["bad-request"] == 1
+
+    def test_list_param_is_a_counted_bad_parameters_error(self):
+        async def scenario(host, port, server):
+            with use_registry() as registry:
+                response = await query_one(host, port, {
+                    "scenario": "flooding", "p": 0.1, "n": 8,
+                    "trials": 16, "params": {"rounds": [1, 2]},
+                })
+                stats = await query_one(host, port, {"op": "stats"})
+                return response, stats, registry.snapshot()
+
+        response, stats, snapshot = run(self._with_server(scenario))
+        assert response["ok"] is False
+        assert response["error"] == "bad-parameters"
+        assert stats["errors"] == 1
+        by_code = {entry["labels"]["code"]: entry["value"]
+                   for entry in snapshot["counters"]
+                   if entry["name"] == "serve.errors"}
+        assert by_code == {"bad-parameters": 1}
 
     def test_out_of_order_ids_are_reassembled(self):
         async def scenario(host, port, server):

@@ -14,8 +14,10 @@ Contracts pinned here, in the order ISSUE states them:
   exactly the damaged record (logged + counted), never crashes, and
   never poisons the surviving records;
 * **format discipline** — a mangled header restarts the journal
-  fresh; a *newer* format version refuses to load; compaction is an
-  atomic rewrite that preserves exactly the live entries.
+  fresh; a *newer* format or fingerprint version refuses to load, an
+  older fingerprint version restarts fresh (its records were keyed
+  under other semantics); compaction is an atomic rewrite that
+  preserves exactly the live entries.
 
 No pytest-asyncio in the environment, so async scenarios run under
 ``asyncio.run`` inside plain test functions.
@@ -31,6 +33,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.montecarlo import FINGERPRINT_VERSION
 from repro.montecarlo.trials import (
     SequentialResult,
     SequentialStep,
@@ -302,6 +305,34 @@ class TestFormatDiscipline:
             MemoJournal(path).load()
         # And the refusing load must not have clobbered the file.
         assert json.loads(path.read_text().splitlines()[0]) == header
+
+    def test_newer_fingerprint_version_refuses_to_load(self, tmp_path):
+        path = tmp_path / "memo.ndjson"
+        header = {"format": FORMAT_NAME, "version": FORMAT_VERSION,
+                  "fingerprint_version": FINGERPRINT_VERSION + 1}
+        path.write_text(json.dumps(header) + "\n")
+        with pytest.raises(ValueError, match="newer"):
+            MemoJournal(path).load()
+        assert json.loads(path.read_text().splitlines()[0]) == header
+
+    def test_older_fingerprint_version_restarts_fresh(self, tmp_path):
+        path = tmp_path / "memo.ndjson"
+        self._seed_one_record(path)
+        raw = path.read_text().splitlines()
+        header = json.loads(raw[0])
+        header["fingerprint_version"] = 1
+        raw[0] = json.dumps(header)
+        path.write_text("\n".join(raw) + "\n")
+        assert FINGERPRINT_VERSION == 2
+
+        journal = MemoJournal(path)
+        assert journal.load() == []
+        journal.close()
+        lines = path.read_text().splitlines()
+        assert lines == [json.dumps(
+            {"fingerprint_version": FINGERPRINT_VERSION,
+             "format": FORMAT_NAME, "version": FORMAT_VERSION},
+            sort_keys=True, separators=(",", ":"))]
 
     def test_compaction_is_atomic_and_exact(self, tmp_path):
         path = tmp_path / "memo.ndjson"
