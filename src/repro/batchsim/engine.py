@@ -20,10 +20,13 @@ calls would.  The plain oblivious adversaries consume no randomness at
 all, and the randomised slowing reduction *replays* its coin tosses
 from each trial's ``child("adversary")`` stream
 (:meth:`~repro.failures.adversaries.SlowingAdversary.
-thin_faulty_batch`), so the batched per-trial success indicators are
-**bit-identical** to the scalar engine's on matched streams
-(property-tested in ``tests/test_batchsim.py``), for any worker count
-and any chunk size.
+thin_faulty_batch`).  Both seed a chunk's child streams together
+through :func:`repro.rng.child_generators` — one numpy pass over the
+``SeedSequence`` mixing and one reused PCG64 — whose draws equal each
+child stream's own generator's.  So the batched per-trial success
+indicators are **bit-identical** to the scalar engine's on matched
+streams (property-tested in ``tests/test_batchsim.py``), for any
+worker count and any chunk size.
 
 Eligibility (:func:`batch_execution` returns ``None`` otherwise):
 
@@ -64,8 +67,10 @@ __all__ = ["BatchExecution", "batch_execution", "run_batch_shard",
            "supports_batchsim"]
 
 #: Trials advanced together per chunk: large enough to amortise numpy
-#: call overhead, small enough to keep the (chunk, rounds, n) fault
-#: masks and (chunk, n, K) vote counters cache-friendly.
+#: call overhead and the chunk's batched stream seeding, small enough
+#: to keep the (chunk, rounds, n) fault masks and the programs'
+#: per-trial state (e.g. the Kučera (n, contexts, chunk) bit table)
+#: cache-friendly.
 DEFAULT_CHUNK = 512
 
 

@@ -705,14 +705,18 @@ class PlanLift(BatchProgram):
 
     A compiled plan's directives are indexed by line position — the
     tree depth of the executing node — so all nodes of one depth share
-    their round schedule.  Per-trial state is the bit table
-    ``(B, n, contexts)``; transmissions and receptions are replayed
-    from the compiled ``(position, round) -> context`` maps, and the
-    copy/vote control directives run at the start of their scheduled
-    round (directives scheduled past the final round run at output
-    time), in the compiler's per-position execution order — exactly
-    the scalar :class:`~repro.core.kucera.algorithm.KuceraProtocol`
-    ordering.
+    their round schedule.  Per-trial state is the bit table, stored
+    node-major as ``(n, contexts, B)``: one node's bit in one context
+    is a contiguous ``B``-vector across the trials.  Transmissions and
+    receptions are replayed from the compiled
+    ``(position, round) -> context`` maps, and the copy/vote control
+    directives run at the start of their scheduled round (directives
+    scheduled past the final round run at output time), in the
+    compiler's per-position execution order — exactly the scalar
+    :class:`~repro.core.kucera.algorithm.KuceraProtocol` ordering.
+    Each directive addresses the nodes of one depth, as a slice when
+    they are numbered consecutively (always, on lines and heap-numbered
+    trees), so it reads and writes the table through views.
     """
 
     model = MESSAGE_PASSING
@@ -724,9 +728,9 @@ class PlanLift(BatchProgram):
         self._order = topology.order
         self._rounds = algorithm.rounds
         self._source = algorithm.source
-        self._codec = codec
         self._message_code = np.int64(codec.code_of(algorithm.source_message))
         self._default_code = np.int64(codec.code_of(algorithm.default))
+        self._code_range = np.arange(codec.size).reshape(-1, 1, 1, 1)
         depth = np.asarray(tree.depth, dtype=np.int64)
         nodes_at = {
             position: np.nonzero(depth == position)[0]
@@ -737,6 +741,10 @@ class PlanLift(BatchProgram):
         def index_of(context) -> int:
             return context_index.setdefault(context, len(context_index))
 
+        has_children = np.array(
+            [bool(tree.children(node)) for node in range(self._order)],
+            dtype=bool,
+        )
         transmit_ctx = np.full((self._rounds, self._order), -1,
                                dtype=np.int64)
         for position, by_round in compiled.transmissions.items():
@@ -745,6 +753,9 @@ class PlanLift(BatchProgram):
                 continue
             for round_index, context in by_round.items():
                 transmit_ctx[round_index, nodes] = index_of(context)
+        # Leaves never transmit: the scalar protocol has nobody to
+        # address.
+        transmit_ctx[:, ~has_children] = -1
         receive_ctx = np.full((self._rounds, self._order), -1,
                               dtype=np.int64)
         for position, by_round in compiled.receptions.items():
@@ -754,6 +765,8 @@ class PlanLift(BatchProgram):
             for round_index, context in by_round.items():
                 if round_index < self._rounds:
                     receive_ctx[round_index, nodes] = index_of(context)
+        self._transmitters = _RoundSchedule(transmit_ctx)
+        self._receivers = _RoundSchedule(receive_ctx)
         # Controls, bucketed by execution round; compiled.controls is
         # already in per-position execution order, and directives of
         # different positions touch disjoint nodes, so concatenation
@@ -764,6 +777,7 @@ class PlanLift(BatchProgram):
             nodes = nodes_at.get(position)
             if nodes is None or not nodes.size:
                 continue
+            nodes = _as_slice(nodes)
             for directive in compiled.controls[position]:
                 entry = (
                     directive.kind, nodes,
@@ -777,8 +791,6 @@ class PlanLift(BatchProgram):
                     ).append(entry)
                 else:
                     self._tail_controls.append(entry)
-        self._transmit_ctx = transmit_ctx
-        self._receive_ctx = receive_ctx
         self._contexts = len(context_index)
         self._root_context = 0
         watch = np.array(
@@ -787,11 +799,6 @@ class PlanLift(BatchProgram):
             dtype=np.int64,
         )
         self._views = WatchViews(topology, watch)
-        self._has_children = np.array(
-            [bool(tree.children(node)) for node in range(self._order)],
-            dtype=bool,
-        )
-        self._node_range = np.arange(self._order)
         self._batch = 0
         self._bits: Optional[np.ndarray] = None
 
@@ -800,51 +807,89 @@ class PlanLift(BatchProgram):
 
     def reset(self, batch: int) -> None:
         self._batch = int(batch)
-        self._bits = np.full((batch, self._order, self._contexts), SILENCE,
+        self._bits = np.full((self._order, self._contexts, batch), SILENCE,
                              dtype=np.int64)
-        self._bits[:, self._source, self._root_context] = self._message_code
+        self._bits[self._source, self._root_context] = self._message_code
 
-    def _apply_control(self, kind: str, nodes: np.ndarray, target: int,
-                       sources: tuple) -> None:
+    def _apply_control(self, kind: str, nodes, target: int,
+                       sources) -> None:
+        """Run one copy or vote directive on ``nodes`` (a slice or an
+        index array) for every trial.
+
+        A copy takes the source context's bit where it is set.  A vote
+        counts each code over the source contexts, abstaining (unset)
+        ones excluded: a unique best code wins, a tie gives the default
+        code, and with no votes at all the target keeps its value
+        (possibly still unset).
+        """
         bits = self._bits
-        current = bits[:, nodes, target]
+        current = bits[nodes, target]
         if kind == "copy":
-            source = bits[:, nodes, sources[0]]
-            bits[:, nodes, target] = np.where(source != SILENCE, source,
-                                              current)
+            source = bits[nodes, sources[0]]
+            bits[nodes, target] = np.where(source != SILENCE, source,
+                                           current)
             return
-        votes = bits[:, nodes][:, :, list(sources)]
-        counts = (
-            votes[..., np.newaxis] == np.arange(self._codec.size)
-        ).sum(axis=2)
-        best = counts.max(axis=2)
-        tied = (counts == best[..., np.newaxis]).sum(axis=2)
-        winner = np.where(
-            (best > 0) & (tied == 1),
-            counts.argmax(axis=2), self._default_code,
+        votes = bits[nodes][:, sources]
+        counts = (votes == self._code_range).sum(
+            axis=2, dtype=np.min_scalar_type(len(sources))
         )
-        # Abstaining contexts are excluded; with no votes at all the
-        # target bit keeps its old value (possibly still unset).
-        bits[:, nodes, target] = np.where(best > 0, winner, current)
+        best = counts.max(axis=0)
+        tied = (counts == best).sum(axis=0)
+        winner = np.where(tied == 1, counts.argmax(axis=0),
+                          self._default_code)
+        bits[nodes, target] = np.where(best > 0, winner, current)
 
     def intent_codes(self, round_index: int) -> np.ndarray:
         for entry in self._controls_by_round.get(round_index, ()):
             self._apply_control(*entry)
-        context = self._transmit_ctx[round_index]
-        values = self._bits[:, self._node_range, np.maximum(context, 0)]
-        payload = np.where(values != SILENCE, values, self._default_code)
-        scheduled = (context >= 0) & self._has_children
-        return np.where(scheduled, payload, np.int64(SILENCE))
+        intents = np.full((self._batch, self._order), SILENCE,
+                          dtype=np.int64)
+        nodes, contexts = self._transmitters.at(round_index)
+        if nodes.size:
+            values = self._bits[nodes, contexts]
+            intents[:, nodes] = np.where(values != SILENCE, values,
+                                         self._default_code).T
+        return intents
 
     def observe(self, round_index: int, received: np.ndarray) -> None:
-        heard = self._views.gather(received)
-        context = self._receive_ctx[round_index]
-        store = (context >= 0) & (heard != SILENCE)
-        rows, nodes = np.nonzero(store)
-        self._bits[rows, nodes, context[nodes]] = heard[rows, nodes]
+        nodes, contexts = self._receivers.at(round_index)
+        if not nodes.size:
+            return
+        heard = self._views.gather(received)[:, nodes].T
+        stored = self._bits[nodes, contexts]
+        self._bits[nodes, contexts] = np.where(heard != SILENCE, heard,
+                                               stored)
 
     def output_codes(self) -> np.ndarray:
         for entry in self._tail_controls:
             self._apply_control(*entry)
-        values = self._bits[:, :, self._root_context]
-        return np.where(values != SILENCE, values, self._default_code)
+        values = self._bits[:, self._root_context]
+        return np.where(values != SILENCE, values, self._default_code).T
+
+
+class _RoundSchedule:
+    """A ``(rounds, n)`` context map (``-1``: no context) kept per
+    round as the nodes with a context and their contexts, in one
+    compressed row layout."""
+
+    __slots__ = ("_bounds", "_nodes", "_contexts")
+
+    def __init__(self, contexts: np.ndarray):
+        rounds, nodes = np.nonzero(contexts >= 0)
+        self._bounds = np.searchsorted(rounds,
+                                       np.arange(contexts.shape[0] + 1))
+        self._nodes = nodes
+        self._contexts = contexts[rounds, nodes]
+
+    def at(self, round_index: int) -> tuple:
+        """``(nodes, contexts)`` scheduled in ``round_index``."""
+        lo, hi = self._bounds[round_index:round_index + 2]
+        return self._nodes[lo:hi], self._contexts[lo:hi]
+
+
+def _as_slice(nodes: np.ndarray):
+    """Sorted ``nodes`` as a slice when they are consecutive."""
+    first = int(nodes[0])
+    if nodes[-1] - first + 1 == nodes.size:
+        return slice(first, first + nodes.size)
+    return nodes

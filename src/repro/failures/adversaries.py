@@ -39,6 +39,7 @@ import numpy as np
 from repro._validation import check_probability
 from repro.engine.protocol import MESSAGE_PASSING, RADIO
 from repro.failures.malicious import Adversary, Restriction
+from repro.rng import child_generators
 
 __all__ = [
     "SilentAdversary",
@@ -439,21 +440,20 @@ class SlowingAdversary(Adversary):
         ``child("adversary")`` stream; that is exactly one draw per set
         mask bit, in the row-major order of the ``(rounds, order)``
         mask.  Numpy generators fill vector draws sequentially, so one
-        ``random(count)`` per trial replays those coins bit for bit,
+        ``random(count)`` per trial — from the generator
+        :func:`~repro.rng.child_generators` sets to the trial's
+        ``child("adversary")`` state — replays those coins bit for bit,
         and the released nodes simply drop out of the faulty masks
         (their intents then pass through like any fault-free node's).
         """
         thinned = masks.copy()
-        for index, stream in enumerate(trial_streams):
-            flat = masks[index].reshape(-1)
-            count = int(np.count_nonzero(flat))
-            if count == 0:
-                continue
-            keep = (stream.child("adversary").generator.random(count)
-                    < self._keep_probability)
-            surviving = np.zeros(flat.shape, dtype=bool)
-            surviving[np.nonzero(flat)[0]] = keep
-            thinned[index] = surviving.reshape(masks[index].shape)
+        generators = child_generators(trial_streams, "adversary")
+        for flat, generator in zip(thinned.reshape(len(masks), -1),
+                                   generators):
+            faulty = np.flatnonzero(flat)
+            if faulty.size:
+                flat[faulty] = (generator.random(faulty.size)
+                                < self._keep_probability)
         return thinned
 
     def batch_rewrite(self, round_index: int, faulty: np.ndarray,

@@ -40,7 +40,9 @@ History-oblivious models additionally support the vectorised
   faulty-transmitter masks of a whole trial batch, consuming each
   trial's ``child("faults")`` stream **exactly** like the scalar
   engine's round-by-round :meth:`sample_faulty` calls (this is what
-  makes batched indicators bit-identical to scalar ones);
+  makes batched indicators bit-identical to scalar ones).  The batch's
+  streams are seeded together by :func:`repro.rng.child_generators`:
+  one numpy pass over the batch and one reused PCG64;
 * :meth:`FailureModel.apply_batch` — the vectorised counterpart of
   :meth:`apply`, operating on ``(batch, n)`` payload-code arrays.
 """
@@ -53,7 +55,7 @@ from typing import Any, Dict, FrozenSet, Optional, Sequence
 import numpy as np
 
 from repro._validation import check_probability
-from repro.rng import RngStream
+from repro.rng import RngStream, child_generators
 
 __all__ = ["FailureModel", "FaultFree", "OmissionFailures"]
 
@@ -204,15 +206,19 @@ class FailureModel(ABC):
         :meth:`sample_faulty` calls would — numpy generators fill
         multi-round draws sequentially, so one ``(rounds, order)`` draw
         per trial reproduces the scalar engine's masks bit for bit.
+        :func:`~repro.rng.child_generators` sets one reused generator
+        to each trial's ``child("faults")`` state in turn, so the batch
+        builds no per-trial PCG64.
         """
         batch = len(trial_streams)
         masks = np.zeros((batch, rounds, order), dtype=bool)
         rates = self.rates(order)
         if self._p_v is None and rates == 0.0:
             return masks
-        for index, stream in enumerate(trial_streams):
-            generator = stream.child("faults").generator
-            masks[index] = generator.random((rounds, order)) < rates
+        draws = np.empty((rounds, order))
+        generators = child_generators(trial_streams, "faults")
+        for mask, generator in zip(masks, generators):
+            np.less(generator.random(out=draws), rates, out=mask)
         return masks
 
     def apply_batch(self, round_index: int, faulty: np.ndarray,

@@ -404,6 +404,97 @@ def test_windowed_counts_track_arbitrary_inboxes(window_length):
     assert set(np.unique(expected)) == set(range(codec.size))
 
 
+class TestPlanLiftControls:
+    """The node-major Kučera bit table's copy and vote directives.
+
+    The table is ``(n, contexts, B)``; each case below hand-sets one
+    node's contexts across a few trials and pins the scalar
+    :class:`~repro.core.kucera.algorithm.KuceraProtocol` rule.
+    """
+
+    NODE = slice(2, 3)
+    TARGET, SOURCES = 1, [2, 3, 4]
+
+    @pytest.fixture(params=[0, 1], ids=["default-0", "default-1"])
+    def program(self, request):
+        algorithm = KuceraBroadcast(line(4), 0, 1, p=0.25,
+                                    default=request.param)
+        program = algorithm.batch_program(PayloadCodec([0, 1]))
+        program.reset(5)
+        return program
+
+    def _set(self, program, context, values):
+        program._bits[self.NODE, context] = values
+
+    def _get(self, program, context):
+        return program._bits[self.NODE, context][0]
+
+    def test_vote_rule(self, program):
+        default = program._default_code
+        # Trials: 1-0 tie, 2-1 win, unanimous 0, lone 1 (others
+        # abstain), 0-1 tie with an abstention.
+        self._set(program, 2, [0, 1, 0, 1, 0])
+        self._set(program, 3, [1, 1, 0, SILENCE, 1])
+        self._set(program, 4, [SILENCE, 0, 0, SILENCE, SILENCE])
+        self._set(program, self.TARGET, [1, 0, 1, 0, SILENCE])
+        program._apply_control("vote", self.NODE, self.TARGET, self.SOURCES)
+        np.testing.assert_array_equal(
+            self._get(program, self.TARGET), [default, 1, 0, 1, default]
+        )
+
+    def test_vote_with_every_source_abstaining_keeps_the_target(
+            self, program):
+        for context in self.SOURCES:
+            self._set(program, context, SILENCE)
+        before = [0, 1, SILENCE, 1, SILENCE]
+        self._set(program, self.TARGET, before)
+        program._apply_control("vote", self.NODE, self.TARGET, self.SOURCES)
+        np.testing.assert_array_equal(self._get(program, self.TARGET),
+                                      before)
+
+    def test_copy_from_silence_keeps_the_target(self, program):
+        self._set(program, 2, [SILENCE, 0, 1, SILENCE, 0])
+        self._set(program, self.TARGET, [1, 1, 0, SILENCE, SILENCE])
+        program._apply_control("copy", self.NODE, self.TARGET, [2])
+        np.testing.assert_array_equal(self._get(program, self.TARGET),
+                                      [1, 0, 1, SILENCE, 0])
+
+    def test_chained_copies_run_in_compiler_order(self, program):
+        self._set(program, 2, [0, 1, 1, 0, SILENCE])
+        self._set(program, 3, [1, 0, SILENCE, SILENCE, 1])
+        self._set(program, 4, SILENCE)
+        # Round 0: copy 2 -> 3, then 3 -> 4; 4 must see the new 3.
+        program._controls_by_round = {0: [
+            ("copy", self.NODE, 3, [2]),
+            ("copy", self.NODE, 4, [3]),
+        ]}
+        program.intent_codes(0)
+        np.testing.assert_array_equal(self._get(program, 4),
+                                      [0, 1, 1, 0, 1])
+
+    @pytest.mark.parametrize("topology,node_indexes", [
+        pytest.param(binary_tree(3), {slice}, id="kucera-flip-tree"),
+        # The grid's BFS tree does not number the nodes of one depth
+        # consecutively, so some directives index the table with arrays.
+        pytest.param(grid(3, 3), {slice, np.ndarray}, id="kucera-flip-grid"),
+    ])
+    def test_kucera_flip_matches_scalar_at_chunks_1_and_512(
+            self, topology, node_indexes):
+        algorithm = KuceraBroadcast(topology, 0, 1, p=0.25)
+        failure = MaliciousFailures(0.25, RandomFlipAdversary(),
+                                    Restriction.FLIP)
+        program = batch_execution(algorithm, failure)._program
+        assert node_indexes == {type(entry[1]) for entries in
+                                program._controls_by_round.values()
+                                for entry in entries}
+        scalar = scalar_indicators(algorithm, failure)
+        for chunk in (1, 512):
+            np.testing.assert_array_equal(
+                batch_indicators(algorithm, failure, chunk=chunk), scalar
+            )
+        assert 0 < scalar.sum()
+
+
 class TestEligibility:
     def test_supported_scenarios(self):
         assert supports_batchsim(

@@ -4,8 +4,43 @@ import pickle
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from repro.rng import RngStream, as_stream, derive_seed
+from repro.batchsim import batch_execution
+from repro.core import SimpleMalicious, SimpleOmission
+from repro.engine import MESSAGE_PASSING, RADIO
+from repro.failures import (
+    MaliciousFailures,
+    OmissionFailures,
+    SilentAdversary,
+    SlowingAdversary,
+)
+from repro.graphs import binary_tree
+from repro.rng import (
+    RngStream,
+    as_stream,
+    child_generators,
+    derive_seed,
+    seeded_generators,
+)
+
+#: Seeds at the 32- and 64-bit word boundaries of ``SeedSequence``.
+EDGE_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1]
+
+
+@pytest.fixture
+def pcg64_builds(monkeypatch):
+    """Records the arguments of every ``np.random.PCG64`` construction."""
+    builds = []
+    real = np.random.PCG64
+
+    def counting(*args, **kwargs):
+        builds.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(np.random, "PCG64", counting)
+    return builds
 
 
 class TestDeriveSeed:
@@ -102,18 +137,6 @@ class TestRngStream:
 class TestLazyGenerator:
     """The PCG64 behind a stream is seeded on first use, not on creation."""
 
-    @pytest.fixture
-    def pcg64_builds(self, monkeypatch):
-        builds = []
-        real = np.random.PCG64
-
-        def counting(*args, **kwargs):
-            builds.append(args)
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(np.random, "PCG64", counting)
-        return builds
-
     def test_generator_first_or_method_first_draws_agree(self):
         via_generator = RngStream(42).child("mc", 3)
         via_method = RngStream(42).child("mc", 3)
@@ -161,6 +184,84 @@ class TestLazyGenerator:
         expected = reference.random(6)
         np.testing.assert_array_equal(clone.random(6), expected)
         np.testing.assert_array_equal(stream.random(6), expected)
+
+
+def _assert_matches_numpy(generator, seed: int, count: int) -> None:
+    """``generator`` continues exactly like ``Generator(PCG64(seed))``."""
+    reference = np.random.Generator(np.random.PCG64(seed))
+    np.testing.assert_array_equal(generator.random(count),
+                                  reference.random(count))
+    np.testing.assert_array_equal(generator.integers(0, 1000, size=5),
+                                  reference.integers(0, 1000, size=5))
+    assert generator.integers(0, 2**40) == reference.integers(0, 2**40)
+
+
+class TestSeededGenerators:
+    """The batched ``SeedSequence`` pinned against numpy's own seeding.
+
+    NEP 19 keeps bit-generator streams and their ``SeedSequence``
+    seeding stable across numpy releases; should that ever change, these
+    differentials fail instead of the batch engine drifting from the
+    scalar one.
+    """
+
+    @settings(max_examples=60, deadline=None)
+    @given(seeds=st.lists(st.integers(0, 2**64 - 1), min_size=1,
+                          max_size=6),
+           count=st.integers(0, 9))
+    @example(seeds=EDGE_SEEDS, count=3)
+    def test_matches_numpy_seeding(self, seeds, count):
+        generators = seeded_generators(seeds)
+        for seed, generator in zip(seeds, generators):
+            _assert_matches_numpy(generator, seed, count)
+
+    @pytest.mark.parametrize("seed", EDGE_SEEDS)
+    def test_edge_seeds(self, seed):
+        (generator,) = seeded_generators([seed])
+        _assert_matches_numpy(generator, seed, 4)
+
+    @pytest.mark.parametrize("seeds", [[2**64], [5, 2**70], [-1]])
+    def test_seeds_outside_64_bits_raise(self, seeds):
+        with pytest.raises(ValueError, match=r"\[0, 2\*\*64\)"):
+            seeded_generators(seeds)
+
+    def test_empty_batch_yields_nothing(self):
+        assert list(seeded_generators([])) == []
+
+    def test_child_generators_match_child_streams(self):
+        streams = [RngStream(derive_seed(2005, "mc", index))
+                   for index in range(6)]
+        for stream, generator in zip(streams,
+                                     child_generators(streams, "faults")):
+            np.testing.assert_array_equal(
+                generator.random((3, 4)),
+                stream.child("faults").random((3, 4)),
+            )
+
+    def test_interleaved_iterators_keep_their_own_state(self):
+        outer = seeded_generators([11, 12])
+        first = next(outer)
+        (inner,) = seeded_generators([21])
+        _assert_matches_numpy(inner, 21, 2)
+        _assert_matches_numpy(first, 11, 2)
+        _assert_matches_numpy(next(outer), 12, 2)
+
+    @pytest.mark.parametrize("algorithm,failure_model", [
+        pytest.param(
+            SimpleOmission(binary_tree(3), 0, 1, MESSAGE_PASSING, 2),
+            OmissionFailures(0.4), id="omission"),
+        pytest.param(
+            SimpleMalicious(binary_tree(3), 0, 1, RADIO, 5),
+            MaliciousFailures(
+                0.4, SlowingAdversary(SilentAdversary(), 0.4, 0.2)),
+            id="slowing-silent"),
+    ])
+    def test_batch_chunk_builds_at_most_one_pcg64(
+            self, pcg64_builds, algorithm, failure_model):
+        execution = batch_execution(algorithm, failure_model)
+        assert execution is not None
+        execution.run(512, 2005, chunk=512)
+        assert len(pcg64_builds) <= 1
 
 
 class TestAsStream:
