@@ -51,7 +51,7 @@ Eligibility (:func:`batch_execution` returns ``None`` otherwise):
 from __future__ import annotations
 
 import threading
-from typing import Any, Callable, Dict, Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -194,8 +194,7 @@ def _heard_codes(actual: np.ndarray, heard_from: np.ndarray) -> np.ndarray:
     return padded.ravel().take(heard_from + row_starts)
 
 
-def batch_execution(algorithm: Algorithm, failure_model: FailureModel,
-                    metadata: Optional[Dict[str, Any]] = None
+def batch_execution(algorithm: Algorithm, failure_model: FailureModel
                     ) -> Optional[BatchExecution]:
     """Build the batched execution for a scenario, or ``None``.
 
@@ -214,9 +213,8 @@ def batch_execution(algorithm: Algorithm, failure_model: FailureModel,
     payloads = payload_hook()
     if payloads is None:
         return None
-    if metadata is None:
-        metadata_hook = getattr(algorithm, "metadata", None)
-        metadata = metadata_hook() if callable(metadata_hook) else {}
+    metadata_hook = getattr(algorithm, "metadata", None)
+    metadata = metadata_hook() if callable(metadata_hook) else {}
     if "source_message" not in metadata:
         return None
     try:
@@ -238,7 +236,6 @@ def batch_execution(algorithm: Algorithm, failure_model: FailureModel,
 
 def run_batch_shard(factory: Callable[[], Algorithm],
                     failure_model: FailureModel,
-                    metadata: Optional[Dict[str, Any]],
                     root_seed: int, start: int, stop: int) -> np.ndarray:
     """Picklable process-shard entrypoint: trials ``start..stop-1``.
 
@@ -250,7 +247,7 @@ def run_batch_shard(factory: Callable[[], Algorithm],
     run` — the parent merges shards in index order and gets a
     bit-identical vector for any worker count.
     """
-    execution = batch_execution(factory(), failure_model, metadata=metadata)
+    execution = batch_execution(factory(), failure_model)
     if execution is None:
         # The parent only shards scenarios its own probe accepted; a
         # worker-side rejection means the factory is not a pure

@@ -28,10 +28,10 @@ Ops::
 
     {"op": "hello", "id": 0}
         -> {"id": 0, "ok": true, "role": "repro-distrib-worker",
-            "protocol": 1, "pid": 1234}
+            "protocol": 2, "pid": 1234}
     {"op": "ping", "id": 1}
         -> {"id": 1, "ok": true}
-    {"op": "run", "id": 2, "protocol": 1,
+    {"op": "run", "id": 2, "protocol": 2,
      "function": "repro.montecarlo.trials:run_batch_shard",
      "payload": "<base64 pickle of the args tuple>",
      "digest": "<sha256 of the pickle bytes>"}
@@ -70,8 +70,9 @@ __all__ = [
 ]
 
 #: Bumped on any incompatible wire change; ``run`` requests carry it
-#: and workers reject mismatches instead of guessing.
-PROTOCOL_VERSION = 1
+#: and workers reject mismatches instead of guessing.  Version 2: the
+#: trial-shard argument tuples lost their execution-metadata slot.
+PROTOCOL_VERSION = 2
 
 #: Hard frame cap.  Shard results are pickled indicator arrays — a
 #: million-trial uint8 chunk is ~1.3 MiB after base64 — so the cap is

@@ -9,6 +9,10 @@ Three backends behind one :class:`ShardExecutor` contract (see
 * :class:`RemoteSocketExecutor` — multi-host shards over the
   ``repro.distrib`` NDJSON worker protocol.
 
+The local and remote backends run one shared round-and-retry core
+(:class:`~repro.montecarlo.executors.base.RetryingExecutor`) and
+differ only in the futures pool a round submits to.
+
 Because indicators are a pure function of the scenario fingerprint
 and the absolute trial index, all three produce byte-identical
 results for any worker count and placement — the conformance and

@@ -29,6 +29,10 @@ always gave:
   deterministic by construction — the bit-identity invariant makes
   shard placement (and re-placement) semantically free.
 
+:class:`RetryingExecutor` implements the contract once for both
+backends that can lose a worker (local pool, remote socket); each
+supplies only a :class:`ShardSession` and its crash message.
+
 Every completed shard reports to the process-wide metrics registry
 (:mod:`repro.obs`): the ``mc.executor.shards`` counter and the
 ``mc.executor.shard.seconds`` / ``mc.executor.shard.queue_seconds``
@@ -44,13 +48,17 @@ import multiprocessing
 import sys
 import time
 from abc import ABC, abstractmethod
-from concurrent.futures import BrokenExecutor
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from concurrent.futures import BrokenExecutor, Executor, as_completed
+from dataclasses import dataclass
+from typing import (Any, Callable, ContextManager, Dict, List, Optional,
+                    Sequence, Tuple)
 
 from repro.obs import get_registry
 
 __all__ = [
     "ShardExecutor",
+    "RetryingExecutor",
+    "ShardSession",
     "WorkerCrashError",
     "WorkerDisconnect",
     "OrderedMerge",
@@ -113,7 +121,7 @@ CRASH_ERRORS = (BrokenExecutor, WorkerDisconnect)
 
 
 class OrderedMerge:
-    """Index-ordered shard→result merge shared by every backend.
+    """Index-ordered shard→result merge of :class:`RetryingExecutor`.
 
     Collects per-shard completions and failures in whatever order a
     backend delivers them and enforces the streaming contract: the
@@ -214,9 +222,6 @@ class ShardExecutor(ABC):
         """Deployment summary for ``stats`` blocks and throughput docs."""
         return {"backend": self.name, "workers": self.worker_count()}
 
-    def close(self) -> None:
-        """Release any held resources (default: nothing held)."""
-
     # -- shared instrumentation ---------------------------------------
 
     def _record_shard(self, queue_seconds: float, seconds: float) -> None:
@@ -239,18 +244,137 @@ class ShardExecutor(ABC):
                                backend=self.name).inc()
 
 
-def _timed_shard(function: Callable[..., Any],
-                 args: Tuple) -> Tuple[Tuple[float, float], Any]:
-    """Worker-side wrapper: run the shard and report its own clock.
+@dataclass(frozen=True)
+class ShardSession:
+    """What a :class:`RetryingExecutor` backend runs one call on:
+    ``live()`` workers left (``0`` ends the run), a fresh futures
+    ``pool(width)`` per round, and the ``task(args, submitted)`` each
+    shard is submitted as, returning ``(queue_seconds, seconds, value)``.
+    """
 
-    Returns ``((started, seconds), result)`` where ``started`` is the
-    worker's ``time.monotonic()`` at shard entry.  ``time.monotonic``
-    is system-wide on Linux (CLOCK_MONOTONIC) and macOS
-    (mach_absolute_time), so the parent can subtract its submit stamp
-    from the worker's start stamp to estimate per-shard **queue wait**
-    — how long the shard sat behind siblings before a process picked
-    it up.  Top-level so the spawn start method can pickle it.
+    live: Callable[[], int]
+    pool: Callable[[int], Executor]
+    task: Callable[[Tuple, float], Tuple[float, float, Any]]
+
+
+class RetryingExecutor(ShardExecutor):
+    """The round and retry loops of every backend that can lose a
+    worker.  A round submits the pending shards to a fresh pool; the
+    first failure cancels its siblings in one sweep.  A deterministic
+    error ends the run; a crash (:data:`CRASH_ERRORS`) re-runs the
+    same absolute trial range in the next round, up to
+    ``max_shard_retries`` times per shard."""
+
+    def __init__(self, *, max_shard_retries: int):
+        if max_shard_retries < 0:
+            raise ValueError(
+                f"max_shard_retries must be >= 0, got {max_shard_retries}")
+        self._max_shard_retries = max_shard_retries
+
+    def describe(self) -> Dict[str, Any]:
+        summary = super().describe()
+        summary["max_shard_retries"] = self._max_shard_retries
+        return summary
+
+    @abstractmethod
+    def _session(self, function: Callable[..., Any]
+                 ) -> ContextManager[ShardSession]:
+        """Open the per-call resources ``function``'s shards run on."""
+
+    @abstractmethod
+    def _crash_text(self, lowest: int, total: int, args: Tuple) -> str:
+        """Message of the :class:`WorkerCrashError` for shard ``lowest``."""
+
+    def run_sharded(self, function: Callable[..., Any],
+                    shard_args: Sequence[Tuple],
+                    on_result: Optional[Callable[[int, Any], None]] = None
+                    ) -> List[Any]:
+        merge = OrderedMerge(len(shard_args), on_result)
+        attempts: Dict[int, int] = {}
+        pending = list(range(len(shard_args)))
+        with self._session(function) as session:
+            while pending:
+                width = min(session.live(), len(pending))
+                if width == 0:
+                    merge.fail(min(pending), WorkerDisconnect(
+                        "every worker has disconnected"))
+                    break
+                crashes, incomplete = self._round(
+                    session, width, shard_args, pending, merge)
+                if merge.errors:
+                    # A deterministic shard exception ends the run — it
+                    # would raise identically on any worker, so
+                    # retrying crashed siblings only delays the
+                    # inevitable.  Crashed shards join the error set so
+                    # the lowest index wins.
+                    for index, error in crashes.items():
+                        merge.fail(index, error)
+                    break
+                retry: List[int] = []
+                for index in sorted(crashes):
+                    attempts[index] = attempts.get(index, 0) + 1
+                    if attempts[index] > self._max_shard_retries:
+                        merge.fail(index, crashes[index])
+                    else:
+                        retry.append(index)
+                        self._record_retry()
+                if merge.errors:
+                    break
+                pending = sorted(retry + incomplete)
+        return merge.finalise(shard_args, self._crash_text)
+
+    def _round(self, session: ShardSession, width: int,
+               shard_args: Sequence[Tuple], pending: Sequence[int],
+               merge: OrderedMerge
+               ) -> Tuple[Dict[int, BaseException], List[int]]:
+        """Run one pool over ``pending`` shards; report crashes and
+        shards the pool never resolved (cancelled before starting)."""
+        crashes: Dict[int, BaseException] = {}
+        resolved = set()
+        swept = False
+        with session.pool(width) as pool:
+            submitted = time.monotonic()
+            futures = {
+                pool.submit(session.task, tuple(shard_args[index]),
+                            submitted): index
+                for index in pending
+            }
+            for future in as_completed(futures):
+                if future.cancelled():
+                    continue
+                index = futures[future]
+                resolved.add(index)
+                try:
+                    queue_seconds, seconds, value = future.result()
+                except Exception as error:
+                    if not swept:
+                        # One sweep on the *first* failure only: a
+                        # broken pool fails every still-pending future,
+                        # and re-sweeping per failure would make the
+                        # teardown O(shards^2) in cancel calls.
+                        for sibling in futures:
+                            sibling.cancel()
+                        swept = True
+                    if isinstance(error, CRASH_ERRORS):
+                        crashes[index] = error
+                    else:
+                        merge.fail(index, error)
+                    continue
+                self._record_shard(queue_seconds, seconds)
+                merge.complete(index, value)
+        incomplete = [index for index in pending if index not in resolved]
+        return crashes, incomplete
+
+
+def _timed_shard(function: Callable[..., Any], args: Tuple,
+                 submitted: float) -> Tuple[float, float, Any]:
+    """Worker-side wrapper: ``(queue_seconds, seconds, result)``.
+
+    ``time.monotonic`` is system-wide on Linux (CLOCK_MONOTONIC) and
+    macOS (mach_absolute_time), so the parent's ``submitted`` stamp
+    gives the shard's **queue wait** behind its siblings.  Top-level
+    so the spawn start method can pickle it.
     """
     started = time.monotonic()
     result = function(*args)
-    return (started, time.monotonic() - started), result
+    return started - submitted, time.monotonic() - started, result

@@ -3,12 +3,12 @@
 Each ``run_sharded`` call opens one NDJSON TCP connection per
 configured peer (the hello handshake doubles as registration: role and
 protocol version are verified before any shard is shipped), then
-drives the same round/retry merge loop as the local pool — a thread
+drives the same round/retry merge loop as the local pool (both run
+:class:`~repro.montecarlo.executors.base.RetryingExecutor`) — a thread
 per in-flight shard checks an idle connection out of a small peer
 pool, ships ``{"op": "run", ...}`` with the pickled argument tuple,
-and blocks for the reply.  The *main* thread owns the
-:class:`OrderedMerge`, so streaming callbacks fire in shard-index
-order exactly as they do locally.
+and blocks for the reply.  The *main* thread owns the merge, so
+streaming callbacks fire in shard-index order exactly as locally.
 
 Worker death is a first-class event, not an abort: a dropped
 connection (EOF, reset, refused mid-run) surfaces as
@@ -31,11 +31,14 @@ workers must only be run on trusted networks.
 
 from __future__ import annotations
 
+import functools
 import socket
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor, as_completed
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
+from typing import (Any, Callable, Dict, Iterator, List, Optional, Sequence,
+                    Tuple)
 
 from repro.distrib.protocol import (
     MAX_LINE_BYTES,
@@ -48,8 +51,8 @@ from repro.distrib.protocol import (
     function_spec,
 )
 from repro.montecarlo.executors.base import (
-    OrderedMerge,
-    ShardExecutor,
+    RetryingExecutor,
+    ShardSession,
     WorkerCrashError,
     WorkerDisconnect,
     _summarise_args,
@@ -58,14 +61,23 @@ from repro.montecarlo.executors.base import (
 __all__ = ["RemoteSocketExecutor", "parse_peers"]
 
 
+def _format_peer(peer: Tuple[str, int]) -> str:
+    """``host:port``, with an IPv6 host in brackets (``[::1]:7000``) so
+    the text parses back through :func:`parse_peers`."""
+    host, port = peer
+    return f"[{host}]:{port}" if ":" in host else f"{host}:{port}"
+
+
 def parse_peers(spec: str) -> List[Tuple[str, int]]:
-    """Parse ``host:port,host:port,...`` into (host, port) pairs."""
+    """Parse ``host:port,...`` (IPv6 as ``[::1]:7000``) into pairs."""
     peers: List[Tuple[str, int]] = []
     for item in spec.split(","):
         item = item.strip()
         if not item:
             continue
         host, sep, port_text = item.rpartition(":")
+        if host.startswith("[") and host.endswith("]"):
+            host = host[1:-1]
         if not sep or not host:
             raise ValueError(
                 f"remote peer {item!r} is not of the form host:port")
@@ -86,7 +98,7 @@ class _PeerConnection:
     """One NDJSON request/response channel to a worker."""
 
     def __init__(self, peer: Tuple[str, int], timeout: float):
-        self.peer = peer
+        self.address = _format_peer(peer)
         self._sock = socket.create_connection(peer, timeout=timeout)
         self._sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         self._file = self._sock.makefile("rwb")
@@ -111,25 +123,25 @@ class _PeerConnection:
             line = self._file.readline(MAX_LINE_BYTES + 1)
         except (OSError, ValueError) as error:
             raise WorkerDisconnect(
-                f"worker {self.peer[0]}:{self.peer[1]} dropped the "
+                f"worker {self.address} dropped the "
                 f"connection: {error}") from error
         if not line:
             raise WorkerDisconnect(
-                f"worker {self.peer[0]}:{self.peer[1]} closed the "
+                f"worker {self.address} closed the "
                 f"connection mid-request (killed?)")
         if len(line) > MAX_LINE_BYTES:
             raise WorkerDisconnect(
-                f"worker {self.peer[0]}:{self.peer[1]} sent an oversized "
+                f"worker {self.address} sent an oversized "
                 f"frame (> {MAX_LINE_BYTES} bytes)")
         try:
             reply = decode_line(line)
         except ValueError as error:
             raise WorkerDisconnect(
-                f"worker {self.peer[0]}:{self.peer[1]} sent a garbage "
+                f"worker {self.address} sent a garbage "
                 f"frame: {error}") from error
         if reply.get("id") != ident:
             raise WorkerDisconnect(
-                f"worker {self.peer[0]}:{self.peer[1]} echoed id "
+                f"worker {self.address} echoed id "
                 f"{reply.get('id')!r} for request {ident}")
         return reply
 
@@ -189,7 +201,7 @@ class _PeerPool:
             connection.close()
 
 
-class RemoteSocketExecutor(ShardExecutor):
+class RemoteSocketExecutor(RetryingExecutor):
     """Shard across remote ``repro.distrib`` worker processes."""
 
     name = "remote-socket"
@@ -202,10 +214,7 @@ class RemoteSocketExecutor(ShardExecutor):
         self._peers = [(str(host), int(port)) for host, port in peers]
         if not self._peers:
             raise ValueError("RemoteSocketExecutor needs at least one peer")
-        if max_shard_retries < 0:
-            raise ValueError(
-                f"max_shard_retries must be >= 0, got {max_shard_retries}")
-        self._max_shard_retries = max_shard_retries
+        super().__init__(max_shard_retries=max_shard_retries)
         self._connect_timeout = connect_timeout
 
     def worker_count(self) -> int:
@@ -213,15 +222,14 @@ class RemoteSocketExecutor(ShardExecutor):
 
     def describe(self) -> Dict[str, Any]:
         summary = super().describe()
-        summary["peers"] = [f"{host}:{port}" for host, port in self._peers]
-        summary["max_shard_retries"] = self._max_shard_retries
+        summary["peers"] = [_format_peer(peer) for peer in self._peers]
         return summary
 
     def heartbeat(self) -> Dict[str, bool]:
         """Ping every configured peer; True per peer that answered."""
         alive: Dict[str, bool] = {}
         for peer in self._peers:
-            key = f"{peer[0]}:{peer[1]}"
+            key = _format_peer(peer)
             try:
                 connection = _PeerConnection(peer, self._connect_timeout)
                 try:
@@ -235,50 +243,28 @@ class RemoteSocketExecutor(ShardExecutor):
 
     # -- the sharded run ----------------------------------------------
 
-    def run_sharded(self, function: Callable[..., Any],
-                    shard_args: Sequence[Tuple],
-                    on_result: Optional[Callable[[int, Any], None]] = None
-                    ) -> List[Any]:
+    @contextmanager
+    def _session(self, function: Callable[..., Any]
+                 ) -> Iterator[ShardSession]:
         spec = function_spec(function)
-        pool = self._connect()
+        peers = self._connect()
         try:
-            merge = OrderedMerge(len(shard_args), on_result)
-            attempts: Dict[int, int] = {}
-            pending = list(range(len(shard_args)))
-            while pending:
-                if pool.live == 0:
-                    merge.fail(min(pending), WorkerDisconnect(
-                        "every remote worker has disconnected"))
-                    break
-                crashes, incomplete = self._round(
-                    spec, shard_args, pending, merge, pool)
-                if merge.errors:
-                    for index, error in crashes.items():
-                        merge.fail(index, error)
-                    break
-                retry: List[int] = []
-                exhausted = False
-                for index in sorted(crashes):
-                    attempts[index] = attempts.get(index, 0) + 1
-                    if attempts[index] > self._max_shard_retries:
-                        merge.fail(index, crashes[index])
-                        exhausted = True
-                    else:
-                        retry.append(index)
-                        self._record_retry()
-                if exhausted:
-                    break
-                pending = sorted(retry + incomplete)
-            return merge.finalise(shard_args, self._crash_text)
+            yield ShardSession(
+                live=lambda: peers.live,
+                pool=lambda width: ThreadPoolExecutor(
+                    max_workers=width,
+                    thread_name_prefix="repro-remote-shard"),
+                task=functools.partial(self._run_one, peers, spec),
+            )
         finally:
-            pool.close_all()
+            peers.close_all()
 
     def _connect(self) -> _PeerPool:
         """Open + handshake one connection per peer; need at least one."""
         connections: List[_PeerConnection] = []
         unreachable: List[str] = []
         for peer in self._peers:
-            key = f"{peer[0]}:{peer[1]}"
+            key = _format_peer(peer)
             try:
                 connection = _PeerConnection(peer, self._connect_timeout)
                 hello = connection.request({"op": "hello"})
@@ -302,49 +288,11 @@ class RemoteSocketExecutor(ShardExecutor):
                 f"no remote workers reachable: {'; '.join(unreachable)}")
         return _PeerPool(connections)
 
-    def _round(self, spec: str, shard_args: Sequence[Tuple],
-               pending: Sequence[int], merge: OrderedMerge, pool: _PeerPool
-               ) -> Tuple[Dict[int, BaseException], List[int]]:
-        crashes: Dict[int, BaseException] = {}
-        resolved = set()
-        swept = False
-        workers = min(max(pool.live, 1), len(pending))
-        with ThreadPoolExecutor(
-                max_workers=workers,
-                thread_name_prefix="repro-remote-shard") as dispatch:
-            submitted = time.monotonic()
-            futures = {
-                dispatch.submit(self._run_one, pool, spec,
-                                tuple(shard_args[index]), submitted): index
-                for index in pending
-            }
-            for future in as_completed(futures):
-                if future.cancelled():
-                    continue
-                index = futures[future]
-                resolved.add(index)
-                try:
-                    queue_seconds, seconds, value = future.result()
-                except Exception as error:
-                    if not swept:
-                        for sibling in futures:
-                            sibling.cancel()
-                        swept = True
-                    if isinstance(error, WorkerDisconnect):
-                        crashes[index] = error
-                    else:
-                        merge.fail(index, error)
-                    continue
-                self._record_shard(queue_seconds, seconds)
-                merge.complete(index, value)
-        incomplete = [index for index in pending if index not in resolved]
-        return crashes, incomplete
-
     def _run_one(self, pool: _PeerPool, spec: str, args: Tuple,
                  submitted: float) -> Tuple[float, float, Any]:
         """Ship one shard to an idle worker; return (queue, run, value)."""
         connection = pool.acquire()
-        queue_seconds = max(0.0, time.monotonic() - submitted)
+        queue_seconds = time.monotonic() - submitted
         try:
             payload, digest = encode_payload(args)
             reply = connection.request({
@@ -361,7 +309,7 @@ class RemoteSocketExecutor(ShardExecutor):
             except ValueError as error:
                 pool.discard(connection)
                 raise WorkerDisconnect(
-                    f"worker {connection.peer[0]}:{connection.peer[1]} "
+                    f"worker {connection.address} "
                     f"returned a corrupt result frame: {error}") from error
             pool.release(connection)
             seconds = float(reply.get("seconds", 0.0))
@@ -372,11 +320,11 @@ class RemoteSocketExecutor(ShardExecutor):
         if kind == "shard-error":
             raise decode_payload(reply["payload"], reply["digest"])
         raise RuntimeError(
-            f"worker {connection.peer[0]}:{connection.peer[1]} rejected "
+            f"worker {connection.address} rejected "
             f"the shard ({kind}): {reply.get('message')}")
 
     def _crash_text(self, lowest: int, total: int, args: Tuple) -> str:
-        peers = ", ".join(f"{host}:{port}" for host, port in self._peers)
+        peers = ", ".join(_format_peer(peer) for peer in self._peers)
         return (
             f"remote worker died or disconnected while running shard "
             f"{lowest} of {total} (retries exhausted); shard args: "

@@ -419,7 +419,6 @@ def _trial_stream(root_seed: int, index: int) -> RngStream:
 
 def _run_shard(factory: AlgorithmFactory,
                failure_model: Optional[FailureModel],
-               metadata: Optional[Dict[str, Any]],
                success: Optional[SuccessPredicate],
                root_seed: int,
                start: int, stop: int,
@@ -432,8 +431,7 @@ def _run_shard(factory: AlgorithmFactory,
     """
     if algorithm is None:
         algorithm = factory()
-    if metadata is None:
-        metadata = _default_metadata(algorithm)
+    metadata = _default_metadata(algorithm)
     indicators = np.empty(stop - start, dtype=bool)
     for offset, index in enumerate(range(start, stop)):
         result = run_execution(
@@ -497,10 +495,6 @@ class TrialRunner:
         success boolean.  Default: ``result.is_successful_broadcast()``.
         Supplying a custom predicate disables fastsim dispatch — the
         samplers only reproduce the broadcast-success law.
-    metadata:
-        Execution metadata override; default is the factory
-        algorithm's ``metadata()`` (so ``is_successful_broadcast`` can
-        read the source message).
     workers:
         Process count for the sharded paths — scalar-engine trial
         shards *and* batchsim trial chunks.  ``1`` runs in-process;
@@ -538,7 +532,6 @@ class TrialRunner:
                  failure_model: Optional[FailureModel] = None,
                  *,
                  success: Optional[SuccessPredicate] = None,
-                 metadata: Optional[Dict[str, Any]] = None,
                  workers: int = 1,
                  executor: Optional[Union[str, ShardExecutor]] = None,
                  use_fastsim: bool = True,
@@ -556,7 +549,6 @@ class TrialRunner:
         self._factory = algorithm_factory
         self._failure_model = failure_model if failure_model is not None else FaultFree()
         self._success = success
-        self._metadata = dict(metadata) if metadata is not None else None
         self._workers = check_positive_int(workers, "workers")
         self._executor = make_executor(executor, workers=self._workers)
         # Every sharding heuristic keys off the substrate's parallel
@@ -645,8 +637,7 @@ class TrialRunner:
                          ) -> Optional[BatchExecution]:
         if not self._use_batchsim:
             return None
-        return batch_execution(algorithm, self._failure_model,
-                               metadata=self._metadata)
+        return batch_execution(algorithm, self._failure_model)
 
     def run(self, trials: int, seed_or_stream=0,
             confidence: float = 0.99,
@@ -831,7 +822,7 @@ class TrialRunner:
                 indicators = batch.run_range(start, stop, root_seed)
             else:
                 indicators = _run_shard(
-                    self._factory, self._failure_model, self._metadata,
+                    self._factory, self._failure_model,
                     self._success, root_seed, start, stop,
                     algorithm=algorithm,
                 )
@@ -839,11 +830,10 @@ class TrialRunner:
             return indicators, 1
         if batch is not None:
             function, head = run_batch_shard, (
-                self._factory, self._failure_model, self._metadata)
+                self._factory, self._failure_model)
         else:
             function, head = _run_shard, (
-                self._factory, self._failure_model, self._metadata,
-                self._success)
+                self._factory, self._failure_model, self._success)
         parts = self._executor.run_sharded(
             function,
             [head + (root_seed, lo + start, hi + start) for lo, hi in bounds],

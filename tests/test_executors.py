@@ -63,14 +63,10 @@ BACKENDS = ["in-process", "local-process", "remote-socket"]
 def executor(request, worker_pair):
     """One executor per contract backend; remote rides the loopback pair."""
     if request.param == "in-process":
-        built = InProcessExecutor()
-    elif request.param == "local-process":
-        built = LocalProcessExecutor(2)
-    else:
-        built = RemoteSocketExecutor(
-            [(w.host, w.port) for w in worker_pair])
-    yield built
-    built.close()
+        return InProcessExecutor()
+    if request.param == "local-process":
+        return LocalProcessExecutor(2)
+    return RemoteSocketExecutor([(w.host, w.port) for w in worker_pair])
 
 
 class TestConformance:
@@ -145,28 +141,53 @@ class TestLocalCrashSemantics:
             assert registry.counter("mc.executor.retries",
                                     backend="local-process").value == 1
 
-    @fork_only
-    def test_retry_budget_is_bounded(self):
-        executor = LocalProcessExecutor(2, max_shard_retries=1)
+
+@pytest.fixture(params=["local-process", "remote-socket"])
+def retrying(request):
+    """Build a two-worker executor of each backend that shares the
+    retry-and-merge core; remote gets a fresh loopback pair per test,
+    since crash tests kill their workers."""
+    workers = []
+
+    def build(max_shard_retries):
+        if request.param == "local-process":
+            return LocalProcessExecutor(
+                2, max_shard_retries=max_shard_retries)
+        workers.extend([WorkerProcess(), WorkerProcess()])
+        return RemoteSocketExecutor(
+            [(w.host, w.port) for w in workers],
+            max_shard_retries=max_shard_retries)
+
+    yield build
+    for worker in workers:
+        worker.close()
+
+
+class TestRetryingCrashSemantics:
+    """The shared round and retry loops, pinned on both backends."""
+
+    def test_retry_budget_is_bounded(self, retrying):
+        executor = retrying(max_shard_retries=1)
         with obs.use_registry() as registry:
             with pytest.raises(WorkerCrashError, match="shard 0 of 1"):
                 executor.run_sharded(shard_exit, [(0,)])
             # One retry attempted (and counted) before the crash surfaced.
             assert registry.counter("mc.executor.retries",
-                                    backend="local-process").value == 1
+                                    backend=executor.name).value == 1
 
-    @fork_only
-    def test_deterministic_error_is_never_retried(self):
+    def test_deterministic_error_is_never_retried(self, retrying):
         # An ordinary exception must surface immediately even with a
         # generous retry budget — it would raise identically anywhere.
-        executor = LocalProcessExecutor(2, max_shard_retries=5)
+        executor = retrying(max_shard_retries=5)
         with obs.use_registry() as registry:
             with pytest.raises(ValueError, match="shard value 1 failed"):
                 executor.run_sharded(shard_fail_on_odd, [(0,), (1,)])
             assert registry.counter("mc.executor.retries",
-                                    backend="local-process").value == 0
+                                    backend=executor.name).value == 0
 
-    def test_first_error_cancels_siblings_exactly_once(self, monkeypatch):
+    def test_first_error_cancels_siblings_exactly_once(self, retrying,
+                                                       monkeypatch):
+        executor = retrying(max_shard_retries=0)
         calls = []
         original = concurrent.futures.Future.cancel
 
@@ -177,7 +198,6 @@ class TestLocalCrashSemantics:
         monkeypatch.setattr(concurrent.futures.Future, "cancel",
                             counting_cancel)
         shards = [(2 * i + 1,) for i in range(6)]  # all odd: all raise
-        executor = LocalProcessExecutor(2, max_shard_retries=0)
         with pytest.raises(ValueError, match="shard value 1 failed"):
             executor.run_sharded(shard_fail_on_odd, shards)
         assert len(calls) == len(shards)
@@ -298,6 +318,13 @@ class TestMakeExecutor:
 
     def test_parse_peers_validation(self):
         assert parse_peers("a:1, b:2") == [("a", 1), ("b", 2)]
+        assert parse_peers("[::1]:7000") == [("::1", 7000)]
+        # describe() brackets IPv6 peers, so its peer list parses back.
+        peers = RemoteSocketExecutor("[::1]:7000,a:1").describe()["peers"]
+        assert peers == ["[::1]:7000", "a:1"]
+        assert parse_peers(",".join(peers)) == [("::1", 7000), ("a", 1)]
+        with pytest.raises(ValueError, match="host:port"):
+            parse_peers("[]:7000")
         with pytest.raises(ValueError, match="host:port"):
             parse_peers(":99")
         with pytest.raises(ValueError, match="non-integer"):
