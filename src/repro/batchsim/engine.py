@@ -5,11 +5,13 @@ one trial round by round, this engine advances a whole batch of ``B``
 trials together: per round it takes the program's ``(B, n)`` intent
 codes, applies the failure model's pre-sampled ``(B, n)`` faulty masks
 through its vectorised ``apply_batch`` hook, delivers through
-:func:`~repro.engine.simulator.deliver_radio_batch` /
-:func:`~repro.engine.simulator.deliver_mp_batch`, and hands the
-deliveries back to the program.  Nothing touches Python-level per-node
-state, so the per-trial cost collapses to a handful of numpy
-operations per round.
+:func:`~repro.engine.simulator.deliver_radio_batch` (one integer sparse
+product with the topology's adjacency) /
+:func:`~repro.engine.simulator.deliver_mp_batch` (one column gather
+through the program's static sender map), and hands the program the
+``(B, n)`` codes every node heard, in either model.  Nothing touches
+Python-level per-node state, so the per-trial cost collapses to a
+handful of numpy operations per round.
 
 Stream contract (what makes the tier safe to auto-dispatch): trial
 ``i`` consumes the stream ``root.child("mc", i)`` — the
@@ -56,7 +58,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from repro._validation import check_positive_int
-from repro.batchsim.codec import SILENCE, PayloadCodec
+from repro.batchsim.codec import PayloadCodec
 from repro.batchsim.programs import BatchProgram
 from repro.engine.protocol import MESSAGE_PASSING, Algorithm
 from repro.engine.simulator import deliver_mp_batch, deliver_radio_batch
@@ -161,7 +163,7 @@ class BatchExecution:
         )
         program.reset(stop - start)
         radio = algorithm.model != MESSAGE_PASSING
-        targets = None if radio else program.mp_targets()
+        senders = None if radio else program.mp_senders()
         for round_index in range(rounds):
             intents = program.intent_codes(round_index)
             actual = self._failure_model.apply_batch(
@@ -169,29 +171,12 @@ class BatchExecution:
                 algorithm.model,
             )
             if radio:
-                received = _heard_codes(
-                    actual, deliver_radio_batch(topology, actual != SILENCE)
-                )
+                heard = deliver_radio_batch(topology, actual)
             else:
-                received = deliver_mp_batch(topology, actual, targets)
-            program.observe(round_index, received)
+                heard = deliver_mp_batch(topology, actual, senders)
+            program.observe(round_index, heard)
         outputs = program.output_codes()
         return (outputs == self._expected_code).all(axis=1)
-
-
-def _heard_codes(actual: np.ndarray, heard_from: np.ndarray) -> np.ndarray:
-    """The code each node hears: ``actual[b, heard_from[b, v]]``, or
-    ``SILENCE`` where ``heard_from`` is ``-1``.
-
-    One flat ``take`` from ``actual`` with a silence column prepended
-    to every row, so the ``-1`` speaker lands on it.
-    """
-    batch, order = actual.shape
-    padded = np.empty((batch, order + 1), dtype=np.int64)
-    padded[:, 0] = SILENCE
-    padded[:, 1:] = actual
-    row_starts = np.arange(batch)[:, np.newaxis] * (order + 1) + 1
-    return padded.ravel().take(heard_from + row_starts)
 
 
 def batch_execution(algorithm: Algorithm, failure_model: FailureModel

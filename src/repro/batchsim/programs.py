@@ -75,6 +75,7 @@ __all__ = [
     "lift_flooding",
     "lift_layered_schedule",
     "lift_slot_schedule",
+    "watch_senders",
 ]
 
 ADOPT_FIRST = "first"
@@ -157,6 +158,9 @@ class BatchProgram(ABC):
     #: Communication model the program targets (engine picks delivery).
     model: str
 
+    #: Message-passing programs set their sender map here.
+    _senders: Optional[np.ndarray] = None
+
     @abstractmethod
     def reset(self, batch: int) -> None:
         """Initialise state for a fresh batch of ``batch`` trials."""
@@ -165,25 +169,24 @@ class BatchProgram(ABC):
     def intent_codes(self, round_index: int) -> np.ndarray:
         """``(B, n)`` transmission intents (codes, ``SILENCE`` = quiet)."""
 
-    def mp_targets(self) -> Optional[np.ndarray]:
-        """Static per-slot target mask for message-passing delivery.
+    def mp_senders(self) -> Optional[np.ndarray]:
+        """Static ``(n,)`` sender map for message-passing delivery.
 
-        Aligned with the receiver CSR of
-        :func:`~repro.engine.simulator.deliver_mp_batch`: entry ``j``
-        says whether the sender of inbox slot ``j`` addresses the
-        slot's owner.  ``None`` means every sender addresses all of its
-        neighbours.  Radio programs never consult this.
+        Entry ``v`` is the neighbour whose payload node ``v`` hears
+        through :func:`~repro.engine.simulator.deliver_mp_batch`, or
+        ``-1`` for nobody (built by :func:`watch_senders`).  Radio
+        programs have none and never consult this.
         """
-        return None
+        return self._senders
 
     @abstractmethod
-    def observe(self, round_index: int, received: np.ndarray) -> None:
+    def observe(self, round_index: int, heard: np.ndarray) -> None:
         """Fold one round's deliveries into the per-trial state.
 
-        ``received`` is the ``(B, n)`` heard-code array in the radio
-        model, or the ``(B, E)`` inbox-code array of
-        :func:`~repro.engine.simulator.deliver_mp_batch` in message
-        passing.
+        ``heard`` is the ``(B, n)`` array of codes each node heard
+        (``SILENCE`` for nothing), in either model: what
+        :func:`~repro.engine.simulator.deliver_radio_batch` or
+        :func:`~repro.engine.simulator.deliver_mp_batch` returns.
         """
 
     @abstractmethod
@@ -191,52 +194,22 @@ class BatchProgram(ABC):
         """``(B, n)`` final outputs (the scalar protocols' ``output()``)."""
 
 
-class WatchViews:
-    """Message-passing gather views for watched-parent listeners.
+def watch_senders(topology, watch) -> np.ndarray:
+    """The ``(n,)`` message-passing sender map of watched-parent
+    listeners.
 
-    Resolves each listener's watched sender into an inbox slot of
-    :func:`~repro.engine.simulator.deliver_mp_batch`: slot
-    ``indptr[v] + k`` of the delivery inbox carries what neighbour
-    ``indices[indptr[v] + k]`` sent to ``v``; the watch slot of ``v``
-    is the one whose sender is ``watch[v]``.  The static target mask
-    marks, per slot, whether the slot's sender addresses the owner —
-    which for the tree relays is exactly "the owner watches the
-    sender" (parents transmit to all of their children at once).
+    Node ``v`` hears from ``watch[v]`` when that is one of its
+    neighbours — for the tree relays, its parent, which addresses all
+    of its children at once — and from nobody (``-1``) otherwise: the
+    source, a node watching nobody, or a watched non-neighbour, whose
+    payload can never reach ``v``.
     """
-
-    __slots__ = ("_order", "_slots", "_mask", "targets")
-
-    def __init__(self, topology, watch: np.ndarray):
-        watch = np.asarray(watch, dtype=np.int64)
-        indptr, indices = topology.csr_neighbors()
-        owners = np.repeat(np.arange(topology.order), np.diff(indptr))
-        self.targets: np.ndarray = watch[owners] == indices
-        slots = np.zeros(topology.order, dtype=np.int64)
-        mask = np.zeros(topology.order, dtype=bool)
-        for node in range(topology.order):
-            if watch[node] < 0:
-                continue
-            lo, hi = int(indptr[node]), int(indptr[node + 1])
-            matches = np.nonzero(indices[lo:hi] == watch[node])[0]
-            if matches.size:
-                slots[node] = lo + int(matches[0])
-                mask[node] = True
-        self._order = topology.order
-        self._slots = slots
-        self._mask = mask
-
-    def gather(self, received: np.ndarray) -> np.ndarray:
-        """``(B, E)`` inbox codes -> ``(B, n)`` watched-sender codes.
-
-        Nodes watching nobody (the source, disconnected nodes) hear
-        silence.
-        """
-        if received.shape[1] == 0:  # edgeless graph: nothing arrives
-            return np.full((received.shape[0], self._order), SILENCE,
-                           dtype=np.int64)
-        heard = received[:, self._slots]
-        heard[:, ~self._mask] = SILENCE
-        return heard
+    neighbour_sets = topology.neighbor_sets()
+    return np.array(
+        [sender if sender in neighbour_sets[node] else -1
+         for node, sender in enumerate(np.asarray(watch).tolist())],
+        dtype=np.int64,
+    )
 
 
 class ScheduleLift(BatchProgram):
@@ -268,7 +241,7 @@ class ScheduleLift(BatchProgram):
         Message passing only: ``(n,)`` node each listener accepts
         payloads from (its tree parent), ``-1`` for nobody.
     topology:
-        Required with ``watch`` to resolve inbox slots.
+        Required with ``watch`` to build the sender map.
     """
 
     def __init__(self, *, model: str, codec: PayloadCodec,
@@ -289,13 +262,12 @@ class ScheduleLift(BatchProgram):
         self._default = int(default_code)
         self._adoption = adoption
         self._requires_message = bool(requires_message)
-        self._views: Optional[WatchViews] = None
         if model == MESSAGE_PASSING:
             if watch is None or topology is None:
                 raise ValueError(
                     "message-passing lifts need a watch map and topology"
                 )
-            self._views = WatchViews(topology, watch)
+            self._senders = watch_senders(topology, watch)
         # Per-batch state, allocated by reset().
         self._batch = 0
         self._adopted: Optional[np.ndarray] = None
@@ -310,9 +282,6 @@ class ScheduleLift(BatchProgram):
     def order(self) -> int:
         """Number of nodes ``n``."""
         return self._order
-
-    def mp_targets(self) -> Optional[np.ndarray]:
-        return None if self._views is None else self._views.targets
 
     def reset(self, batch: int) -> None:
         self._batch = int(batch)
@@ -348,11 +317,7 @@ class ScheduleLift(BatchProgram):
             intents = np.where(informed, intents, np.int64(SILENCE))
         return intents
 
-    def observe(self, round_index: int, received: np.ndarray) -> None:
-        if self.model == MESSAGE_PASSING:
-            heard = self._views.gather(received)
-        else:
-            heard = received
+    def observe(self, round_index: int, heard: np.ndarray) -> None:
         listening = self._listen[round_index]
         if self._adoption == ADOPT_FIRST:
             adopt = listening & (heard != SILENCE) & (self._adopted == SILENCE)
@@ -560,17 +525,13 @@ class HelloProgram(BatchProgram):
         self._message_code = np.int64(codec.code_of(algorithm.source_message))
         self._zero_code = np.int64(codec.code_of(0))
         self._one_code = np.int64(codec.code_of(1))
-        self._views: Optional[WatchViews] = None
         if self.model == MESSAGE_PASSING:
             watch = np.full(self._order, -1, dtype=np.int64)
             watch[self._receiver] = self._sender
-            self._views = WatchViews(algorithm.topology, watch)
+            self._senders = watch_senders(algorithm.topology, watch)
         self._batch = 0
         self._heard_previous: Optional[np.ndarray] = None
         self._decoded_zero: Optional[np.ndarray] = None
-
-    def mp_targets(self) -> Optional[np.ndarray]:
-        return None if self._views is None else self._views.targets
 
     def reset(self, batch: int) -> None:
         self._batch = int(batch)
@@ -583,11 +544,7 @@ class HelloProgram(BatchProgram):
             intents[:, self._sender] = self._hello_code
         return intents
 
-    def observe(self, round_index: int, received: np.ndarray) -> None:
-        if self.model == MESSAGE_PASSING:
-            heard = self._views.gather(received)
-        else:
-            heard = received
+    def observe(self, round_index: int, heard: np.ndarray) -> None:
         audible = heard[:, self._receiver] != SILENCE
         self._decoded_zero |= audible & self._heard_previous
         self._heard_previous = audible
@@ -641,7 +598,7 @@ class WindowedProgram(BatchProgram):
              for node in range(self._order)],
             dtype=np.int64,
         )
-        self._views = WatchViews(algorithm.topology, watch)
+        self._senders = watch_senders(algorithm.topology, watch)
         self._has_children = np.array(
             [bool(tree.children(node)) for node in range(self._order)],
             dtype=bool,
@@ -652,9 +609,6 @@ class WindowedProgram(BatchProgram):
         self._transmissions_left: Optional[np.ndarray] = None
         self._window: Optional[np.ndarray] = None
         self._counts: List[np.ndarray] = []
-
-    def mp_targets(self) -> Optional[np.ndarray]:
-        return self._views.targets
 
     def reset(self, batch: int) -> None:
         self._batch = int(batch)
@@ -679,8 +633,7 @@ class WindowedProgram(BatchProgram):
         return np.where(active & self._has_children, self._accepted,
                         np.int64(SILENCE))
 
-    def observe(self, round_index: int, received: np.ndarray) -> None:
-        heard = self._views.gather(received)
+    def observe(self, round_index: int, heard: np.ndarray) -> None:
         slot = self._window[round_index % self._window_length]
         # Silence matches no code, so it never reaches the threshold.
         accept = np.zeros(heard.shape, dtype=bool)
@@ -798,12 +751,9 @@ class PlanLift(BatchProgram):
              for node in range(self._order)],
             dtype=np.int64,
         )
-        self._views = WatchViews(topology, watch)
+        self._senders = watch_senders(topology, watch)
         self._batch = 0
         self._bits: Optional[np.ndarray] = None
-
-    def mp_targets(self) -> Optional[np.ndarray]:
-        return self._views.targets
 
     def reset(self, batch: int) -> None:
         self._batch = int(batch)
@@ -851,11 +801,11 @@ class PlanLift(BatchProgram):
                                          self._default_code).T
         return intents
 
-    def observe(self, round_index: int, received: np.ndarray) -> None:
+    def observe(self, round_index: int, heard: np.ndarray) -> None:
         nodes, contexts = self._receivers.at(round_index)
         if not nodes.size:
             return
-        heard = self._views.gather(received)[:, nodes].T
+        heard = heard[:, nodes].T
         stored = self._bits[nodes, contexts]
         self._bits[nodes, contexts] = np.where(heard != SILENCE, heard,
                                                stored)

@@ -142,78 +142,67 @@ def _deliver_radio_dense(topology: Topology,
     return heard
 
 
-def deliver_radio_batch(topology: Topology,
-                        transmitting: np.ndarray) -> np.ndarray:
+def deliver_radio_batch(topology: Topology, codes: np.ndarray) -> np.ndarray:
     """Vectorised radio delivery for a whole batch of rounds at once.
 
     The trial axis is what the scalar :func:`deliver_radio` cannot
     exploit: Monte-Carlo batches re-deliver on the same topology with
-    different transmitter sets, so the per-listener neighbour reduction
-    is done for all rows in one ``reduceat`` over the cached CSR
-    arrays.  Each speaking neighbour contributes ``1 << 32 | id``, so
-    one sum carries both the speaker count (high word) and, when that
-    count is exactly one, the speaker's id (low word).  The packing is
-    exact for graphs with fewer than ``2**31`` nodes: a lone speaker
-    leaves a high word of exactly 1, and two or more leave at least 2
-    (int64 wrap-around cannot bring that back to 1 below that size).
-    The reduction runs along axis 0 of the transposed ``(E, batch)``
-    speaker array, so each listener's region is a contiguous block of
-    rows.
+    different transmitter sets, so all rows go through one integer
+    sparse product with the cached
+    :meth:`~repro.graphs.topology.Topology.adjacency_matrix`.  Each
+    transmitter contributes ``(1 << 32) + code + 1``, so a listener's
+    sum carries the speaker count in its high word and, when that
+    count is exactly one, the speaker's ``code + 1`` in its low word.
+    Subtracting one contribution's offset then leaves the code itself
+    for a lone speaker and a value outside ``[0, 2**32)`` otherwise.
+    The packing is exact for codes below ``2**32 - 1`` and degrees
+    below ``2**30``.
 
     Parameters
     ----------
     topology:
         The network.
-    transmitting:
-        Boolean array of shape ``(batch, n)``; ``transmitting[b, v]``
-        marks ``v`` as actually transmitting in row ``b``.
+    codes:
+        ``int64`` array of shape ``(batch, n)``: the payload code node
+        ``v`` actually transmits in row ``b``, or ``-1`` for silence.
 
     Returns
     -------
-    ``int64`` array of shape ``(batch, n)``: the unique speaking
-    neighbour each node hears, or ``-1`` for silence (no speaking
-    neighbour, a collision, or the node itself transmitting — the
-    collision-as-silence semantics of the scalar path).
+    ``int64`` array of shape ``(batch, n)``: the code each node hears,
+    or ``-1`` for silence (no speaking neighbour, a collision, or the
+    node itself transmitting — the collision-as-silence semantics of
+    the scalar path).
     """
-    transmitting = np.asarray(transmitting, dtype=bool)
-    if transmitting.ndim != 2 or transmitting.shape[1] != topology.order:
+    codes = np.asarray(codes, dtype=np.int64)
+    if codes.ndim != 2 or codes.shape[1] != topology.order:
         raise ValueError(
-            f"transmitting must have shape (batch, {topology.order}), "
-            f"got {transmitting.shape}"
+            f"codes must have shape (batch, {topology.order}), "
+            f"got {codes.shape}"
         )
-    batch = transmitting.shape[0]
-    heard = np.full((topology.order, batch), -1, dtype=np.int64)
-    indptr, indices = topology.csr_neighbors()
-    if batch == 0 or indices.size == 0:
-        return heard.T
-    # Reduce only over nodes that have neighbours: their starts are
-    # strictly increasing and in bounds (a trailing isolated node's
-    # start would point one past the end, and clamping it would
-    # truncate the previous node's reduction region), and consecutive
-    # regions abut exactly because zero-degree nodes add nothing.
-    connected = np.diff(indptr) > 0
-    listening = ~transmitting.T
-    speaking = transmitting.T[indices]
-    packed = np.add.reduceat(
-        speaking * ((1 << 32) | indices)[:, np.newaxis],
-        indptr[:-1][connected], axis=0,
-    )
-    heard[connected] = np.where(
-        ((packed >> 32) == 1) & listening[connected],
-        packed & 0xFFFFFFFF, -1,
-    )
-    return heard.T
+    # Work on the (n, batch) transpose: it is what the sparse product
+    # reads and writes row by row.
+    offset = np.int64((1 << 32) + 1)
+    packed = codes.T.copy()
+    transmitting = packed >= 0
+    packed += offset
+    packed *= transmitting
+    heard = topology.adjacency_matrix() @ packed
+    heard -= offset
+    silent = heard.view(np.uint64) >= np.uint64(1 << 32)
+    silent |= transmitting
+    np.putmask(heard, silent, -1)
+    return heard.T.copy()
 
 
 def deliver_mp_batch(topology: Topology, codes: np.ndarray,
-                     targets: Optional[np.ndarray] = None) -> np.ndarray:
+                     senders: np.ndarray) -> np.ndarray:
     """Vectorised message-passing delivery for a batch of rounds.
 
     The batched counterpart of :func:`deliver_message_passing` for the
-    broadcast-style senders the batchsim tier executes: each
-    transmitting node offers **one** payload per round, addressed to a
-    *static* subset of its neighbours (all of them by default, or the
-    slots marked in ``targets`` — e.g. a node's tree children).
+    watched-sender relays the batchsim tier executes: each listener
+    ``v`` reads the one payload its static sender ``senders[v]``
+    addressed to it, so delivery is one column gather
+    ``heard[b, v] = codes[b, senders[v]]``.
 
     Parameters
     ----------
@@ -222,19 +211,18 @@ def deliver_mp_batch(topology: Topology, codes: np.ndarray,
     codes:
         ``int64`` array of shape ``(batch, n)``: the payload code node
         ``v`` transmits in row ``b``, or ``-1`` for silence.
-    targets:
-        Optional ``(E,)`` boolean mask over the receiver-aligned CSR
-        slots of :meth:`~repro.graphs.topology.Topology.csr_neighbors`:
-        entry ``j`` (owned by the node whose CSR row contains ``j``)
-        says whether sender ``indices[j]`` addresses that owner.
+    senders:
+        ``(n,)`` integer array: the neighbour each node hears from, or
+        ``-1`` for nobody.  A non-negative entry must be a
+        neighbour of its node; building the map once per scenario
+        (e.g. :func:`~repro.batchsim.programs.watch_senders`) is what
+        checks that.
 
     Returns
     -------
-    ``int64`` inbox array of shape ``(batch, E)``: slot ``j`` of row
-    ``b`` holds the payload code the slot's owner received from
-    neighbour ``indices[j]``, or ``-1`` when that neighbour stayed
-    silent or does not address the owner — exactly the scalar inboxes
-    ``inbox[v] = {sender: payload}`` flattened along the CSR layout.
+    ``int64`` array of shape ``(batch, n)``: the code each node hears
+    from its sender, or ``-1`` when the sender stayed silent or there
+    is none — the scalar inbox entry ``inbox[v].get(senders[v])``.
     """
     codes = np.asarray(codes, dtype=np.int64)
     if codes.ndim != 2 or codes.shape[1] != topology.order:
@@ -242,17 +230,15 @@ def deliver_mp_batch(topology: Topology, codes: np.ndarray,
             f"codes must have shape (batch, {topology.order}), "
             f"got {codes.shape}"
         )
-    indptr, indices = topology.csr_neighbors()
-    inbox = codes[:, indices]
-    if targets is not None:
-        targets = np.asarray(targets, dtype=bool)
-        if targets.shape != indices.shape:
-            raise ValueError(
-                f"targets must have shape {indices.shape}, "
-                f"got {targets.shape}"
-            )
-        inbox = np.where(targets[np.newaxis, :], inbox, np.int64(-1))
-    return inbox
+    senders = np.asarray(senders)
+    if senders.shape != (topology.order,):
+        raise ValueError(
+            f"senders must have shape ({topology.order},), "
+            f"got {senders.shape}"
+        )
+    heard = codes[:, senders]
+    heard[:, senders < 0] = -1
+    return heard
 
 
 @dataclass

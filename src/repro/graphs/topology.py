@@ -12,6 +12,7 @@ from __future__ import annotations
 from typing import Dict, FrozenSet, Iterable, Iterator, List, Sequence, Set, Tuple
 
 import numpy as np
+from scipy.sparse import csr_array
 
 from repro._validation import check_node, check_positive_int
 
@@ -33,7 +34,7 @@ class Topology:
     """
 
     __slots__ = ("_order", "_adjacency", "_edges", "_name",
-                 "_neighbor_sets", "_csr")
+                 "_neighbor_sets", "_csr", "_adjacency_matrix")
 
     def __init__(self, order: int, edges: Iterable[Tuple[int, int]],
                  name: str = "graph"):
@@ -56,6 +57,7 @@ class Topology:
         # Lazily built caches shared by batched Monte-Carlo executions.
         self._neighbor_sets: Tuple[FrozenSet[int], ...] = None
         self._csr: Tuple[np.ndarray, np.ndarray] = None
+        self._adjacency_matrix: csr_array = None
 
     # -- basic accessors -------------------------------------------------
     @property
@@ -112,7 +114,9 @@ class Topology:
         """Adjacency in CSR form ``(indptr, indices)``, cached.
 
         ``indices[indptr[v]:indptr[v+1]]`` are the sorted neighbours of
-        ``v`` — the layout vectorised samplers consume directly.
+        ``v`` — the layout vectorised samplers consume directly.  Both
+        arrays are read-only: every caller shares them, and so does the
+        :meth:`adjacency_matrix` built over them.
         """
         if self._csr is None:
             degrees = np.fromiter(
@@ -125,8 +129,28 @@ class Topology:
                 (v for adj in self._adjacency for v in adj), dtype=np.int64,
                 count=int(indptr[-1]),
             )
+            indptr.flags.writeable = False
+            indices.flags.writeable = False
             self._csr = (indptr, indices)
         return self._csr
+
+    def adjacency_matrix(self) -> csr_array:
+        """The ``(n, n)`` ``int64`` 0/1 adjacency as a
+        ``scipy.sparse.csr_array``, cached.
+
+        It wraps the :meth:`csr_neighbors` arrays without copying them
+        (they are read-only, so no in-place scipy call such as
+        ``sort_indices`` can corrupt the shared cache); batched radio
+        delivery multiplies it with each round's packed transmissions.
+        """
+        if self._adjacency_matrix is None:
+            indptr, indices = self.csr_neighbors()
+            data = np.ones(indices.size, dtype=np.int64)
+            data.flags.writeable = False
+            self._adjacency_matrix = csr_array(
+                (data, indices, indptr), shape=(self._order, self._order)
+            )
+        return self._adjacency_matrix
 
     def has_edge(self, u: int, v: int) -> bool:
         """Whether ``{u, v}`` is an edge."""
@@ -158,9 +182,10 @@ class Topology:
     # -- pickling ------------------------------------------------------
     def __getstate__(self):
         # Pickle only the defining data: the lazy caches
-        # (``_neighbor_sets``, ``_csr``) and the unordered ``_edges``
-        # frozenset are all derivable from ``_adjacency``, so leaving
-        # them out keeps process and remote shard payloads small.
+        # (``_neighbor_sets``, ``_csr``, ``_adjacency_matrix``) and the
+        # unordered ``_edges`` frozenset are all derivable from
+        # ``_adjacency``, so leaving them out keeps process and remote
+        # shard payloads small.
         return {"order": self._order, "adjacency": self._adjacency,
                 "name": self._name}
 
@@ -175,6 +200,7 @@ class Topology:
         )
         self._neighbor_sets = None
         self._csr = None
+        self._adjacency_matrix = None
 
     # -- traversal ---------------------------------------------------------
     def bfs_distances(self, source: int) -> List[int]:

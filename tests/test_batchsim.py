@@ -380,8 +380,6 @@ def test_windowed_counts_track_arbitrary_inboxes(window_length):
     codec = PayloadCodec(["garbage", 0, 1])
     program = algorithm.batch_program(codec)
     batch, order, rounds = 64, algorithm.topology.order, 12 * window_length
-    indptr, _ = algorithm.topology.csr_neighbors()
-    owners = np.repeat(np.arange(order), np.diff(indptr))
     parent = algorithm.tree.parent
     rng = np.random.default_rng(derive_seed(SEED, "inboxes", window_length))
     protocols = [[algorithm.protocol(node) for node in range(order)]
@@ -391,7 +389,7 @@ def test_windowed_counts_track_arbitrary_inboxes(window_length):
         program.intent_codes(round_index)
         heard = np.where(rng.random((batch, order)) < 0.7, SILENCE,
                          rng.integers(0, codec.size, (batch, order)))
-        program.observe(round_index, heard[:, owners])
+        program.observe(round_index, heard)
         for trial, row in enumerate(protocols):
             for node, protocol in enumerate(row):
                 protocol.intent(round_index)

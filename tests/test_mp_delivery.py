@@ -1,17 +1,21 @@
 """Property tests for batched message-passing delivery.
 
-Mirror of ``tests/test_radio_delivery.py`` for the new
-:func:`~repro.engine.simulator.deliver_mp_batch`: the ``(batch, E)``
-inbox array must agree with the scalar
-:func:`~repro.engine.simulator.deliver_message_passing` routing on
-every graph family the experiments use, for random transmitter sets of
-every density, both in broadcast-to-all-neighbours form and under a
-static target mask (the tree-children pattern the batch programs use).
+Mirror of ``tests/test_radio_delivery.py`` for
+:func:`~repro.engine.simulator.deliver_mp_batch`: the ``(batch, n)``
+heard codes must agree with the scalar
+:func:`~repro.engine.simulator.deliver_message_passing` routing,
+``heard[b, v] == inbox[v].get(senders[v])``, on every graph family the
+experiments use, for random transmitter sets of every density, both
+when every sender addresses all of its neighbours and under a static
+target pattern built by :func:`~repro.batchsim.programs.watch_senders`
+(the tree-parent pattern the batch programs use), including watched
+nodes that are not neighbours.
 """
 
 import numpy as np
 import pytest
 
+from repro.batchsim.programs import watch_senders
 from repro.engine import deliver_message_passing, deliver_mp_batch
 from repro.graphs import (
     bfs_tree,
@@ -45,123 +49,114 @@ def _graph_zoo():
     ]
 
 
-def _slot_owners(topology):
-    indptr, _ = topology.csr_neighbors()
-    return np.repeat(np.arange(topology.order), np.diff(indptr))
+def _scalar_inboxes(topology, codes_row, receivers_of):
+    """Scalar reference: route one row through deliver_message_passing.
 
-
-def _scalar_inboxes(topology, codes_row, targets=None):
-    """Scalar reference: route one row through deliver_message_passing."""
-    indptr, indices = topology.csr_neighbors()
-    owners = _slot_owners(topology)
+    ``receivers_of(sender)`` lists the neighbours ``sender`` addresses.
+    """
     actual = {}
     for sender in topology.nodes:
         if codes_row[sender] < 0:
             continue
-        if targets is None:
-            receivers = topology.neighbors(sender)
-        else:
-            receivers = [
-                int(owners[slot])
-                for slot in range(indices.size)
-                if indices[slot] == sender and targets[slot]
-            ]
         per_target = {
-            receiver: int(codes_row[sender]) for receiver in receivers
+            receiver: int(codes_row[sender])
+            for receiver in receivers_of(sender)
         }
         if per_target:
             actual[sender] = per_target
     return deliver_message_passing(topology, actual)
 
 
+def _assert_heard_matches(topology, codes, senders, heard, receivers_of):
+    assert heard.shape == codes.shape and heard.dtype == np.int64
+    for row in range(codes.shape[0]):
+        scalar = _scalar_inboxes(topology, codes[row], receivers_of)
+        for node in topology.nodes:
+            expected = scalar[node].get(int(senders[node]))
+            assert heard[row, node] == (-1 if expected is None else expected)
+
+
+def _random_codes(rng, batch, topology, density, alphabet):
+    transmitting = rng.random((batch, topology.order)) < density
+    return np.where(
+        transmitting, rng.integers(0, alphabet, (batch, topology.order)), -1
+    )
+
+
 @pytest.mark.parametrize("topology", _graph_zoo(), ids=lambda t: t.name)
 @pytest.mark.parametrize("density", [0.0, 0.3, 0.7, 1.0])
 class TestBatchedMpMatchesScalar:
     def test_broadcast_to_all_neighbours(self, topology, density):
+        # Every sender addresses all of its neighbours; each listener
+        # reads one random neighbour (or nobody).
         rng = np.random.default_rng(
             derive_seed(20071, topology.name, density)
         )
-        batch = 16
-        transmitting = rng.random((batch, topology.order)) < density
-        codes = np.where(
-            transmitting, rng.integers(0, 5, (batch, topology.order)), -1
-        )
-        inbox = deliver_mp_batch(topology, codes)
-        indptr, indices = topology.csr_neighbors()
-        owners = _slot_owners(topology)
-        for row in range(batch):
-            scalar = _scalar_inboxes(topology, codes[row])
-            for slot in range(indices.size):
-                receiver = int(owners[slot])
-                sender = int(indices[slot])
-                expected = scalar[receiver].get(sender)
-                if expected is None:
-                    assert inbox[row, slot] == -1
-                else:
-                    assert inbox[row, slot] == expected
+        codes = _random_codes(rng, 16, topology, density, 5)
+        senders = np.array([
+            rng.choice(topology.neighbors(node) + (-1,))
+            for node in topology.nodes
+        ], dtype=np.int64)
+        heard = deliver_mp_batch(topology, codes, senders)
+        _assert_heard_matches(topology, codes, senders, heard,
+                              topology.neighbors)
 
     def test_static_target_mask(self, topology, density):
+        # Each sender addresses exactly the neighbours that watch it;
+        # the watch map also names non-neighbours, which hear nothing.
         rng = np.random.default_rng(
             derive_seed(20071, "targets", topology.name, density)
         )
-        batch = 12
-        transmitting = rng.random((batch, topology.order)) < density
-        codes = np.where(
-            transmitting, rng.integers(0, 4, (batch, topology.order)), -1
+        codes = _random_codes(rng, 12, topology, density, 4)
+        watch = rng.integers(-1, topology.order, topology.order)
+        senders = watch_senders(topology, watch)
+        for node in topology.nodes:
+            if watch[node] not in topology.neighbors(node):
+                assert senders[node] == -1
+        heard = deliver_mp_batch(topology, codes, senders)
+        _assert_heard_matches(
+            topology, codes, watch, heard,
+            lambda sender: [v for v in topology.neighbors(sender)
+                            if watch[v] == sender],
         )
-        indptr, indices = topology.csr_neighbors()
-        owners = _slot_owners(topology)
-        targets = rng.random(indices.size) < 0.5
-        inbox = deliver_mp_batch(topology, codes, targets)
-        for row in range(batch):
-            scalar = _scalar_inboxes(topology, codes[row], targets)
-            for slot in range(indices.size):
-                receiver = int(owners[slot])
-                sender = int(indices[slot])
-                expected = scalar[receiver].get(sender)
-                if expected is None:
-                    assert inbox[row, slot] == -1
-                else:
-                    assert inbox[row, slot] == expected
 
 
 class TestTreeChildrenPattern:
     def test_watch_parent_slots_deliver_tree_payloads(self):
         # The batch programs' pattern: parents address their children;
-        # each child's watched slot must carry the parent's payload.
+        # each child must hear its parent's payload.
         topology = grid(3, 4)
         tree = bfs_tree(topology, 0)
-        indptr, indices = topology.csr_neighbors()
-        owners = _slot_owners(topology)
         parent = np.array(
             [-1 if tree.parent[v] is None else tree.parent[v]
              for v in topology.nodes]
         )
-        targets = parent[owners] == indices
+        senders = watch_senders(topology, parent)
+        np.testing.assert_array_equal(senders, parent)
         codes = np.arange(topology.order, dtype=np.int64)[np.newaxis, :]
-        inbox = deliver_mp_batch(topology, codes, targets)
-        for node in topology.nodes:
-            for slot in range(int(indptr[node]), int(indptr[node + 1])):
-                if targets[slot]:
-                    assert inbox[0, slot] == parent[node]
-                else:
-                    assert inbox[0, slot] == -1
+        heard = deliver_mp_batch(topology, codes, senders)
+        np.testing.assert_array_equal(heard[0], parent)
 
 
 class TestValidation:
     def test_rejects_wrong_shape(self):
+        senders = np.full(4, -1)
         with pytest.raises(ValueError, match="shape"):
-            deliver_mp_batch(line(3), np.zeros((2, 7), dtype=np.int64))
+            deliver_mp_batch(line(3), np.zeros((2, 7), dtype=np.int64),
+                             senders)
         with pytest.raises(ValueError, match="shape"):
             deliver_mp_batch(
                 line(3), np.zeros((2, 4), dtype=np.int64),
-                targets=np.ones(99, dtype=bool),
+                senders=np.full(99, -1),
             )
 
     def test_empty_batch_and_edgeless_graph(self):
         assert deliver_mp_batch(
-            line(3), np.zeros((0, 4), dtype=np.int64)
-        ).shape == (0, 6)
+            line(3), np.zeros((0, 4), dtype=np.int64), np.full(4, -1)
+        ).shape == (0, 4)
         edgeless = Topology(3, [], name="edgeless")
-        out = deliver_mp_batch(edgeless, np.zeros((2, 3), dtype=np.int64))
-        assert out.shape == (2, 0)
+        senders = watch_senders(edgeless, [-1, 0, 1])
+        out = deliver_mp_batch(edgeless, np.zeros((2, 3), dtype=np.int64),
+                               senders)
+        assert out.shape == (2, 3)
+        assert (out == -1).all()

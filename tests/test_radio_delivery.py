@@ -6,7 +6,8 @@ Two invariants:
   — round-trip equality on every graph family the experiments use;
 * ``deliver_radio_batch`` (and the dense CSR path inside the scalar
   ``deliver_radio``) reproduces the scalar collision-as-silence
-  semantics exactly, for random transmitter sets of every density.
+  semantics exactly, for random transmitter sets of every density,
+  carrying each lone speaker's code (not its id) to the listener.
 """
 
 import numpy as np
@@ -19,6 +20,7 @@ from repro.engine.simulator import _deliver_radio_dense
 from repro.graphs import (
     bfs_tree,
     binary_tree,
+    complete,
     erdos_renyi,
     grid,
     layered_graph,
@@ -44,10 +46,11 @@ def _graph_zoo():
         layered_graph(3).topology,
         random_tree(14, stream.child("rt"), max_degree=4),
         erdos_renyi(16, 0.25, stream.child("er")),
-        # Degenerate shapes the CSR/reduceat path must survive.  The
+        # Degenerate shapes the batched path must survive.  The
         # triangle with a trailing isolated node is the regression
-        # case where clamping the isolated node's reduceat start
-        # truncated the last connected node's collision count.
+        # case of an earlier reduceat kernel, where clamping the
+        # isolated node's start truncated the last connected node's
+        # collision count.
         Topology(5, [(0, 1), (1, 2)], name="isolated-tail"),
         Topology(4, [(1, 2), (2, 3)], name="isolated-head"),
         Topology(4, [(0, 1), (0, 2), (1, 2)], name="triangle-isolated"),
@@ -78,6 +81,23 @@ class TestCsrNeighbors:
             assert neighbours == expected
 
 
+def _speaker_codes(transmitting):
+    """Each transmitter sends its own id; everyone else is silent."""
+    return np.where(transmitting, np.arange(transmitting.shape[1]), -1)
+
+
+def _scalar_heard(topology, codes):
+    """Per-row scalar deliveries of ``codes`` (-1 silent)."""
+    out = np.full(codes.shape, -1, dtype=np.int64)
+    for row, row_codes in enumerate(codes):
+        actual = {int(node): int(row_codes[node])
+                  for node in np.nonzero(row_codes >= 0)[0]}
+        for node, payload in deliver_radio(topology, actual).items():
+            if payload is not None:
+                out[row, node] = payload
+    return out
+
+
 @pytest.mark.parametrize("topology", _graph_zoo(), ids=lambda t: t.name)
 @pytest.mark.parametrize("density", [0.0, 0.1, 0.5, 0.9])
 class TestBatchedDeliveryMatchesScalar:
@@ -87,7 +107,8 @@ class TestBatchedDeliveryMatchesScalar:
         )
         batch = 24
         transmitting = rng.random((batch, topology.order)) < density
-        heard_from = deliver_radio_batch(topology, transmitting)
+        codes = _speaker_codes(transmitting)
+        heard = deliver_radio_batch(topology, codes)
         for row in range(batch):
             actual = {
                 int(node): f"payload-{node}"
@@ -96,10 +117,45 @@ class TestBatchedDeliveryMatchesScalar:
             scalar = deliver_radio(topology, actual)
             for node in topology.nodes:
                 if scalar[node] is None:
-                    assert heard_from[row, node] == -1
+                    assert heard[row, node] == -1
                 else:
-                    speaker = int(heard_from[row, node])
-                    assert actual[speaker] == scalar[node]
+                    assert scalar[node] == f"payload-{heard[row, node]}"
+
+    def test_repeated_codes_are_carried(self, topology, density):
+        # A three-code alphabet repeats codes across nodes, so what
+        # arrives must be the lone speaker's code, not its id.
+        rng = np.random.default_rng(
+            derive_seed(20070, "alphabet", topology.name, density)
+        )
+        batch = 24
+        transmitting = rng.random((batch, topology.order)) < density
+        codes = np.where(
+            transmitting, rng.integers(0, 3, (batch, topology.order)), -1
+        )
+        np.testing.assert_array_equal(
+            deliver_radio_batch(topology, codes),
+            _scalar_heard(topology, codes),
+        )
+
+
+class TestManySpeakers:
+    """High-degree listeners with three or more simultaneous speakers."""
+
+    @pytest.mark.parametrize("topology", [star(8), complete(7)],
+                             ids=lambda t: t.name)
+    def test_collisions_of_many_speakers_are_silent(self, topology):
+        rng = np.random.default_rng(derive_seed(20070, "many", topology.name))
+        batch = 64
+        codes = np.where(rng.random((batch, topology.order)) < 0.6,
+                         rng.integers(0, 4, (batch, topology.order)), -1)
+        # Rows where every node but the hub 0 transmits: the hub hears
+        # a collision of order - 1 >= 3 speakers, everyone else is
+        # transmitting.
+        codes[:8] = rng.integers(0, 4, (8, topology.order))
+        codes[:8, 0] = -1
+        heard = deliver_radio_batch(topology, codes)
+        np.testing.assert_array_equal(heard, _scalar_heard(topology, codes))
+        assert (heard[:8] == -1).all()
 
 
 @st.composite
@@ -123,17 +179,6 @@ def radio_rounds(draw):
     return topology, np.array(cells, dtype=bool).reshape(batch, order)
 
 
-def _scalar_heard_from(topology, transmitting):
-    """Per-row scalar deliveries, mapped back to speaker ids (-1 silent)."""
-    out = np.full(transmitting.shape, -1, dtype=np.int64)
-    for row, mask in enumerate(transmitting):
-        actual = {int(node): int(node) for node in np.nonzero(mask)[0]}
-        for node, payload in deliver_radio(topology, actual).items():
-            if payload is not None:
-                out[row, node] = payload
-    return out
-
-
 class TestBatchedDeliveryDifferential:
     """``deliver_radio_batch`` against the scalar path on drawn graphs."""
 
@@ -147,12 +192,12 @@ class TestBatchedDeliveryDifferential:
     @settings(max_examples=150, deadline=None)
     def test_matches_scalar_delivery(self, case):
         topology, transmitting = case
-        heard_from = deliver_radio_batch(topology, transmitting)
+        codes = _speaker_codes(transmitting)
+        heard_from = deliver_radio_batch(topology, codes)
         assert heard_from.shape == transmitting.shape
         assert heard_from.dtype == np.int64
-        np.testing.assert_array_equal(
-            heard_from, _scalar_heard_from(topology, transmitting)
-        )
+        np.testing.assert_array_equal(heard_from,
+                                      _scalar_heard(topology, codes))
 
 
 class TestScalarDensePath:
@@ -196,14 +241,15 @@ class TestScalarDensePath:
 class TestBatchValidation:
     def test_rejects_wrong_shape(self):
         with pytest.raises(ValueError, match="shape"):
-            deliver_radio_batch(line(3), np.zeros((2, 7), dtype=bool))
+            deliver_radio_batch(line(3), np.zeros((2, 7), dtype=np.int64))
         with pytest.raises(ValueError, match="shape"):
-            deliver_radio_batch(line(3), np.zeros(4, dtype=bool))
+            deliver_radio_batch(line(3), np.zeros(4, dtype=np.int64))
 
     def test_empty_batch_and_edgeless_graph(self):
         assert deliver_radio_batch(
-            line(3), np.zeros((0, 4), dtype=bool)
+            line(3), np.zeros((0, 4), dtype=np.int64)
         ).shape == (0, 4)
         edgeless = Topology(3, [], name="edgeless")
-        out = deliver_radio_batch(edgeless, np.ones((2, 3), dtype=bool))
+        out = deliver_radio_batch(edgeless, np.zeros((2, 3), dtype=np.int64))
+        assert out.shape == (2, 3)
         assert (out == -1).all()

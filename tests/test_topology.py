@@ -1,10 +1,11 @@
 """Tests for the core Topology type."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.graphs import Topology, line
+from repro.graphs import Topology, grid, line
 
 
 class TestConstruction:
@@ -176,7 +177,8 @@ class TestPickleCanonical:
     Scenario fingerprints (``repro.montecarlo.fingerprint``) hash the
     pickle of specs that embed topologies, so a topology must pickle
     to identical bytes before and after the simulation hot paths have
-    populated ``neighbor_sets()`` / ``csr_neighbors()``.
+    populated ``neighbor_sets()`` / ``csr_neighbors()`` /
+    ``adjacency_matrix()``.
     """
 
     def test_lazy_caches_do_not_change_pickle_bytes(self):
@@ -186,6 +188,7 @@ class TestPickleCanonical:
         before = pickle.dumps(g, 4)
         g.neighbor_sets()
         g.csr_neighbors()
+        g.adjacency_matrix()
         assert pickle.dumps(g, 4) == before
 
     def test_round_trip_preserves_graph_and_rebuilds_caches(self):
@@ -193,6 +196,7 @@ class TestPickleCanonical:
 
         g = line(5)
         g.csr_neighbors()
+        g.adjacency_matrix()
         clone = pickle.loads(pickle.dumps(g))
         assert clone == g
         assert clone.name == g.name
@@ -202,6 +206,8 @@ class TestPickleCanonical:
         ref_indptr, ref_indices = g.csr_neighbors()
         assert indptr.tolist() == ref_indptr.tolist()
         assert indices.tolist() == ref_indices.tolist()
+        np.testing.assert_array_equal(clone.adjacency_matrix().toarray(),
+                                      g.adjacency_matrix().toarray())
 
     @given(random_edge_lists())
     @settings(max_examples=40, deadline=None)
@@ -212,3 +218,32 @@ class TestPickleCanonical:
         g = Topology(order, edges)
         h = Topology(order, list(reversed(edges)))
         assert pickle.dumps(g, 4) == pickle.dumps(h, 4)
+
+
+class TestSharedCsrCache:
+    """The cached CSR arrays back every later delivery on the topology,
+    and the adjacency matrix wraps them without a copy, so no caller
+    may write into them."""
+
+    def test_csr_arrays_are_read_only(self):
+        indptr, indices = grid(3, 3).csr_neighbors()
+        with pytest.raises(ValueError, match="read-only"):
+            indptr[0] = 1
+        with pytest.raises(ValueError, match="read-only"):
+            indices[:] = 0
+
+    def test_adjacency_matrix_shares_the_csr_arrays(self):
+        g = grid(3, 3)
+        indptr, indices = g.csr_neighbors()
+        matrix = g.adjacency_matrix()
+        assert matrix is g.adjacency_matrix()
+        assert np.shares_memory(matrix.indptr, indptr)
+        assert np.shares_memory(matrix.indices, indices)
+        expected = np.zeros((g.order, g.order), dtype=np.int64)
+        for u, v in g.edges:
+            expected[u, v] = expected[v, u] = 1
+        dense = matrix.toarray()
+        assert dense.dtype == np.int64
+        np.testing.assert_array_equal(dense, expected)
+        with pytest.raises(ValueError, match="read-only"):
+            matrix.data[0] = 2
