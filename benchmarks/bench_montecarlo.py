@@ -308,13 +308,14 @@ def test_batched_radio_delivery_beats_scalar_loop(benchmark):
     topology = line(256)
     batch = 200
     rng = np.random.default_rng(3)
-    transmitting = rng.random((batch, topology.order)) < 0.3
+    shape = (topology.order, batch)
+    transmitting = rng.random(shape) < 0.3
     codes = np.where(transmitting,
-                     rng.integers(0, 3, (batch, topology.order)), -1)
+                     rng.integers(0, 3, shape), -1).astype(np.int8)
     rounds = [
-        {int(node): int(codes[row, node])
-         for node in np.nonzero(transmitting[row])[0]}
-        for row in range(batch)
+        {int(node): int(codes[node, column])
+         for node in np.nonzero(transmitting[:, column])[0]}
+        for column in range(batch)
     ]
     topology.adjacency_matrix()
     topology.neighbor_sets()  # warm both caches before timing
@@ -333,12 +334,13 @@ def test_batched_radio_delivery_beats_scalar_loop(benchmark):
         f"batched {batch_time:.4f}s should beat scalar {scalar_time:.4f}s"
     )
     heard = benchmark(batched)
-    # Spot-check heard payloads against the scalar path on a few rows.
-    for row in range(3):
-        reference = deliver_radio(topology, rounds[row])
+    # Spot-check heard payloads against the scalar path on a few
+    # columns.
+    for column in range(3):
+        reference = deliver_radio(topology, rounds[column])
         for node in topology.nodes:
             expected = -1 if reference[node] is None else reference[node]
-            assert heard[row, node] == expected
+            assert heard[node, column] == expected
 
 
 def test_no_trace_fast_path_beats_traced_engine(benchmark):

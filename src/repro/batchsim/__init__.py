@@ -1,12 +1,13 @@
 """Vectorised multi-trial execution engine (the batchsim tier).
 
 Executes ``B`` Monte-Carlo trials of one algorithm/topology/failure
-scenario simultaneously on stacked ``(B, n)`` arrays — the middle tier
-of the :mod:`repro.montecarlo` dispatch order ``fastsim sampler →
-batchsim → scalar engine``: closed-form samplers stay fastest where a
-law is proven, batchsim makes every *other* history-oblivious scenario
-fast by default, and the scalar engine remains the semantic ground
-truth the batched indicators are pinned against bit for bit.
+scenario simultaneously on node-major ``(n, B)`` ``int8`` code arrays —
+the middle tier of the :mod:`repro.montecarlo` dispatch order
+``fastsim sampler → batchsim → scalar engine``: closed-form samplers
+stay fastest where a law is proven, batchsim makes every *other*
+history-oblivious scenario fast by default, and the scalar engine
+remains the semantic ground truth the batched indicators are pinned
+against bit for bit.
 """
 
 from repro.batchsim.codec import SILENCE, PayloadCodec

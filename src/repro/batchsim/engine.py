@@ -2,16 +2,22 @@
 
 Where the scalar :class:`~repro.engine.simulator.Execution` interprets
 one trial round by round, this engine advances a whole batch of ``B``
-trials together: per round it takes the program's ``(B, n)`` intent
-codes, applies the failure model's pre-sampled ``(B, n)`` faulty masks
-through its vectorised ``apply_batch`` hook, delivers through
-:func:`~repro.engine.simulator.deliver_radio_batch` (one integer sparse
-product with the topology's adjacency) /
-:func:`~repro.engine.simulator.deliver_mp_batch` (one column gather
+trials together.  Every per-round array is node-major, ``(n, B)``,
+with the trials innermost, and holds ``int8`` payload codes
+(:data:`~repro.batchsim.codec.CODE_DTYPE`).  Per round the engine
+takes the program's ``(n, B)`` intent codes, applies that round's
+``(n, B)`` ``0``/``-1`` fault mask through the failure model's
+vectorised ``apply_batch`` hook, delivers through
+:func:`~repro.engine.simulator.deliver_radio_batch` (one ``int32``
+sparse product with the topology's adjacency) /
+:func:`~repro.engine.simulator.deliver_mp_batch` (one row gather
 through the program's static sender map), and hands the program the
-``(B, n)`` codes every node heard, in either model.  Nothing touches
-Python-level per-node state, so the per-trial cost collapses to a
-handful of numpy operations per round.
+``(n, B)`` codes every node heard, in either model.  The chunk's fault
+masks are laid out once as ``(rounds, n, B)``, so a round's slice is
+contiguous.  Selects are bitwise arithmetic on the narrow codes rather
+than per-element branches, and nothing touches Python-level per-node
+state, so the per-trial cost collapses to a handful of cheap numpy
+operations per round.
 
 Stream contract (what makes the tier safe to auto-dispatch): trial
 ``i`` consumes the stream ``root.child("mc", i)`` — the
@@ -47,7 +53,11 @@ Eligibility (:func:`batch_execution` returns ``None`` otherwise):
   :class:`~repro.batchsim.programs.BatchProgram`), both returning
   non-``None`` — which every algorithm family in the library now does;
 * the run estimates the standard broadcast-success event (the
-  execution metadata carries a hashable ``source_message``).
+  execution metadata carries a hashable ``source_message``);
+* the payload alphabet fits the ``int8`` codes (at most 128 payloads;
+  :class:`~repro.batchsim.codec.PayloadCodec` raises otherwise), and a
+  radio topology's degree stays within the exact ``int32`` delivery
+  pack (:data:`~repro.engine.simulator.MAX_RADIO_BATCH_DEGREE`).
 """
 
 from __future__ import annotations
@@ -61,7 +71,11 @@ from repro._validation import check_positive_int
 from repro.batchsim.codec import PayloadCodec
 from repro.batchsim.programs import BatchProgram
 from repro.engine.protocol import MESSAGE_PASSING, Algorithm
-from repro.engine.simulator import deliver_mp_batch, deliver_radio_batch
+from repro.engine.simulator import (
+    MAX_RADIO_BATCH_DEGREE,
+    deliver_mp_batch,
+    deliver_radio_batch,
+)
 from repro.failures.base import FailureModel
 from repro.rng import RngStream, derive_seed
 
@@ -70,7 +84,7 @@ __all__ = ["BatchExecution", "batch_execution", "run_batch_shard",
 
 #: Trials advanced together per chunk: large enough to amortise numpy
 #: call overhead and the chunk's batched stream seeding, small enough
-#: to keep the (chunk, rounds, n) fault masks and the programs'
+#: to keep the (rounds, n, chunk) fault masks and the programs'
 #: per-trial state (e.g. the Kučera (n, contexts, chunk) bit table)
 #: cache-friendly.
 DEFAULT_CHUNK = 512
@@ -161,13 +175,18 @@ class BatchExecution:
         masks = self._failure_model.sample_failures_batch(
             streams, rounds, topology.order
         )
+        # Round-major, node-major, trials innermost, and a set bit as
+        # the all-ones int8 mask apply_batch selects with.
+        faults = np.negative(masks.view(np.int8).transpose(1, 2, 0),
+                             order="C")
+        del masks
         program.reset(stop - start)
         radio = algorithm.model != MESSAGE_PASSING
         senders = None if radio else program.mp_senders()
         for round_index in range(rounds):
             intents = program.intent_codes(round_index)
             actual = self._failure_model.apply_batch(
-                round_index, masks[:, round_index, :], intents, self._codec,
+                round_index, faults[round_index], intents, self._codec,
                 algorithm.model,
             )
             if radio:
@@ -176,7 +195,7 @@ class BatchExecution:
                 heard = deliver_mp_batch(topology, actual, senders)
             program.observe(round_index, heard)
         outputs = program.output_codes()
-        return (outputs == self._expected_code).all(axis=1)
+        return (outputs == self._expected_code).all(axis=0)
 
 
 def batch_execution(algorithm: Algorithm, failure_model: FailureModel
@@ -188,6 +207,9 @@ def batch_execution(algorithm: Algorithm, failure_model: FailureModel
     should fall back to scalar engine trials.
     """
     if failure_model.requires_history:
+        return None
+    if (algorithm.model != MESSAGE_PASSING
+            and algorithm.topology.max_degree() > MAX_RADIO_BATCH_DEGREE):
         return None
     if not failure_model.supports_batch(algorithm.model):
         return None

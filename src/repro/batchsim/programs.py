@@ -3,14 +3,20 @@
 The scalar engine interprets one :class:`~repro.engine.protocol.
 Protocol` instance per node per trial; this module replaces the
 per-trial interpretation with one *program* object per scenario that
-advances ``B`` trials at once on ``(B, n)`` code arrays.
+advances ``B`` trials at once on node-major ``(n, B)`` ``int8`` code
+arrays (:data:`~repro.batchsim.codec.CODE_DTYPE`, ``SILENCE = -1``).
+Per-node constants are ``(n, 1)`` columns that broadcast along the
+trials, and the per-round selects are bitwise arithmetic on the codes
+(:func:`~repro.batchsim.codec.fill_silence`,
+:func:`~repro.batchsim.codec.select`, ``0``/``-1`` OR masks) rather
+than branches on per-element masks.
 
 The workhorse is :class:`ScheduleLift` — the adapter the batchsim
 design builds on: every natively batchable algorithm in the library is
 a *relay* protocol whose transmission timetable is deterministic (a
 pure function of the round index, never of what was delivered), so the
-schedule can be replayed **once** into ``(rounds, n)`` boolean masks
-and broadcast across the whole trial batch.  What varies per trial is
+schedule can be replayed **once** into per-round ``(n, 1)`` ``0``/``-1``
+masks and broadcast across the whole trial batch.  What varies per trial is
 only each node's adopted value, which the lift tracks as a code array
 under one of two adoption rules:
 
@@ -57,7 +63,13 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
-from repro.batchsim.codec import SILENCE, PayloadCodec
+from repro.batchsim.codec import (
+    CODE_DTYPE,
+    SILENCE,
+    PayloadCodec,
+    fill_silence,
+    select,
+)
 from repro.engine.protocol import MESSAGE_PASSING
 
 __all__ = [
@@ -152,7 +164,10 @@ class BatchProgram(ABC):
     One program instance serves many chunks: :meth:`reset` reallocates
     the per-trial state, then the engine alternates
     :meth:`intent_codes` / :meth:`observe` for every round and reads
-    :meth:`output_codes` at the end.
+    :meth:`output_codes` at the end.  Every code array crossing this
+    interface is node-major ``(n, B)`` with dtype
+    :data:`~repro.batchsim.codec.CODE_DTYPE` (``int8``), and so is the
+    code-valued per-trial state the programs keep.
     """
 
     #: Communication model the program targets (engine picks delivery).
@@ -167,7 +182,8 @@ class BatchProgram(ABC):
 
     @abstractmethod
     def intent_codes(self, round_index: int) -> np.ndarray:
-        """``(B, n)`` transmission intents (codes, ``SILENCE`` = quiet)."""
+        """``(n, B)`` ``int8`` transmission intents (``SILENCE`` =
+        quiet)."""
 
     def mp_senders(self) -> Optional[np.ndarray]:
         """Static ``(n,)`` sender map for message-passing delivery.
@@ -183,15 +199,16 @@ class BatchProgram(ABC):
     def observe(self, round_index: int, heard: np.ndarray) -> None:
         """Fold one round's deliveries into the per-trial state.
 
-        ``heard`` is the ``(B, n)`` array of codes each node heard
-        (``SILENCE`` for nothing), in either model: what
+        ``heard`` is the ``(n, B)`` ``int8`` array of codes each node
+        heard (``SILENCE`` for nothing), in either model: what
         :func:`~repro.engine.simulator.deliver_radio_batch` or
         :func:`~repro.engine.simulator.deliver_mp_batch` returns.
         """
 
     @abstractmethod
     def output_codes(self) -> np.ndarray:
-        """``(B, n)`` final outputs (the scalar protocols' ``output()``)."""
+        """``(n, B)`` ``int8`` final outputs (the scalar protocols'
+        ``output()``)."""
 
 
 def watch_senders(topology, watch) -> np.ndarray:
@@ -253,15 +270,23 @@ class ScheduleLift(BatchProgram):
             raise ValueError(f"unknown adoption rule {adoption!r}")
         self.model = model
         self._codec = codec
-        self._transmit = np.asarray(transmit_schedule, dtype=bool)
-        self._listen = np.asarray(listen_schedule, dtype=bool)
-        if self._transmit.shape != self._listen.shape:
+        transmit = np.asarray(transmit_schedule, dtype=bool)
+        listen = np.asarray(listen_schedule, dtype=bool)
+        if transmit.shape != listen.shape:
             raise ValueError("transmit and listen schedules disagree in shape")
-        self._order = self._transmit.shape[1]
-        self._initial = np.asarray(initial_codes, dtype=np.int64)
+        # Per-round (n, 1) OR masks: all bits set silences an intent
+        # outside the transmit schedule and a delivery outside the
+        # listening schedule.
+        self._quiet = _or_masks(~transmit)
+        self._deaf = _or_masks(~listen)
+        self._initial = np.asarray(initial_codes,
+                                   dtype=CODE_DTYPE)[:, np.newaxis]
         self._default = int(default_code)
         self._adoption = adoption
         self._requires_message = bool(requires_message)
+        self._code_column = np.arange(
+            codec.size, dtype=CODE_DTYPE
+        )[:, np.newaxis, np.newaxis]
         if model == MESSAGE_PASSING:
             if watch is None or topology is None:
                 raise ValueError(
@@ -276,65 +301,65 @@ class ScheduleLift(BatchProgram):
     @property
     def rounds(self) -> int:
         """Length of the replayed schedule."""
-        return self._transmit.shape[0]
+        return self._quiet.shape[0]
 
     @property
     def order(self) -> int:
         """Number of nodes ``n``."""
-        return self._order
+        return self._quiet.shape[1]
 
     def reset(self, batch: int) -> None:
         self._batch = int(batch)
-        self._adopted = np.broadcast_to(
-            self._initial, (self._batch, self._order)
-        ).copy()
+        self._adopted = np.repeat(self._initial, self._batch, axis=1)
         if self._adoption == ADOPT_MAJORITY:
             self._counts = np.zeros(
-                (self._batch, self._order, self._codec.size), dtype=np.int64
+                (self._codec.size, self.order, self._batch),
+                dtype=np.min_scalar_type(self.rounds),
             )
 
     def _values(self) -> np.ndarray:
-        """``(B, n)`` current relay values (the scalar ``output()``)."""
+        """``(n, B)`` current relay values (the scalar ``output()``)."""
         if self._adoption == ADOPT_FIRST:
-            return np.where(self._adopted != SILENCE, self._adopted,
-                            np.int64(self._default))
+            return fill_silence(self._adopted, self._default)
         # Majority with ties (and no votes) falling to the default;
         # initially-informed nodes always relay their own message.
-        best = self._counts.max(axis=2)
-        tied = (self._counts == best[..., np.newaxis]).sum(axis=2)
-        decided = np.where(
-            (best > 0) & (tied == 1),
-            self._counts.argmax(axis=2), np.int64(self._default),
-        )
-        return np.where(self._initial != SILENCE, self._initial, decided)
+        counts = self._counts
+        best = counts.max(axis=0)
+        tied = (counts == best).sum(axis=0)
+        decided = select((best > 0) & (tied == 1), counts.argmax(axis=0),
+                         self._default)
+        return fill_silence(self._initial, decided)
 
     def intent_codes(self, round_index: int) -> np.ndarray:
-        scheduled = self._transmit[round_index]
-        values = self._values()
-        intents = np.where(scheduled, values, np.int64(SILENCE))
         if self._requires_message:
-            informed = (self._adopted != SILENCE) | (self._initial != SILENCE)
-            intents = np.where(informed, intents, np.int64(SILENCE))
-        return intents
+            # Only informed nodes speak, and an informed node's value
+            # is its adopted code while an uninformed one's adopted
+            # code is SILENCE: the adopted codes are the intents.
+            values = self._adopted
+        else:
+            values = self._values()
+        return values | self._quiet[round_index]
 
     def observe(self, round_index: int, heard: np.ndarray) -> None:
-        listening = self._listen[round_index]
+        heard = heard | self._deaf[round_index]
         if self._adoption == ADOPT_FIRST:
-            adopt = listening & (heard != SILENCE) & (self._adopted == SILENCE)
-            np.copyto(self._adopted, heard, where=adopt)
+            # A still-silent node adopts what it heard (maybe silence).
+            self._adopted = fill_silence(self._adopted, heard)
             return
-        votes = listening & (heard != SILENCE)
-        rows, nodes = np.nonzero(votes)
-        # One heard payload per (trial, node) per round, so the index
-        # triples are unique and a fancy-indexed increment is exact.
-        self._counts[rows, nodes, heard[rows, nodes]] += 1
+        # Silence matches no code; one heard payload per (node, trial).
+        self._counts += heard == self._code_column
 
     def output_codes(self) -> np.ndarray:
         return self._values()
 
 
+def _or_masks(flags: np.ndarray) -> np.ndarray:
+    """``(rounds, n)`` flags as ``(rounds, n, 1)`` ``0``/``-1`` OR masks."""
+    return -flags.astype(CODE_DTYPE)[..., np.newaxis]
+
+
 def _initial_codes(order: int, source: int, message_code: int) -> np.ndarray:
-    codes = np.full(order, SILENCE, dtype=np.int64)
+    codes = np.full(order, SILENCE, dtype=CODE_DTYPE)
     codes[source] = message_code
     return codes
 
@@ -521,10 +546,10 @@ class HelloProgram(BatchProgram):
         self._sender = algorithm.sender
         self._receiver = algorithm.receiver
         self._message_zero = algorithm.source_message == 0
-        self._hello_code = np.int64(codec.code_of(HELLO))
-        self._message_code = np.int64(codec.code_of(algorithm.source_message))
-        self._zero_code = np.int64(codec.code_of(0))
-        self._one_code = np.int64(codec.code_of(1))
+        self._hello_code = codec.code_of(HELLO)
+        self._message_code = codec.code_of(algorithm.source_message)
+        self._zero_code = codec.code_of(0)
+        self._one_code = codec.code_of(1)
         if self.model == MESSAGE_PASSING:
             watch = np.full(self._order, -1, dtype=np.int64)
             watch[self._receiver] = self._sender
@@ -539,22 +564,22 @@ class HelloProgram(BatchProgram):
         self._decoded_zero = np.zeros(self._batch, dtype=bool)
 
     def intent_codes(self, round_index: int) -> np.ndarray:
-        intents = np.full((self._batch, self._order), SILENCE, dtype=np.int64)
+        intents = np.full((self._order, self._batch), SILENCE,
+                          dtype=CODE_DTYPE)
         if self._message_zero or round_index % 2 == 1:
-            intents[:, self._sender] = self._hello_code
+            intents[self._sender] = self._hello_code
         return intents
 
     def observe(self, round_index: int, heard: np.ndarray) -> None:
-        audible = heard[:, self._receiver] != SILENCE
+        audible = heard[self._receiver] >= 0
         self._decoded_zero |= audible & self._heard_previous
         self._heard_previous = audible
 
     def output_codes(self) -> np.ndarray:
-        outputs = np.empty((self._batch, self._order), dtype=np.int64)
-        outputs[:, self._sender] = self._message_code
-        outputs[:, self._receiver] = np.where(
-            self._decoded_zero, self._zero_code, self._one_code
-        )
+        outputs = np.empty((self._order, self._batch), dtype=CODE_DTYPE)
+        outputs[self._sender] = self._message_code
+        outputs[self._receiver] = select(self._decoded_zero,
+                                         self._zero_code, self._one_code)
         return outputs
 
 
@@ -563,24 +588,30 @@ class WindowedProgram(BatchProgram):
 
     No replayable timetable exists — a node starts its ``m``-round
     relay whenever its sliding window first shows ``⌈m/2⌉`` identical
-    copies from its parent — so the program carries the window as a
-    ``(B, n, m)`` circular code buffer.  The acceptance check needs
+    copies from its parent — so the program carries the window as an
+    ``(m, n, B)`` circular code buffer.  The acceptance check needs
     only the payload heard *this* round: counts can never reach the
     threshold between checks without the newest arrival (evictions only
     decrease counts, and an earlier crossing would already have
     accepted), so the scalar protocol's in-order window scan reduces to
     the window count of the current payload.
 
-    Those counts are kept running rather than recounted: one ``(B, n)``
-    counter per payload code.  Each round's write into the circular
-    buffer decrements the evicted slot's code and increments the heard
-    code, so a round costs ``O(K)`` ``(B, n)`` operations for ``K``
-    codes instead of a ``(B, n, m)`` comparison; the buffer stays
-    because eviction needs the old code.  Buffer and counters advance
-    for every node, pending or not: a node never leaves the accepted
-    state, so once it accepts its window is never read again, and
-    unmasked writes keep the counters exact for the nodes still
-    pending.
+    Those counts are kept running rather than recounted: one
+    ``(K, n, B)`` counter array, one ``(n, B)`` plane per payload code.
+    Each round's write into the circular buffer decrements the evicted
+    slot's code and increments the heard code, a constant number of
+    ``(K, n, B)`` operations for ``K`` codes instead of a
+    ``(m, n, B)`` comparison; the buffer stays because eviction needs
+    the old code.  Buffer and counters advance for every node, pending
+    or not: a node never leaves the accepted state, so once it accepts
+    its window is never read again, and unmasked writes keep the
+    counters exact for the nodes still pending.
+
+    The scalar relay countdown becomes the round its relay ends: a
+    node accepting in round ``t`` relays in rounds ``t+1..t+m``, the
+    source in rounds ``0..m-1``, and a leaf (nobody to address) never,
+    so an intent is the accepted code OR'd with ``-1`` from its end
+    round on.
     """
 
     model = MESSAGE_PASSING
@@ -591,8 +622,8 @@ class WindowedProgram(BatchProgram):
         self._window_length = algorithm.window_length
         self._threshold = algorithm.acceptance_threshold
         self._source = algorithm.source
-        self._message_code = np.int64(codec.code_of(algorithm.source_message))
-        self._default_code = np.int64(codec.code_of(algorithm.default))
+        self._message_code = codec.code_of(algorithm.source_message)
+        self._default_code = codec.code_of(algorithm.default)
         watch = np.array(
             [-1 if tree.parent[node] is None else tree.parent[node]
              for node in range(self._order)],
@@ -602,55 +633,61 @@ class WindowedProgram(BatchProgram):
         self._has_children = np.array(
             [bool(tree.children(node)) for node in range(self._order)],
             dtype=bool,
+        )[:, np.newaxis]
+        self._code_column = np.arange(
+            codec.size, dtype=CODE_DTYPE
+        )[:, np.newaxis, np.newaxis]
+        # Narrow, yet wide enough for the last relay end.
+        self._end_dtype = np.min_scalar_type(
+            algorithm.rounds + self._window_length
         )
-        self._codes = codec.size
         self._batch = 0
         self._accepted: Optional[np.ndarray] = None
-        self._transmissions_left: Optional[np.ndarray] = None
+        self._relay_end: Optional[np.ndarray] = None
         self._window: Optional[np.ndarray] = None
-        self._counts: List[np.ndarray] = []
+        self._counts: Optional[np.ndarray] = None
 
     def reset(self, batch: int) -> None:
         self._batch = int(batch)
-        self._accepted = np.full((batch, self._order), SILENCE,
-                                 dtype=np.int64)
-        self._accepted[:, self._source] = self._message_code
-        self._transmissions_left = np.zeros((batch, self._order),
-                                            dtype=np.int64)
-        self._transmissions_left[:, self._source] = self._window_length
-        # Slot-major, so each round's slot is one contiguous (B, n) block.
-        self._window = np.full((self._window_length, batch, self._order),
-                               SILENCE, dtype=np.int64)
-        count_dtype = np.min_scalar_type(self._window_length)
-        self._counts = [np.zeros((batch, self._order), dtype=count_dtype)
-                        for _ in range(self._codes)]
+        self._accepted = np.full((self._order, batch), SILENCE,
+                                 dtype=CODE_DTYPE)
+        self._accepted[self._source] = self._message_code
+        self._relay_end = np.zeros((self._order, batch),
+                                   dtype=self._end_dtype)
+        if self._has_children[self._source, 0]:
+            self._relay_end[self._source] = self._window_length
+        # Slot-major, so each round's slot is one contiguous (n, B) block.
+        self._window = np.full((self._window_length, self._order, batch),
+                               SILENCE, dtype=CODE_DTYPE)
+        self._counts = np.zeros(
+            (self._code_column.shape[0], self._order, batch),
+            dtype=np.min_scalar_type(self._window_length),
+        )
 
     def intent_codes(self, round_index: int) -> np.ndarray:
-        active = (self._accepted != SILENCE) & (self._transmissions_left > 0)
-        # The scalar protocol spends a relay round even when it has no
-        # children to address, so decrement before masking leaves out.
-        self._transmissions_left -= active
-        return np.where(active & self._has_children, self._accepted,
-                        np.int64(SILENCE))
+        done = (self._relay_end <= round_index).view(CODE_DTYPE)
+        return self._accepted | -done
 
     def observe(self, round_index: int, heard: np.ndarray) -> None:
         slot = self._window[round_index % self._window_length]
         # Silence matches no code, so it never reaches the threshold.
-        accept = np.zeros(heard.shape, dtype=bool)
-        for code, count in enumerate(self._counts):
-            is_heard = heard == code
-            count += is_heard
-            count -= slot == code
-            accept |= is_heard & (count >= self._threshold)
+        hits = heard == self._code_column
+        counts = self._counts
+        counts += hits
+        counts -= slot == self._code_column
         slot[...] = heard
-        accept &= self._accepted == SILENCE
-        if accept.any():
-            self._accepted[accept] = heard[accept]
-            self._transmissions_left[accept] = self._window_length
+        reached = counts >= self._threshold
+        reached &= hits
+        accept = reached.any(axis=0)
+        accept &= self._accepted < 0
+        self._accepted = select(accept, heard, self._accepted)
+        accept &= self._has_children
+        self._relay_end += accept * self._end_dtype.type(
+            round_index + 1 + self._window_length
+        )
 
     def output_codes(self) -> np.ndarray:
-        return np.where(self._accepted != SILENCE, self._accepted,
-                        self._default_code)
+        return fill_silence(self._accepted, self._default_code)
 
 
 class PlanLift(BatchProgram):
@@ -659,7 +696,8 @@ class PlanLift(BatchProgram):
     A compiled plan's directives are indexed by line position — the
     tree depth of the executing node — so all nodes of one depth share
     their round schedule.  Per-trial state is the bit table, stored
-    node-major as ``(n, contexts, B)``: one node's bit in one context
+    node-major as ``(n, contexts, B)`` ``int8`` codes (``SILENCE``:
+    unset): one node's bit in one context
     is a contiguous ``B``-vector across the trials.  Transmissions and
     receptions are replayed from the compiled
     ``(position, round) -> context`` maps, and the copy/vote control
@@ -681,9 +719,11 @@ class PlanLift(BatchProgram):
         self._order = topology.order
         self._rounds = algorithm.rounds
         self._source = algorithm.source
-        self._message_code = np.int64(codec.code_of(algorithm.source_message))
-        self._default_code = np.int64(codec.code_of(algorithm.default))
-        self._code_range = np.arange(codec.size).reshape(-1, 1, 1, 1)
+        self._message_code = codec.code_of(algorithm.source_message)
+        self._default_code = codec.code_of(algorithm.default)
+        self._code_range = np.arange(
+            codec.size, dtype=CODE_DTYPE
+        ).reshape(-1, 1, 1, 1)
         depth = np.asarray(tree.depth, dtype=np.int64)
         nodes_at = {
             position: np.nonzero(depth == position)[0]
@@ -758,7 +798,7 @@ class PlanLift(BatchProgram):
     def reset(self, batch: int) -> None:
         self._batch = int(batch)
         self._bits = np.full((self._order, self._contexts, batch), SILENCE,
-                             dtype=np.int64)
+                             dtype=CODE_DTYPE)
         self._bits[self._source, self._root_context] = self._message_code
 
     def _apply_control(self, kind: str, nodes, target: int,
@@ -775,9 +815,8 @@ class PlanLift(BatchProgram):
         bits = self._bits
         current = bits[nodes, target]
         if kind == "copy":
-            source = bits[nodes, sources[0]]
-            bits[nodes, target] = np.where(source != SILENCE, source,
-                                           current)
+            bits[nodes, target] = fill_silence(bits[nodes, sources[0]],
+                                               current)
             return
         votes = bits[nodes][:, sources]
         counts = (votes == self._code_range).sum(
@@ -785,36 +824,34 @@ class PlanLift(BatchProgram):
         )
         best = counts.max(axis=0)
         tied = (counts == best).sum(axis=0)
-        winner = np.where(tied == 1, counts.argmax(axis=0),
-                          self._default_code)
-        bits[nodes, target] = np.where(best > 0, winner, current)
+        winner = select(tied == 1, counts.argmax(axis=0),
+                        self._default_code)
+        bits[nodes, target] = select(best > 0, winner, current)
 
     def intent_codes(self, round_index: int) -> np.ndarray:
         for entry in self._controls_by_round.get(round_index, ()):
             self._apply_control(*entry)
-        intents = np.full((self._batch, self._order), SILENCE,
-                          dtype=np.int64)
+        intents = np.full((self._order, self._batch), SILENCE,
+                          dtype=CODE_DTYPE)
         nodes, contexts = self._transmitters.at(round_index)
         if nodes.size:
-            values = self._bits[nodes, contexts]
-            intents[:, nodes] = np.where(values != SILENCE, values,
-                                         self._default_code).T
+            intents[nodes] = fill_silence(self._bits[nodes, contexts],
+                                          self._default_code)
         return intents
 
     def observe(self, round_index: int, heard: np.ndarray) -> None:
         nodes, contexts = self._receivers.at(round_index)
         if not nodes.size:
             return
-        heard = heard[:, nodes].T
-        stored = self._bits[nodes, contexts]
-        self._bits[nodes, contexts] = np.where(heard != SILENCE, heard,
-                                               stored)
+        self._bits[nodes, contexts] = fill_silence(
+            heard[nodes], self._bits[nodes, contexts]
+        )
 
     def output_codes(self) -> np.ndarray:
         for entry in self._tail_controls:
             self._apply_control(*entry)
-        values = self._bits[:, self._root_context]
-        return np.where(values != SILENCE, values, self._default_code).T
+        return fill_silence(self._bits[:, self._root_context],
+                            self._default_code)
 
 
 class _RoundSchedule:

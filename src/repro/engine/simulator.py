@@ -52,7 +52,12 @@ __all__ = [
     "deliver_radio",
     "deliver_radio_batch",
     "deliver_mp_batch",
+    "MAX_RADIO_BATCH_DEGREE",
 ]
+
+#: Largest listener degree :func:`deliver_radio_batch` packs exactly
+#: into its ``int32`` sums.
+MAX_RADIO_BATCH_DEGREE = 2**15 - 64
 
 # Transmitter count from which the CSR/bincount delivery path beats the
 # per-listener membership scan (numpy call overhead amortises).
@@ -142,56 +147,66 @@ def _deliver_radio_dense(topology: Topology,
     return heard
 
 
+def _check_batch_codes(topology: Topology, codes) -> np.ndarray:
+    codes = np.asarray(codes)
+    if codes.ndim != 2 or codes.shape[0] != topology.order:
+        raise ValueError(
+            f"codes must have shape ({topology.order}, batch), "
+            f"got {codes.shape}"
+        )
+    if codes.dtype != np.int8:
+        raise ValueError(f"codes must be int8, got {codes.dtype}")
+    return codes
+
+
 def deliver_radio_batch(topology: Topology, codes: np.ndarray) -> np.ndarray:
     """Vectorised radio delivery for a whole batch of rounds at once.
 
     The trial axis is what the scalar :func:`deliver_radio` cannot
     exploit: Monte-Carlo batches re-deliver on the same topology with
-    different transmitter sets, so all rows go through one integer
+    different transmitter sets, so all columns go through one ``int32``
     sparse product with the cached
     :meth:`~repro.graphs.topology.Topology.adjacency_matrix`.  Each
-    transmitter contributes ``(1 << 32) + code + 1``, so a listener's
-    sum carries the speaker count in its high word and, when that
-    count is exactly one, the speaker's ``code + 1`` in its low word.
-    Subtracting one contribution's offset then leaves the code itself
-    for a lone speaker and a value outside ``[0, 2**32)`` otherwise.
-    The packing is exact for codes below ``2**32 - 1`` and degrees
-    below ``2**30``.
+    transmitter contributes ``2**16 + code`` and a silent node ``0``, so
+    a listener's sum is ``2**16 + code`` for a lone speaker, ``0`` for
+    none and at least ``2**17`` for a collision.  Flipping bit 16 (and
+    OR-ing in the listener's own contribution, so a transmitting
+    listener hears nothing) leaves a value below ``128`` exactly for a
+    silent listener with a lone speaker, namely the code; clamping
+    every other value to ``255`` makes it ``-1`` (silence) in the
+    ``int8`` result.
+
+    Exactness bound: a contribution is at most ``2**16 + 127``, so
+    the ``int32`` sum cannot overflow while every listener has at most
+    :data:`MAX_RADIO_BATCH_DEGREE` ``= 2**15 - 64`` neighbours
+    (``32704 * (2**16 + 127) < 2**31``).  The batchsim tier keeps
+    denser radio scenarios on the engine tier.
 
     Parameters
     ----------
     topology:
         The network.
     codes:
-        ``int64`` array of shape ``(batch, n)``: the payload code node
-        ``v`` actually transmits in row ``b``, or ``-1`` for silence.
+        ``int8`` array of shape ``(n, batch)``: the payload code
+        (``0..127``) node ``v`` actually transmits in column ``b``, or
+        ``-1`` for silence.
 
     Returns
     -------
-    ``int64`` array of shape ``(batch, n)``: the code each node hears,
+    ``int8`` array of shape ``(n, batch)``: the code each node hears,
     or ``-1`` for silence (no speaking neighbour, a collision, or the
     node itself transmitting — the collision-as-silence semantics of
     the scalar path).
     """
-    codes = np.asarray(codes, dtype=np.int64)
-    if codes.ndim != 2 or codes.shape[1] != topology.order:
-        raise ValueError(
-            f"codes must have shape (batch, {topology.order}), "
-            f"got {codes.shape}"
-        )
-    # Work on the (n, batch) transpose: it is what the sparse product
-    # reads and writes row by row.
-    offset = np.int64((1 << 32) + 1)
-    packed = codes.T.copy()
-    transmitting = packed >= 0
-    packed += offset
-    packed *= transmitting
+    codes = _check_batch_codes(topology, codes)
+    packed = codes.astype(np.int32)
+    packed += 1 << 16
+    packed *= packed >> 16  # silence, now 2**16 - 1, contributes 0
     heard = topology.adjacency_matrix() @ packed
-    heard -= offset
-    silent = heard.view(np.uint64) >= np.uint64(1 << 32)
-    silent |= transmitting
-    np.putmask(heard, silent, -1)
-    return heard.T.copy()
+    heard ^= 1 << 16
+    heard |= packed  # a transmitting listener hears nothing
+    np.minimum(heard, 255, out=heard)
+    return heard.astype(np.int8)
 
 
 def deliver_mp_batch(topology: Topology, codes: np.ndarray,
@@ -201,16 +216,16 @@ def deliver_mp_batch(topology: Topology, codes: np.ndarray,
     The batched counterpart of :func:`deliver_message_passing` for the
     watched-sender relays the batchsim tier executes: each listener
     ``v`` reads the one payload its static sender ``senders[v]``
-    addressed to it, so delivery is one column gather
-    ``heard[b, v] = codes[b, senders[v]]``.
+    addressed to it, so delivery is one row gather
+    ``heard[v] = codes[senders[v]]``.
 
     Parameters
     ----------
     topology:
         The network.
     codes:
-        ``int64`` array of shape ``(batch, n)``: the payload code node
-        ``v`` transmits in row ``b``, or ``-1`` for silence.
+        ``int8`` array of shape ``(n, batch)``: the payload code node
+        ``v`` transmits in column ``b``, or ``-1`` for silence.
     senders:
         ``(n,)`` integer array: the neighbour each node hears from, or
         ``-1`` for nobody.  A non-negative entry must be a
@@ -220,24 +235,19 @@ def deliver_mp_batch(topology: Topology, codes: np.ndarray,
 
     Returns
     -------
-    ``int64`` array of shape ``(batch, n)``: the code each node hears
+    ``int8`` array of shape ``(n, batch)``: the code each node hears
     from its sender, or ``-1`` when the sender stayed silent or there
     is none — the scalar inbox entry ``inbox[v].get(senders[v])``.
     """
-    codes = np.asarray(codes, dtype=np.int64)
-    if codes.ndim != 2 or codes.shape[1] != topology.order:
-        raise ValueError(
-            f"codes must have shape (batch, {topology.order}), "
-            f"got {codes.shape}"
-        )
+    codes = _check_batch_codes(topology, codes)
     senders = np.asarray(senders)
     if senders.shape != (topology.order,):
         raise ValueError(
             f"senders must have shape ({topology.order},), "
             f"got {senders.shape}"
         )
-    heard = codes[:, senders]
-    heard[:, senders < 0] = -1
+    heard = codes[senders]
+    heard[senders < 0] = -1
     return heard
 
 

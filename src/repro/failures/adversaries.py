@@ -225,8 +225,8 @@ class GarbageAdversary(_ObliviousAdversary):
 
     def batch_rewrite(self, round_index: int, faulty: np.ndarray,
                       codes: np.ndarray, codec, model: str) -> np.ndarray:
-        garbage = np.int64(codec.code_of(self._garbage))
-        return np.where(codes == -1, np.int64(-1), garbage)
+        # codes >> 7 is -1 exactly at silence, which ORs to silence.
+        return (codes >> 7) | codec.code_of(self._garbage)
 
     def batch_payloads(self) -> tuple:
         return (self._garbage,)
@@ -322,27 +322,22 @@ class RadioWorstCaseAdversary(_ObliviousAdversary):
 
     def batch_rewrite(self, round_index: int, faulty: np.ndarray,
                       codes: np.ndarray, codec, model: str) -> np.ndarray:
-        noise = np.int64(codec.code_of(self._noise))
+        noise = codec.code_of(self._noise)
+        flipped = codec.flip_codes(codes)
+        # Per trial (column): one scheduled transmitter, and whether it
+        # is faulty.
+        single = (codes >= 0).sum(axis=0) == 1
+        speaker_faulty = (faulty & ~(codes >> 7)).any(axis=0)
         # General (multi-intent) attack: flip intended transmissions,
-        # jam from intended silence.
-        replacements = np.where(codes == -1, noise, codec.flip_codes(codes))
-        transmitting = codes != -1
-        single = transmitting.sum(axis=1) == 1
-        if single.any():
-            rows = np.nonzero(single)[0]
-            speaker = np.argmax(transmitting[rows], axis=1)
-            speaker_faulty = faulty[rows, speaker]
-            # Scheduled transmitter faulty: its flip is delivered and
-            # every other faulty node keeps quiet so the lie lands.
-            lie_rows = rows[speaker_faulty]
-            lie_speakers = speaker[speaker_faulty]
-            flipped = replacements[lie_rows, lie_speakers]
-            replacements[lie_rows, :] = -1
-            replacements[lie_rows, lie_speakers] = flipped
-            # Scheduled transmitter fault-free: every faulty node jams
-            # (the composition keeps fault-free intents untouched).
-            jam_rows = rows[~speaker_faulty]
-            replacements[jam_rows, :] = noise
+        # jam from intended silence (flipped >> 7 is -1 exactly there).
+        # Scheduled transmitter faulty: its flip is delivered and every
+        # other faulty node keeps quiet so the lie lands, so those
+        # columns fill silence with silence instead of noise.
+        fill = -(single & speaker_faulty).view(np.int8) | noise
+        replacements = flipped ^ ((flipped ^ fill) & (flipped >> 7))
+        # Scheduled transmitter fault-free: every faulty node jams
+        # (the composition keeps fault-free intents untouched).
+        replacements ^= (replacements ^ noise) * (single & ~speaker_faulty)
         return replacements
 
     def batch_payloads(self) -> tuple:

@@ -44,7 +44,8 @@ History-oblivious models additionally support the vectorised
   streams are seeded together by :func:`repro.rng.child_generators`:
   one numpy pass over the batch and one reused PCG64;
 * :meth:`FailureModel.apply_batch` — the vectorised counterpart of
-  :meth:`apply`, operating on ``(batch, n)`` payload-code arrays.
+  :meth:`apply`, operating on ``(n, batch)`` ``int8`` payload-code
+  arrays with one round's ``(n, batch)`` ``0``/``-1`` fault mask.
 """
 
 from __future__ import annotations
@@ -223,12 +224,16 @@ class FailureModel(ABC):
 
     def apply_batch(self, round_index: int, faulty: np.ndarray,
                     codes: np.ndarray, codec, model: str) -> np.ndarray:
-        """Vectorised :meth:`apply` over ``(batch, n)`` payload codes.
+        """Vectorised :meth:`apply` over ``(n, batch)`` payload codes.
 
-        ``codes`` holds one payload code per (trial, node) with ``-1``
-        for silence; the return value has the same shape and encoding.
-        Only models answering ``True`` from :meth:`supports_batch` need
-        to implement this.
+        ``codes`` holds one ``int8`` payload code per (node, trial)
+        with ``-1`` for silence; the return value has the same shape,
+        dtype and encoding.  ``faulty`` is the round's ``(n, batch)``
+        ``int8`` mask, ``-1`` (all bits set) where the node's
+        transmitter fails and ``0`` elsewhere — the transposed
+        :meth:`sample_failures_batch` slice — so a select is bitwise
+        arithmetic, not a branch.  Only models answering ``True`` from
+        :meth:`supports_batch` need to implement this.
         """
         raise NotImplementedError(
             f"{type(self).__name__} does not support batched execution"
@@ -315,4 +320,5 @@ class OmissionFailures(FailureModel):
 
     def apply_batch(self, round_index: int, faulty: np.ndarray,
                     codes: np.ndarray, codec, model: str) -> np.ndarray:
-        return np.where(faulty, np.int64(-1), codes)
+        # A faulty transmitter's code ORs to all bits set: silence.
+        return codes | faulty

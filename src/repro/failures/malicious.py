@@ -120,12 +120,16 @@ class Adversary(ABC):
 
     def batch_rewrite(self, round_index: int, faulty: np.ndarray,
                       codes: np.ndarray, codec, model: str) -> np.ndarray:
-        """Vectorised :meth:`rewrite` over ``(batch, n)`` payload codes.
+        """Vectorised :meth:`rewrite` over ``(n, batch)`` payload codes.
 
-        Returns the replacement codes of the *faulty* positions (the
-        caller composes them with the untouched fault-free intents);
-        entries at fault-free positions are ignored.  ``-1`` silences a
-        faulty node, matching a missing scalar replacement.
+        ``codes`` are the ``int8`` intents and ``faulty`` the round's
+        ``0``/``-1`` ``int8`` mask (see
+        :meth:`~repro.failures.base.FailureModel.apply_batch`).
+        Returns the ``int8`` replacement codes of the *faulty*
+        positions (the caller composes them with the untouched
+        fault-free intents); entries at fault-free positions are
+        ignored.  ``-1`` silences a faulty node, matching a missing
+        scalar replacement.
         """
         raise NotImplementedError(
             f"{type(self).__name__} does not support batched execution"
@@ -258,7 +262,11 @@ class MaliciousFailures(FailureModel):
         replacements = self._adversary.batch_rewrite(
             round_index, faulty, codes, codec, model
         )
-        return np.where(faulty, replacements, codes)
+        # Swap in the replacement wherever the 0/-1 mask is set.
+        swap = codes ^ replacements
+        swap &= faulty
+        swap ^= codes
+        return swap
 
     def batch_payloads(self) -> tuple:
         return self._adversary.batch_payloads()

@@ -135,17 +135,18 @@ class Topology:
         return self._csr
 
     def adjacency_matrix(self) -> csr_array:
-        """The ``(n, n)`` ``int64`` 0/1 adjacency as a
+        """The ``(n, n)`` ``int32`` 0/1 adjacency as a
         ``scipy.sparse.csr_array``, cached.
 
         It wraps the :meth:`csr_neighbors` arrays without copying them
         (they are read-only, so no in-place scipy call such as
         ``sort_indices`` can corrupt the shared cache); batched radio
-        delivery multiplies it with each round's packed transmissions.
+        delivery multiplies it with each round's ``int32`` packed
+        transmissions, which keeps the product ``int32``.
         """
         if self._adjacency_matrix is None:
             indptr, indices = self.csr_neighbors()
-            data = np.ones(indices.size, dtype=np.int64)
+            data = np.ones(indices.size, dtype=np.int32)
             data.flags.writeable = False
             self._adjacency_matrix = csr_array(
                 (data, indices, indptr), shape=(self._order, self._order)

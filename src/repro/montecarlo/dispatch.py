@@ -34,7 +34,7 @@ tier / backend tag  eligibility                     what runs             proces
                     model is history-oblivious      multi-trial engine:   chunks, one
                     and ``supports_batch(model)``   all trials advance    ``BatchExecution``
                     (fault-free, omission with      together on stacked   per worker process
-                    ``p`` or per-node ``p_v``,      ``(B, n)`` arrays;    (floor of 128
+                    ``p`` or per-node ``p_v``,      ``(n, B)`` arrays;    (floor of 128
                     simple-malicious with a         indicators are        trials per chunk —
                     batchable oblivious adversary   **bit-identical**     small batches stay
                     at every restriction level      to the engine tier    in-process);

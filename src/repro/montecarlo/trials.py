@@ -15,7 +15,7 @@ centralises that loop and makes it fast through a three-tier dispatch
 * otherwise, when the scenario is history-oblivious and the algorithm
   implements the batch interface (every algorithm family in the
   library does), the :mod:`repro.batchsim` engine executes all trials
-  together on stacked ``(B, n)`` arrays — and with ``workers > 1`` on
+  together on node-major ``(n, B)`` arrays — and with ``workers > 1`` on
   a large enough batch, the trial index range is partitioned into
   contiguous chunks executed by one ``BatchExecution`` per worker
   process; trial ``i`` still consumes ``root.child("mc", i)``, so the

@@ -24,14 +24,26 @@ import numpy as np
 import pytest
 
 from repro.batchsim import PayloadCodec, batch_execution, supports_batchsim
-from repro.batchsim.codec import SILENCE
+from repro.batchsim.codec import CODE_DTYPE, MAX_CODES, SILENCE
+from repro.batchsim.programs import (
+    HelloProgram,
+    PlanLift,
+    ScheduleLift,
+    WindowedProgram,
+)
 from repro.core import FastFlooding, SimpleMalicious, SimpleOmission
 from repro.core.hello import HelloProtocolAlgorithm
 from repro.core.kucera import KuceraBroadcast
 from repro.core.labels import PrimeScheduleBroadcast, RoundRobinBroadcast
 from repro.core.radio_repeat import ADOPT_ANY, ADOPT_MAJORITY, RadioRepeat
 from repro.core.windowed import WindowedMalicious
-from repro.engine import MESSAGE_PASSING, RADIO, run_execution
+from repro.engine import (
+    MESSAGE_PASSING,
+    RADIO,
+    deliver_mp_batch,
+    deliver_radio_batch,
+    run_execution,
+)
 from repro.experiments.registry import get_family
 from repro.failures import (
     ComplementAdversary,
@@ -387,17 +399,18 @@ def test_windowed_counts_track_arbitrary_inboxes(window_length):
     program.reset(batch)
     for round_index in range(rounds):
         program.intent_codes(round_index)
-        heard = np.where(rng.random((batch, order)) < 0.7, SILENCE,
-                         rng.integers(0, codec.size, (batch, order)))
+        heard = np.where(rng.random((order, batch)) < 0.7, SILENCE,
+                         rng.integers(0, codec.size, (order, batch)))
+        heard = heard.astype(np.int8)
         program.observe(round_index, heard)
         for trial, row in enumerate(protocols):
             for node, protocol in enumerate(row):
                 protocol.intent(round_index)
-                code = heard[trial, node]
+                code = heard[node, trial]
                 payload = None if code == SILENCE else codec.decode(code)
                 protocol.deliver(round_index, {parent[node]: payload})
     expected = np.array([[codec.code_of(protocol.output()) for protocol in row]
-                         for row in protocols])
+                         for row in protocols]).T
     np.testing.assert_array_equal(program.output_codes(), expected)
     assert set(np.unique(expected)) == set(range(codec.size))
 
@@ -705,3 +718,155 @@ class TestPayloadCodec:
         with pytest.raises(ValueError, match="flip_bit"):
             PayloadCodec([0])  # flip_bit(0) = 1 is missing
         assert PayloadCodec.for_scenario([0]).size == 2  # closure added
+
+    def test_flip_codes_keep_the_dtype(self):
+        codec = PayloadCodec.for_scenario([0, 1], ["JAM"])
+        codes = np.array([0, 1, 2, SILENCE], dtype=CODE_DTYPE)
+        flipped = codec.flip_codes(codes)
+        assert flipped.dtype == CODE_DTYPE == codec.dtype
+        np.testing.assert_array_equal(flipped, [1, 0, 2, SILENCE])
+
+    def test_rejects_a_flip_that_is_not_one_swapped_pair(self):
+        class Zeroish:
+            """Equal to 0 under ==, yet hashed apart from it."""
+
+            def __eq__(self, other):
+                return other == 0
+
+            def __hash__(self):
+                return 12345
+
+        # 0 -> 1, 1 -> 0 and Zeroish -> 1: no single XOR reproduces it.
+        with pytest.raises(ValueError, match="one pair"):
+            PayloadCodec([0, 1, Zeroish()])
+
+    def test_rejects_an_alphabet_that_does_not_fit_the_codes(self):
+        assert PayloadCodec(range(MAX_CODES)).size == MAX_CODES
+        with pytest.raises(ValueError, match="int8"):
+            PayloadCodec(range(MAX_CODES + 1))
+
+
+#: Catalog cells whose scenarios are batchsim-eligible (the first four
+#: are perfbench's batch-sweep cells): ``(family, p, n, params)``.
+CATALOG_CELLS = [
+    ("windowed-malicious", 0.2, 4, {}),
+    ("kucera-flip", 0.2, 8, {}),
+    ("round-robin", 0.3, 3, {"cycles": 6}),
+    ("hello", 0.6, 8, {}),
+    ("hello", 0.3, 4, {"adversary": "garbage"}),
+    ("simple-omission", 0.3, 2, {}),
+    ("simple-omission-radio", 0.3, 2, {}),
+    ("hetero-omission", 0.5, 2, {}),
+    ("simple-malicious-mp", 0.2, 2, {}),
+    ("malicious-radio-star", 0.1, 4, {}),
+    ("flooding", 0.1, 5, {}),
+    ("grid-flooding", 0.1, 3, {}),
+    ("layered-omission", 0.3, 3, {}),
+    ("radio-repeat", 0.2, 5, {}),
+    ("radio-repeat", 0.2, 5, {"rule": "majority"}),
+    ("prime-schedule", 0.3, 5, {"rounds": 200}),
+]
+
+#: The code-valued per-trial state of each program family.
+CODE_STATE = {
+    ScheduleLift: ("_adopted",),
+    HelloProgram: (),
+    WindowedProgram: ("_accepted", "_window"),
+    PlanLift: ("_bits",),
+}
+
+
+def _catalog_scenario(family, p, n, params):
+    factory, failure = get_family(family).build(p, n, **params)
+    return factory(), failure
+
+
+@pytest.mark.parametrize("make", [
+    *[pytest.param(partial(_catalog_scenario, *cell),
+                   id=f"catalog-{cell[0]}-{cell[2]}")
+      for cell in CATALOG_CELLS],
+    *[pytest.param(lambda a=make_algorithm, f=make_failure: (a(), f()),
+                   id=label)
+      for label, make_algorithm, make_failure in AGREEMENT_SCENARIOS],
+])
+def test_codes_keep_the_codec_dtype_every_round(make):
+    """Step one chunk by hand, as the engine does, and check that no
+    NumPy promotion widens a code array: intents, actual transmissions,
+    heard codes and the program's code state stay ``int8`` (and inside
+    the alphabet) in every round, for every program family and every
+    batchable adversary."""
+    algorithm, failure = make()
+    execution = batch_execution(algorithm, failure)
+    assert execution is not None
+    codec = execution.codec
+    program = algorithm.batch_program(codec)
+    order, rounds, batch = algorithm.topology.order, algorithm.rounds, 64
+    streams = [RngStream(derive_seed(SEED, "mc", index), ("mc", index))
+               for index in range(batch)]
+    masks = failure.sample_failures_batch(streams, rounds, order)
+    faults = -masks.transpose(1, 2, 0).astype(CODE_DTYPE)
+    program.reset(batch)
+    senders = program.mp_senders()
+
+    def check(codes):
+        assert codes.dtype == codec.dtype == CODE_DTYPE
+        assert codes.shape == (order, batch)
+        assert SILENCE <= codes.min() and codes.max() < codec.size
+
+    for round_index in range(rounds):
+        intents = program.intent_codes(round_index)
+        check(intents)
+        actual = failure.apply_batch(round_index, faults[round_index],
+                                     intents, codec, algorithm.model)
+        check(actual)
+        if algorithm.model == MESSAGE_PASSING:
+            heard = deliver_mp_batch(algorithm.topology, actual, senders)
+        else:
+            heard = deliver_radio_batch(algorithm.topology, actual)
+        check(heard)
+        program.observe(round_index, heard)
+        for name in CODE_STATE[type(program)]:
+            assert getattr(program, name).dtype == CODE_DTYPE, name
+    check(program.output_codes())
+
+
+class WideAlphabetWindowed(WindowedMalicious):
+    """Windowed relays declaring more payloads than the codes hold.
+
+    The spares are never transmitted, so every trial's outcome is the
+    plain algorithm's.
+    """
+
+    def batch_payloads(self):
+        spares = tuple(f"spare-{index}" for index in range(MAX_CODES))
+        return super().batch_payloads() + spares
+
+
+class TestCodecGate:
+    FAILURE = MaliciousFailures(0.3, ComplementAdversary())
+
+    def test_wide_alphabet_runs_on_the_engine_with_identical_indicators(
+            self):
+        wide = partial(WideAlphabetWindowed, _tree(), 0, 1, window_length=3)
+        plain = partial(WindowedMalicious, _tree(), 0, 1, window_length=3)
+        assert batch_execution(wide(), self.FAILURE) is None
+        assert batch_execution(plain(), self.FAILURE) is not None
+        engine = TrialRunner(wide, self.FAILURE).run(TRIALS, SEED)
+        batched = TrialRunner(plain, self.FAILURE).run(TRIALS, SEED)
+        assert engine.backend == "engine"
+        assert batched.backend == "batchsim"
+        np.testing.assert_array_equal(engine.indicators, batched.indicators)
+        # Both outcomes occur, so the comparison is not vacuous.
+        assert 0 < batched.indicators.sum() < TRIALS
+
+    def test_radio_degree_beyond_the_pack_bound_runs_on_the_engine(
+            self, monkeypatch):
+        from repro.engine.simulator import MAX_RADIO_BATCH_DEGREE
+        from repro.graphs.topology import Topology
+
+        algorithm = RoundRobinBroadcast(_tree(), 0, 1, cycles=2)
+        failure = OmissionFailures(0.3)
+        assert batch_execution(algorithm, failure) is not None
+        monkeypatch.setattr(Topology, "max_degree",
+                            lambda self: MAX_RADIO_BATCH_DEGREE + 1)
+        assert batch_execution(algorithm, failure) is None

@@ -1,10 +1,10 @@
 """Property tests for batched message-passing delivery.
 
 Mirror of ``tests/test_radio_delivery.py`` for
-:func:`~repro.engine.simulator.deliver_mp_batch`: the ``(batch, n)``
-heard codes must agree with the scalar
+:func:`~repro.engine.simulator.deliver_mp_batch`: the ``(n, batch)``
+``int8`` heard codes must agree with the scalar
 :func:`~repro.engine.simulator.deliver_message_passing` routing,
-``heard[b, v] == inbox[v].get(senders[v])``, on every graph family the
+``heard[v, b] == inbox[v].get(senders[v])``, on every graph family the
 experiments use, for random transmitter sets of every density, both
 when every sender addresses all of its neighbours and under a static
 target pattern built by :func:`~repro.batchsim.programs.watch_senders`
@@ -68,19 +68,22 @@ def _scalar_inboxes(topology, codes_row, receivers_of):
 
 
 def _assert_heard_matches(topology, codes, senders, heard, receivers_of):
-    assert heard.shape == codes.shape and heard.dtype == np.int64
-    for row in range(codes.shape[0]):
-        scalar = _scalar_inboxes(topology, codes[row], receivers_of)
+    assert heard.shape == codes.shape and heard.dtype == np.int8
+    for column in range(codes.shape[1]):
+        scalar = _scalar_inboxes(topology, codes[:, column], receivers_of)
         for node in topology.nodes:
             expected = scalar[node].get(int(senders[node]))
-            assert heard[row, node] == (-1 if expected is None else expected)
+            assert heard[node, column] == (
+                -1 if expected is None else expected)
 
 
 def _random_codes(rng, batch, topology, density, alphabet):
-    transmitting = rng.random((batch, topology.order)) < density
+    """``(n, batch)`` ``int8`` codes at the given transmit density."""
+    shape = (topology.order, batch)
+    transmitting = rng.random(shape) < density
     return np.where(
-        transmitting, rng.integers(0, alphabet, (batch, topology.order)), -1
-    )
+        transmitting, rng.integers(0, alphabet, shape), -1
+    ).astype(np.int8)
 
 
 @pytest.mark.parametrize("topology", _graph_zoo(), ids=lambda t: t.name)
@@ -133,30 +136,33 @@ class TestTreeChildrenPattern:
         )
         senders = watch_senders(topology, parent)
         np.testing.assert_array_equal(senders, parent)
-        codes = np.arange(topology.order, dtype=np.int64)[np.newaxis, :]
+        codes = np.arange(topology.order, dtype=np.int8)[:, np.newaxis]
         heard = deliver_mp_batch(topology, codes, senders)
-        np.testing.assert_array_equal(heard[0], parent)
+        np.testing.assert_array_equal(heard[:, 0], parent)
 
 
 class TestValidation:
     def test_rejects_wrong_shape(self):
         senders = np.full(4, -1)
         with pytest.raises(ValueError, match="shape"):
-            deliver_mp_batch(line(3), np.zeros((2, 7), dtype=np.int64),
+            deliver_mp_batch(line(3), np.zeros((7, 2), dtype=np.int8),
                              senders)
         with pytest.raises(ValueError, match="shape"):
             deliver_mp_batch(
-                line(3), np.zeros((2, 4), dtype=np.int64),
+                line(3), np.zeros((4, 2), dtype=np.int8),
                 senders=np.full(99, -1),
             )
+        with pytest.raises(ValueError, match="int8"):
+            deliver_mp_batch(line(3), np.zeros((4, 2), dtype=np.int64),
+                             senders)
 
     def test_empty_batch_and_edgeless_graph(self):
         assert deliver_mp_batch(
-            line(3), np.zeros((0, 4), dtype=np.int64), np.full(4, -1)
-        ).shape == (0, 4)
+            line(3), np.zeros((4, 0), dtype=np.int8), np.full(4, -1)
+        ).shape == (4, 0)
         edgeless = Topology(3, [], name="edgeless")
         senders = watch_senders(edgeless, [-1, 0, 1])
-        out = deliver_mp_batch(edgeless, np.zeros((2, 3), dtype=np.int64),
+        out = deliver_mp_batch(edgeless, np.zeros((3, 2), dtype=np.int8),
                                senders)
-        assert out.shape == (2, 3)
+        assert out.shape == (3, 2)
         assert (out == -1).all()
