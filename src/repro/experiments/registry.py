@@ -7,26 +7,37 @@ hold in this run".  Runner modules register themselves at import time
 via :func:`register`; :func:`run_experiment` / :func:`run_all` drive
 them (used by the CLI, the benchmarks and EXPERIMENTS.md).
 
+Every Monte-Carlo cell an experiment runs is a wire scenario spec
+``(family, p, n, params)``: runners build their trial runners only
+through :meth:`ExperimentConfig.runner`, which resolves the cell
+through the scenario-family catalog (:func:`resolve_scenario`, the
+same entry point the :mod:`repro.serve` service uses).  So an
+experiment cell and a service query with the same spec compute the
+same indicators, and the family's ``experiments`` tag names exactly
+the experiments that resolve it.
+
 Each registration also carries the experiment's representative
-Monte-Carlo :class:`ScenarioSpec` list.  A spec builds the *actual*
-:class:`~repro.montecarlo.TrialRunner` the runner uses, so the
+:class:`ScenarioSpec` list — plain data, one cell each.  The
 ``python -m repro.experiments describe`` table (and the committed
-``EXPERIMENTS.md`` it generates) reads the dispatched backend straight
-from the live dispatch logic — the documentation cannot drift from the
-registry (pinned by ``tests/test_docs_sync.py``).
+``EXPERIMENTS.md`` it generates) resolves those cells the same way and
+reads the dispatched backend straight from the live dispatch logic —
+the documentation cannot drift from the registry (pinned by
+``tests/test_docs_sync.py``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.experiments.tables import Table
+from repro.montecarlo import TrialRunner
 
 __all__ = [
     "ExperimentConfig",
     "ExperimentReport",
     "Experiment",
+    "Cell",
     "ScenarioSpec",
     "ScenarioFamily",
     "register",
@@ -135,6 +146,24 @@ class ExperimentConfig:
         :attr:`max_trials_scale` (at least 1)."""
         return max(1, round(self.scaled_trials(base) * self.max_trials_scale))
 
+    def runner(self, family: str, p: float, n: int,
+               params: Optional[Dict[str, Any]] = None, *,
+               use_fastsim: bool = True, use_batchsim: bool = True):
+        """The :class:`~repro.montecarlo.TrialRunner` of one experiment
+        cell — the only way an experiment builds a Monte-Carlo run.
+
+        The cell ``(family, p, n, params)`` resolves through the wire
+        catalog (:func:`resolve_scenario`), so it computes exactly what
+        a service query with the same spec computes; :attr:`workers`
+        and :attr:`executor` pick the shard substrate.
+        ``use_fastsim=False, use_batchsim=False`` pins the scalar
+        engine for validation columns.
+        """
+        return TrialRunner(*resolve_scenario(family, p, n, params),
+                           workers=self.workers, executor=self.executor,
+                           use_fastsim=use_fastsim,
+                           use_batchsim=use_batchsim)
+
 
 @dataclass
 class ExperimentReport:
@@ -175,21 +204,30 @@ class ExperimentReport:
         return "\n".join(lines)
 
 
+#: One Monte-Carlo cell as a wire scenario spec: ``(family, p, n,
+#: params)``, resolved by :func:`resolve_scenario`.
+Cell = Tuple[str, float, int, Dict[str, Any]]
+
+
 @dataclass(frozen=True)
 class ScenarioSpec:
     """One representative Monte-Carlo scenario of an experiment.
+
+    Plain data: the scenario is a catalog :data:`Cell`, never a
+    callable, so the describe table shows exactly what a wire query
+    (and the runner, which resolves its cells the same way) computes.
 
     Attributes
     ----------
     label:
         Short scenario name shown in the describe table (e.g.
         ``"windowed malicious"``).
-    build:
-        Zero-argument callable returning the experiment's
-        :class:`~repro.montecarlo.TrialRunner` for this scenario (with
-        quick-mode parameters).  The describe machinery reads
-        ``dispatch_backend()`` and ``failure_model.describe()`` off it,
-        so the documented backend is always the dispatched one.
+    cell:
+        The scenario's quick-mode ``(family, p, n, params)`` spec.  The
+        describe machinery resolves it through
+        :meth:`ExperimentConfig.runner` and reads
+        ``dispatch_backend()`` and ``failure_model.describe()`` off the
+        runner, so the documented backend is always the dispatched one.
         ``None`` marks a non-Monte-Carlo (purely combinatorial)
         scenario: the topology/trials strings are still rendered, the
         backend and failure columns show ``—``.
@@ -207,7 +245,7 @@ class ScenarioSpec:
     """
 
     label: str
-    build: Optional[Callable[[], object]]
+    cell: Optional[Cell]
     topology: str
     trials: str
     sequential: str = ""
@@ -218,15 +256,15 @@ class ScenarioSpec:
 class ScenarioFamily:
     """A parameterised scenario the serving layer can build on demand.
 
-    Where a :class:`ScenarioSpec` pins one representative scenario for
-    the describe table, a family is the *wire-format* entry point: a
-    client of :mod:`repro.serve` names a family and supplies ``(p, n)``
-    (plus optional family-specific ``params``), and :attr:`build`
-    returns the ``(algorithm_factory, failure_model)`` pair the service
-    turns into a :class:`~repro.montecarlo.TrialRunner`.  Results are
-    memoised on the canonical wire spec ``(name, p, n, params)``
-    (:func:`repro.montecarlo.scenario_fingerprint`), never on the
-    built objects, so a builder must be a pure function of its
+    A family is the one construction path of a scenario: a client of
+    :mod:`repro.serve` names a family and supplies ``(p, n)`` (plus
+    optional family-specific ``params``), an experiment runner does
+    the same through :meth:`ExperimentConfig.runner`, and
+    :attr:`build` returns the ``(algorithm_factory, failure_model)``
+    pair both turn into a :class:`~repro.montecarlo.TrialRunner`.
+    Results are memoised on the canonical wire spec ``(name, p, n,
+    params)`` (:func:`repro.montecarlo.scenario_fingerprint`), never
+    on the built objects, so a builder must be a pure function of its
     arguments.  The factory needs to be **picklable** (a module-level
     callable or :func:`functools.partial` over one) only for process
     or remote sharding.
@@ -247,11 +285,12 @@ class ScenarioFamily:
         ``"grid side"``) — rendered in the catalog so clients know what
         they are scaling.
     experiments:
-        The experiment ids this family makes servable over the wire
-        (e.g. ``("E05",)``).  The describe table renders these as the
-        **Servable as** column, and the catalog-completeness test pins
-        that every registered experiment is covered by at least one
-        family.
+        The experiment ids whose cells resolve through this family
+        (e.g. ``("E05",)``), i.e. the experiments it makes servable
+        over the wire.  The describe table renders these as the
+        **Servable** column; ``tests/test_serve_catalog.py`` pins that
+        the tags equal the families each experiment resolves and that
+        every registered experiment is covered.
     kind:
         ``FAMILY_MONTECARLO`` (the default) for families whose build
         returns ``(algorithm_factory, failure_model)`` and run through
@@ -333,7 +372,8 @@ def resolve_scenario(name: str, p: float, n: int,
                      ) -> Tuple[Callable[[], object], object]:
     """Resolve a wire scenario spec to ``(factory, failure_model)``.
 
-    The single entry point the service and its wire protocol use:
+    The single entry point the service, its wire protocol and every
+    experiment cell (:meth:`ExperimentConfig.runner`) use:
     ``KeyError`` for an unknown family, ``ValueError``/``TypeError``
     from the family's own validation for bad parameters.
     """

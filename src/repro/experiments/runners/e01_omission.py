@@ -13,16 +13,11 @@ two models execute identically).
 
 from __future__ import annotations
 
-from functools import partial
-
 from repro.core.parameters import omission_phase_length
-from repro.core.simple_omission import SimpleOmission
 from repro.engine.protocol import MESSAGE_PASSING, RADIO
-from repro.failures.base import OmissionFailures
 from repro.fastsim.closed_forms import simple_omission_success_probability
 from repro.graphs.bfs import bfs_tree
 from repro.graphs.builders import binary_tree
-from repro.montecarlo import TrialRunner
 from repro.experiments.registry import (
     ExperimentConfig,
     ExperimentReport,
@@ -41,26 +36,24 @@ from repro.rng import RngStream
 ENGINE_CELL_WIDTH = 0.25
 
 
-def _engine_success_rate(topology, source, p, m, model, config, stream):
+#: The catalog family of each model's Simple-Omission cells.
+_FAMILIES = {MESSAGE_PASSING: "simple-omission",
+             RADIO: "simple-omission-radio"}
+
+
+def _engine_success_rate(depth, p, model, config, stream):
     """Adaptive Monte-Carlo success rate of the reference engine.
 
     ``use_fastsim=False`` / ``use_batchsim=False``: this column exists
     to validate the closed form against the *scalar engine*, so
     dispatching to either vectorised tier would defeat its purpose.
-    The factory is a picklable partial so the batch can shard across
-    processes.  Returns ``(estimate, trials actually run)`` — the cell
-    runs sequentially (``run_until``) against
-    :data:`ENGINE_CELL_WIDTH`, with the historical fixed budget as the
-    ``max_trials`` cap.
+    The cell's default phase length is the sweep's exact ``m``.
+    Returns ``(estimate, trials actually run)`` — the cell runs
+    sequentially (``run_until``) against :data:`ENGINE_CELL_WIDTH`,
+    with the historical fixed budget as the ``max_trials`` cap.
     """
-    runner = TrialRunner(
-        partial(SimpleOmission, topology, source, 1, model, m),
-        OmissionFailures(p),
-        use_fastsim=False,
-        use_batchsim=False,
-        workers=config.workers,
-        executor=config.executor,
-    )
+    runner = config.runner(_FAMILIES[model], p, depth,
+                           use_fastsim=False, use_batchsim=False)
     outcome = runner.run_until(
         config.adaptive_width(ENGINE_CELL_WIDTH),
         config.adaptive_cap(60 if config.quick else 200),
@@ -93,7 +86,7 @@ def _run(config: ExperimentConfig, model: str, experiment_id: str) -> Experiment
             engine_trials = ""
             if p == probabilities[0]:
                 engine_mc, engine_trials = _engine_success_rate(
-                    topology, 0, p, m, model, config,
+                    depth, p, model, config,
                     stream.child("engine", depth, p),
                 )
             table.add_row(
@@ -123,23 +116,13 @@ def _run(config: ExperimentConfig, model: str, experiment_id: str) -> Experiment
     )
 
 
-def _describe_runner(model: str) -> TrialRunner:
-    """The representative scenario of the smallest sweep cell."""
-    topology = binary_tree(3)
-    m = omission_phase_length(topology.order, 0.1)
-    return TrialRunner(
-        partial(SimpleOmission, topology, 0, 1, model, m),
-        OmissionFailures(0.1),
-    )
-
-
 @register(
     "E01",
     "Simple-Omission feasibility (message passing)",
     "Theorem 2.1 — feasible for any p < 1 (message passing)",
     scenarios=[ScenarioSpec(
         label="simple-omission mp",
-        build=lambda: _describe_runner(MESSAGE_PASSING),
+        cell=("simple-omission", 0.1, 3, {}),
         topology="binary trees d=3..7",
         trials="≤ 60 / 200 per engine cell",
         sequential="width ≤ 0.25 (bernstein)",
@@ -157,7 +140,7 @@ def run_e01(config: ExperimentConfig) -> ExperimentReport:
     "Theorem 2.1 — feasible for any p < 1 (radio)",
     scenarios=[ScenarioSpec(
         label="simple-omission radio",
-        build=lambda: _describe_runner(RADIO),
+        cell=("simple-omission-radio", 0.1, 3, {}),
         topology="binary trees d=3..7",
         trials="≤ 60 / 200 per engine cell",
         sequential="width ≤ 0.25 (bernstein)",

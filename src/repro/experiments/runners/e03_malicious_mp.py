@@ -16,18 +16,11 @@ collapses far below the almost-safe bar.
 
 from __future__ import annotations
 
-from functools import partial
-
 from repro.analysis.chernoff import majority_error_probability
 from repro.core.parameters import mp_malicious_phase_length
-from repro.core.simple_malicious import SimpleMalicious
-from repro.engine.protocol import MESSAGE_PASSING
-from repro.failures.adversaries import ComplementAdversary
-from repro.failures.malicious import MaliciousFailures
 from repro.fastsim.closed_forms import internal_node_count
 from repro.graphs.bfs import bfs_tree
 from repro.graphs.builders import binary_tree
-from repro.montecarlo import TrialRunner
 from repro.experiments.registry import (
     ExperimentConfig,
     ExperimentReport,
@@ -38,35 +31,13 @@ from repro.experiments.tables import Table
 from repro.rng import RngStream
 
 
-def _runner(topology, m: int, p: float, use_fastsim: bool = True,
-            workers: int = 1, executor=None) -> TrialRunner:
-    """Trial runner for Simple-Malicious + complement adversary (MP).
-
-    With dispatch enabled this lands on the ``simple-malicious-mp``
-    fastsim sampler; with it disabled it batches *scalar*
-    reference-engine executions (the spot-check column, shardable
-    across processes) — the batchsim tier is switched off alongside so
-    the column keeps validating the engine itself.
-    """
-    return TrialRunner(
-        partial(SimpleMalicious, topology, 0, 1, MESSAGE_PASSING, m),
-        MaliciousFailures(p, ComplementAdversary()),
-        use_fastsim=use_fastsim,
-        use_batchsim=use_fastsim,
-        workers=workers,
-        executor=executor,
-    )
-
-
 @register(
     "E03",
     "Simple-Malicious threshold (message passing)",
     "Theorem 2.2 — almost-safe iff p < 1/2 (message passing)",
     scenarios=[ScenarioSpec(
         label="simple-malicious mp + complement",
-        build=lambda: _runner(
-            binary_tree(4), mp_malicious_phase_length(31, 0.3), 0.3
-        ),
+        cell=("simple-malicious-mp", 0.3, 4, {}),
         topology="binary tree d=4/5",
         trials="2000 / 6000",
         note="plus a pinned scalar-engine spot-check column (40 / 120 "
@@ -93,7 +64,9 @@ def run_e03(config: ExperimentConfig) -> ExperimentReport:
         m = mp_malicious_phase_length(n, p)
         last_feasible_m = m
         exact = (1.0 - majority_error_probability(m, p)) ** internals
-        mc = _runner(topology, m, p).run(trials, stream.child("mc", p)).estimate
+        mc = config.runner(
+            "simple-malicious-mp", p, depth, {"phase_length": m}
+        ).run(trials, stream.child("mc", p)).estimate
         almost_safe = exact >= target
         passed = passed and almost_safe and mc >= 1.0 - 2.5 / n
         table.add_row(
@@ -103,9 +76,9 @@ def run_e03(config: ExperimentConfig) -> ExperimentReport:
     for p in ([0.55] if config.quick else [0.5, 0.55, 0.65]):
         m = last_feasible_m
         exact = (1.0 - majority_error_probability(m, p)) ** internals
-        mc = _runner(topology, m, p).run(
-            trials, stream.child("mc-bad", p)
-        ).estimate
+        mc = config.runner(
+            "simple-malicious-mp", p, depth, {"phase_length": m}
+        ).run(trials, stream.child("mc-bad", p)).estimate
         collapses = exact < 0.5 and mc < 0.5
         passed = passed and collapses
         table.add_row(
@@ -113,15 +86,14 @@ def run_e03(config: ExperimentConfig) -> ExperimentReport:
             target=target, almost_safe=exact >= target,
         )
     # Reference-engine spot check against the exact chain value
-    # (dispatch disabled so the engine itself is exercised).
+    # (both vectorised tiers disabled so the engine itself is exercised).
     engine_p = feasible_ps[1]
     engine_m = mp_malicious_phase_length(n, engine_p)
     engine_trials = config.scaled_trials(40 if config.quick else 120)
-    engine_rate = _runner(topology, engine_m, engine_p, use_fastsim=False,
-                          workers=config.workers,
-                          executor=config.executor).run(
-        engine_trials, stream.child("engine")
-    ).estimate
+    engine_rate = config.runner(
+        "simple-malicious-mp", engine_p, depth, {"phase_length": engine_m},
+        use_fastsim=False, use_batchsim=False,
+    ).run(engine_trials, stream.child("engine")).estimate
     notes = [
         f"n = {n} (complete binary tree of depth {depth}); adversary = "
         f"complement (flip every faulty transmission)",

@@ -9,25 +9,17 @@ first.  The receiver's posterior then never moves off 1/2, so over a
 uniform source bit any decision rule errs half the time.
 
 The experiment runs Simple-Malicious on the 2-node graph under this
-adversary — one :class:`~repro.montecarlo.TrialRunner` engine batch per
-source bit (the adversary rebuilds its twin per execution, so a single
-instance serves the whole batch) — and checks the success rate is
+adversary — one ``equalizing-mp`` catalog cell (a scalar-engine batch)
+per source bit, with ``effective_rate=0.5`` slowing the rows above 1/2
+(the adversary rebuilds its twin per execution, so a single instance
+serves the whole batch) — and checks the success rate is
 statistically indistinguishable from 1/2 — catastrophically below the
 ``1 - 1/n`` bar — for ``p ∈ {0.5, 0.6, 0.75}``.
 """
 
 from __future__ import annotations
 
-from functools import partial
-
 from repro.analysis.estimation import clopper_pearson
-from repro.core.simple_malicious import SimpleMalicious
-from repro.engine.protocol import MESSAGE_PASSING
-from repro.failures.adversaries import SlowingAdversary
-from repro.montecarlo import TrialRunner
-from repro.failures.equalizing import EqualizingMpAdversary
-from repro.failures.malicious import MaliciousFailures
-from repro.graphs.builders import two_node
 from repro.experiments.registry import (
     ExperimentConfig,
     ExperimentReport,
@@ -38,20 +30,13 @@ from repro.experiments.tables import Table
 from repro.rng import RngStream
 
 
-def _describe_runner() -> TrialRunner:
-    return TrialRunner(
-        partial(SimpleMalicious, two_node(), 0, 1, MESSAGE_PASSING, 15),
-        MaliciousFailures(0.5, EqualizingMpAdversary(source=0)),
-    )
-
-
 @register(
     "E04",
     "Equalizing adversary pins error at 1/2 (message passing)",
     "Theorem 2.3 — not feasible for p >= 1/2 (message passing)",
     scenarios=[ScenarioSpec(
         label="equalizing mp adversary",
-        build=_describe_runner,
+        cell=("equalizing-mp", 0.5, 15, {}),
         topology="2-node graph",
         trials="200 / 800",
         note="adaptive (history-dependent) adversary — the scalar "
@@ -62,7 +47,6 @@ def run_e04(config: ExperimentConfig) -> ExperimentReport:
     stream = RngStream(config.seed).child("E04")
     trials = config.scaled_trials(200 if config.quick else 800)
     phase_length = 15
-    topology = two_node()
     probabilities = [0.5, 0.6] if config.quick else [0.5, 0.6, 0.75]
     table = Table([
         "p", "effective_rate", "trials", "success_rate", "ci_low", "ci_high",
@@ -73,19 +57,12 @@ def run_e04(config: ExperimentConfig) -> ExperimentReport:
         successes = 0
         # Uniform source bit, as in the proof: half the budget per bit.
         for message in (0, 1):
-            adversary = EqualizingMpAdversary(source=0)
+            params = {"message": message}
             if p > 0.5:
-                adversary = SlowingAdversary(adversary, p, 0.5)
-            runner = TrialRunner(
-                partial(SimpleMalicious, topology, 0, message,
-                        MESSAGE_PASSING, phase_length),
-                MaliciousFailures(p, adversary),
-                workers=config.workers,
-                executor=config.executor,
-            )
-            outcome = runner.run(
-                trials // 2, stream.child("mc", p, message)
-            )
+                params["effective_rate"] = 0.5
+            outcome = config.runner(
+                "equalizing-mp", p, phase_length, params
+            ).run(trials // 2, stream.child("mc", p, message))
             successes += outcome.successes
         rate = successes / trials
         low, high = clopper_pearson(successes, trials, confidence=0.999)

@@ -18,20 +18,8 @@ exactly; both sit on the same side of the threshold).
 
 from __future__ import annotations
 
-from functools import partial
-
 from repro.analysis.thresholds import radio_malicious_threshold
-from repro.core.parameters import (
-    radio_malicious_phase_length,
-    signed_majority_error,
-)
-from repro.core.simple_malicious import SimpleMalicious
-from repro.engine.protocol import RADIO
-from repro.failures.adversaries import RadioWorstCaseAdversary
-from repro.failures.malicious import MaliciousFailures
-from repro.graphs.builders import star
-from repro.graphs.bfs import bfs_tree
-from repro.montecarlo import TrialRunner
+from repro.core.parameters import signed_majority_error
 from repro.experiments.registry import (
     ExperimentConfig,
     ExperimentReport,
@@ -59,31 +47,8 @@ def _exact_chain_success(tree, m: int, p: float) -> float:
             continue
         degree = tree.topology.degree(node)
         good = (1.0 - p) ** (degree + 1)
-        if good <= p:
-            # Infeasible at this node: the error tends to 1 with m; the
-            # signed-majority DP still evaluates it exactly.
-            pass
         success *= 1.0 - signed_majority_error(m, good, p)
     return success
-
-
-def _runner(topology, m: int, p: float, workers: int,
-            executor=None) -> TrialRunner:
-    """Monte-Carlo runner; dispatches to the radio tree sampler."""
-    return TrialRunner(
-        partial(SimpleMalicious, topology, 0, 1, RADIO, m),
-        MaliciousFailures(p, RadioWorstCaseAdversary()),
-        workers=workers,
-        executor=executor,
-    )
-
-
-def _describe_runner() -> TrialRunner:
-    delta = 2
-    topology = star(delta, source_is_center=False)
-    p = 0.75 * radio_malicious_threshold(delta)
-    m = radio_malicious_phase_length(topology.order, p, delta)
-    return _runner(topology, m, p, workers=1)
 
 
 @register(
@@ -92,7 +57,8 @@ def _describe_runner() -> TrialRunner:
     "Theorem 2.4 — feasible iff p < (1-p)^(delta+1) (radio)",
     scenarios=[ScenarioSpec(
         label="simple-malicious radio worst case",
-        build=_describe_runner,
+        cell=("malicious-radio-star", 0.75 * radio_malicious_threshold(2), 2,
+              {}),
         topology="leaf-sourced stars, delta=2..16",
         trials="≤ 4000 / 20000",
         sequential="width ≤ 0.06 / 0.025 (bernstein)",
@@ -112,17 +78,16 @@ def run_e05(config: ExperimentConfig) -> ExperimentReport:
     passed = True
     backends = set()
     for delta in degrees:
-        topology = star(delta, source_is_center=False)
-        tree = bfs_tree(topology, 0)
-        n = topology.order
-        target = 1.0 - 1.0 / n
         p_star = radio_malicious_threshold(delta)
-        # Feasible side.
+        # Feasible side, at the family's safe phase length m_low.
         p_low = 0.75 * p_star
-        m_low = radio_malicious_phase_length(n, p_low, delta)
+        low_runner = config.runner("malicious-radio-star", p_low, delta)
+        algorithm = low_runner.algorithm_factory()
+        tree, m_low = algorithm.tree, algorithm.phase_length
+        n = tree.topology.order
+        target = 1.0 - 1.0 / n
         exact_low = _exact_chain_success(tree, m_low, p_low)
-        low = _runner(topology, m_low, p_low, config.workers,
-                      executor=config.executor).run_until(
+        low = low_runner.run_until(
             width, cap, stream.child("low", delta), bound="bernstein"
         )
         backends.add(low.backend)
@@ -136,10 +101,9 @@ def run_e05(config: ExperimentConfig) -> ExperimentReport:
         # Infeasible side: same repetition budget, p beyond the threshold.
         p_high = min(0.99, 1.25 * p_star)
         exact_high = _exact_chain_success(tree, m_low, p_high)
-        high = _runner(topology, m_low, p_high, config.workers,
-                       executor=config.executor).run_until(
-            width, cap, stream.child("high", delta), bound="bernstein"
-        )
+        high = config.runner(
+            "malicious-radio-star", p_high, delta, {"phase_length": m_low}
+        ).run_until(width, cap, stream.child("high", delta), bound="bernstein")
         backends.add(high.backend)
         collapse_ok = exact_high < 0.5
         table.add_row(

@@ -12,27 +12,19 @@ message-independent probability, so its posterior is pinned at 1/2.
 The experiment runs the adversary at ``p = p*(Δ)`` (where ``p = q``
 natively) and at ``p > p*`` (with the slowing reduction), alternating
 the source bit across the trial budget, and checks overall broadcast
-success collapses to roughly 1/2 or below.  Trials go through the
-:class:`~repro.montecarlo.TrialRunner`, which dispatches to the
-``equalizing-star`` fastsim sampler (agreement with the reference
-engine is pinned in ``tests/test_fastsim_agreement.py``), so the trial
-budget is orders of magnitude larger than a per-trial engine loop
-could afford.
+success collapses to roughly 1/2 or below.  Each cell is an
+``equalizing-star`` catalog spec (``effective_rate=q`` slows the
+``p > p*`` rows), and its :class:`~repro.montecarlo.TrialRunner`
+dispatches to the ``equalizing-star`` fastsim sampler (agreement with
+the reference engine is pinned in ``tests/test_fastsim_agreement.py``),
+so the trial budget is orders of magnitude larger than a per-trial
+engine loop could afford.
 """
 
 from __future__ import annotations
 
-from functools import partial
-
 from repro.analysis.estimation import clopper_pearson
 from repro.analysis.thresholds import radio_malicious_threshold
-from repro.core.simple_malicious import SimpleMalicious
-from repro.engine.protocol import RADIO
-from repro.failures.adversaries import SlowingAdversary
-from repro.failures.equalizing import EqualizingStarAdversary
-from repro.failures.malicious import MaliciousFailures
-from repro.graphs.builders import star
-from repro.montecarlo import TrialRunner
 from repro.experiments.registry import (
     ExperimentConfig,
     ExperimentReport,
@@ -43,25 +35,13 @@ from repro.experiments.tables import Table
 from repro.rng import RngStream
 
 
-def _describe_runner() -> TrialRunner:
-    delta = 2
-    return TrialRunner(
-        partial(SimpleMalicious, star(delta, source_is_center=False), 0, 1,
-                RADIO, 15),
-        MaliciousFailures(
-            radio_malicious_threshold(delta),
-            EqualizingStarAdversary(source=0, center=1),
-        ),
-    )
-
-
 @register(
     "E06",
     "Star equalizing adversary (radio impossibility)",
     "Theorem 2.4 — not feasible for p >= (1-p)^(delta+1) (radio)",
     scenarios=[ScenarioSpec(
         label="equalizing star attack",
-        build=_describe_runner,
+        cell=("equalizing-star", radio_malicious_threshold(2), 2, {}),
         topology="leaf-sourced stars, delta=2/4",
         trials="4000 / 20000",
         note="the adaptive attack has an exact fastsim law "
@@ -71,7 +51,6 @@ def _describe_runner() -> TrialRunner:
 def run_e06(config: ExperimentConfig) -> ExperimentReport:
     stream = RngStream(config.seed).child("E06")
     trials = config.scaled_trials(4000 if config.quick else 20000)
-    phase_length = 15
     cases = [(2, 0.0), (4, 0.0)] if config.quick else [(2, 0.0), (4, 0.0), (2, 0.15), (4, 0.1)]
     table = Table([
         "delta", "n", "p", "effective_q", "trials", "success_rate",
@@ -80,26 +59,17 @@ def run_e06(config: ExperimentConfig) -> ExperimentReport:
     passed = True
     backends = set()
     for delta, extra in cases:
-        topology = star(delta, source_is_center=False)
-        n = topology.order
-        source, center = 0, 1
+        n = delta + 1  # the leaf-sourced star: source 0, root 1
         q = radio_malicious_threshold(delta)
         p = min(0.99, q + extra)
         successes = 0
         # Both source bits face the attack: the tie-breaking default 0
         # favours message 0, so only the average is pinned near 1/2.
         for message in (0, 1):
-            adversary = EqualizingStarAdversary(source=source, center=center)
+            params = {"message": message}  # the family's m = 15
             if p > q:
-                adversary = SlowingAdversary(adversary, p, q)
-            runner = TrialRunner(
-                partial(SimpleMalicious, topology, source, message, RADIO,
-                        phase_length),
-                MaliciousFailures(p, adversary),
-                workers=config.workers,
-                executor=config.executor,
-            )
-            outcome = runner.run(
+                params["effective_rate"] = q
+            outcome = config.runner("equalizing-star", p, delta, params).run(
                 trials // 2, stream.child("mc", delta, p, message)
             )
             backends.add(outcome.backend)

@@ -14,17 +14,11 @@ evaluate the closed form ``p^R`` for a sub-logarithmic budget ``R``.
 from __future__ import annotations
 
 import math
-from functools import partial
 
 import numpy as np
 
 from repro.analysis.fitting import fit_d_plus_log_n
-from repro.core.flooding import FastFlooding, flooding_rounds
-from repro.failures.base import OmissionFailures
 from repro.fastsim.tree_chain import sample_flooding_times
-from repro.graphs.bfs import bfs_tree
-from repro.graphs.builders import binary_tree, grid, line
-from repro.montecarlo import TrialRunner
 from repro.experiments.registry import (
     ExperimentConfig,
     ExperimentReport,
@@ -35,15 +29,6 @@ from repro.experiments.tables import Table
 from repro.rng import RngStream
 
 
-def _describe_runner() -> TrialRunner:
-    topology = line(8)
-    rounds = flooding_rounds(topology.order, 7, 0.3)
-    return TrialRunner(
-        partial(FastFlooding, topology, 0, 1, None, rounds),
-        OmissionFailures(0.3),
-    )
-
-
 @register(
     "E07",
     "Flooding time Theta(D + log n)",
@@ -51,7 +36,7 @@ def _describe_runner() -> TrialRunner:
     "failures (message passing)",
     scenarios=[ScenarioSpec(
         label="fast flooding + omission",
-        build=_describe_runner,
+        cell=("flooding", 0.3, 8, {}),
         topology="lines, grids, binary trees (n up to 128)",
         trials="1500 / 4000",
     )],
@@ -60,31 +45,31 @@ def run_e07(config: ExperimentConfig) -> ExperimentReport:
     stream = RngStream(config.seed).child("E07")
     p = 0.3
     trials = config.scaled_trials(1500 if config.quick else 4000)
-    graphs = [line(8), line(32), grid(4, 8), binary_tree(5)]
+    binary_tree = {"graph": "binary-tree"}
+    cells = [("flooding", 8, {}), ("flooding", 32, {}),
+             ("grid-flooding", 4, {"cols": 8}), ("flooding", 5, binary_tree)]
     if not config.quick:
-        graphs += [line(128), grid(8, 16), binary_tree(8), grid(3, 40)]
+        cells += [("flooding", 128, {}), ("grid-flooding", 8, {"cols": 16}),
+                  ("flooding", 8, binary_tree),
+                  ("grid-flooding", 3, {"cols": 40})]
     table = Table([
         "graph", "n", "D", "safe_rounds", "completion_q", "success_at_safe",
         "almost_safe",
     ])
     radii, orders, safe_round_values = [], [], []
     passed = True
-    for topology in graphs:
-        tree = bfs_tree(topology, 0)
+    for family, size, params in cells:
+        # Success at the safe budget (the family's default rounds) via
+        # the dispatched TrialRunner (lands on the `flooding` fastsim
+        # sampler); the completion quantile needs the raw times, drawn
+        # from a fresh stream with the same derivation so both
+        # statistics describe the identical sampled executions.
+        runner = config.runner(family, p, size, params)
+        algorithm = runner.algorithm_factory()
+        topology, tree = algorithm.topology, algorithm.tree
         n = topology.order
         radius = tree.height
-        safe_rounds = flooding_rounds(n, radius, p)
-        # Success at the safe budget via the dispatched TrialRunner
-        # (lands on the `flooding` fastsim sampler); the completion
-        # quantile needs the raw times, drawn from a fresh stream with
-        # the same derivation so both statistics describe the identical
-        # sampled executions.
-        runner = TrialRunner(
-            partial(FastFlooding, topology, 0, 1, None, safe_rounds),
-            OmissionFailures(p),
-            workers=config.workers,
-            executor=config.executor,
-        )
+        safe_rounds = algorithm.rounds
         success = runner.run(
             trials, stream.child("times", topology.name)
         ).estimate

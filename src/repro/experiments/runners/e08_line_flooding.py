@@ -18,16 +18,11 @@ omission to the vectorised ``flooding`` fastsim sampler.
 from __future__ import annotations
 
 import math
-from functools import partial
 
 import numpy as np
 
 from repro.analysis.estimation import hoeffding_margin
-from repro.core.flooding import FastFlooding
-from repro.failures.base import OmissionFailures
 from repro.fastsim.closed_forms import line_flooding_success_probability
-from repro.graphs.builders import line
-from repro.montecarlo import TrialRunner
 from repro.experiments.registry import (
     ExperimentConfig,
     ExperimentReport,
@@ -42,13 +37,6 @@ from repro.rng import RngStream
 _MC_LENGTHS = (8, 16, 32)
 
 
-def _describe_runner() -> TrialRunner:
-    return TrialRunner(
-        partial(FastFlooding, line(8), 0, 1, None, 15),
-        OmissionFailures(0.3),
-    )
-
-
 @register(
     "E08",
     "Line flooding exponential tail (Lemma 3.1)",
@@ -56,7 +44,7 @@ def _describe_runner() -> TrialRunner:
     "probability 1 - e^{-cL}",
     scenarios=[ScenarioSpec(
         label="line flooding + omission",
-        build=_describe_runner,
+        cell=("flooding", 0.3, 8, {"rounds": 15}),
         topology="lines L=8..512",
         trials="4000 / 20000 on the MC cross-check lengths",
     )],
@@ -84,15 +72,9 @@ def run_e08(config: ExperimentConfig) -> ExperimentReport:
             mc_success = ""
             mc_agrees = ""
             if length in _MC_LENGTHS:
-                runner = TrialRunner(
-                    partial(FastFlooding, line(length), 0, 1, None, rounds),
-                    OmissionFailures(p),
-                    workers=config.workers,
-                    executor=config.executor,
-                )
-                outcome = runner.run(
-                    trials, stream.child("mc", constant, length)
-                )
+                outcome = config.runner(
+                    "flooding", p, length, {"rounds": rounds}
+                ).run(trials, stream.child("mc", constant, length))
                 mc_success = outcome.estimate
                 mc_agrees = abs(outcome.estimate - success) <= mc_margin
                 passed = passed and mc_agrees

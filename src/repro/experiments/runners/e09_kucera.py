@@ -18,19 +18,7 @@ bit for bit, so the pre-migration goldens still pin the results.
 
 from __future__ import annotations
 
-from functools import partial
-
-from repro.core.kucera import (
-    KuceraBroadcast,
-    build_plan,
-    compile_plan,
-    describe_plan,
-    guarantee,
-)
-from repro.failures.adversaries import RandomFlipAdversary
-from repro.failures.malicious import MaliciousFailures, Restriction
-from repro.montecarlo import TrialRunner
-from repro.graphs.builders import binary_tree, line
+from repro.core.kucera import build_plan, describe_plan, guarantee
 from repro.experiments.registry import (
     ExperimentConfig,
     ExperimentReport,
@@ -41,13 +29,6 @@ from repro.experiments.tables import Table
 from repro.rng import RngStream
 
 
-def _describe_runner() -> TrialRunner:
-    return TrialRunner(
-        partial(KuceraBroadcast, line(6), 0, 1, p=0.25),
-        MaliciousFailures(0.25, RandomFlipAdversary(), Restriction.FLIP),
-    )
-
-
 @register(
     "E09",
     "Kucera composition algorithm (Theorem 3.2)",
@@ -55,7 +36,7 @@ def _describe_runner() -> TrialRunner:
     "failures, p < 1/2",
     scenarios=[ScenarioSpec(
         label="kucera plan + flip adversary",
-        build=_describe_runner,
+        cell=("kucera-flip", 0.25, 6, {}),
         topology="lines L=6/12, binary trees d=3/4",
         trials="12 / 40",
     )],
@@ -79,22 +60,18 @@ def run_e09(config: ExperimentConfig) -> ExperimentReport:
     # O(L) time: the per-unit cost must stay bounded as L grows 256x.
     linear_time_ok = max(per_length_costs) <= 3.0 * per_length_costs[0]
     # (b) end-to-end engine runs under the flip adversary.
-    graphs = [line(6), binary_tree(3)] if config.quick else [
-        line(6), line(12), binary_tree(3), binary_tree(4),
+    binary_tree = {"graph": "binary-tree"}
+    cells = [(6, {}), (3, binary_tree)] if config.quick else [
+        (6, {}), (12, {}), (3, binary_tree), (4, binary_tree),
     ]
     trials = config.scaled_trials(12 if config.quick else 40)
     runs = Table(["graph", "n", "D", "plan", "rounds", "q_bound", "mc_success"])
     passed = linear_time_ok
-    for topology in graphs:
-        algorithm = KuceraBroadcast(topology, 0, 1, p=p)
+    for size, params in cells:
+        runner = config.runner("kucera-flip", p, size, params)
+        algorithm = runner.algorithm_factory()
+        topology = algorithm.topology
         g = guarantee(algorithm.plan, p)
-        runner = TrialRunner(
-            partial(KuceraBroadcast, topology, 0, 1, p=p,
-                    plan=algorithm.plan),
-            MaliciousFailures(p, RandomFlipAdversary(), Restriction.FLIP),
-            workers=config.workers,
-            executor=config.executor,
-        )
         outcome = runner.run(trials, stream.child("mc", topology.name))
         runs.add_row(
             graph=topology.name, n=topology.order,

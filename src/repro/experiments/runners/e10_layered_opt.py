@@ -33,7 +33,7 @@ from repro.experiments.tables import Table
     "Lemma 3.3 — opt(G(m)) = m + 1 in the radio model",
     scenarios=[ScenarioSpec(
         label="exhaustive schedule search (no Monte-Carlo)",
-        build=None,
+        cell=None,
         topology="layered graphs G(m), m=2..5",
         trials="—",
     )],

@@ -20,7 +20,6 @@ Reproduced two ways:
 from __future__ import annotations
 
 import math
-from functools import partial
 
 from repro.analysis.hitcount import (
     analyze_layer2_schedule,
@@ -28,10 +27,7 @@ from repro.analysis.hitcount import (
     min_hits_required,
 )
 from repro.core.parameters import omission_phase_length
-from repro.failures.base import OmissionFailures
 from repro.graphs.layered import layered_graph
-from repro.montecarlo import TrialRunner
-from repro.radio.layered_broadcast import LayeredScheduleBroadcast
 from repro.experiments.registry import (
     ExperimentConfig,
     ExperimentReport,
@@ -42,38 +38,17 @@ from repro.experiments.tables import Table
 from repro.rng import RngStream
 
 
-def _schedule_success(graph, steps, source_steps, p, trials, stream,
-                      workers, executor=None) -> float:
-    """Monte-Carlo success of an explicit layered schedule.
+def _schedule_success(config, m, p, params, trials, stream):
+    """Monte-Carlo success of a ``layered-omission`` schedule cell and
+    its layer-2 steps (in bit positions).
 
-    Runs through the :class:`TrialRunner`, which dispatches to the
-    ``layered-omission`` fastsim sampler — same stream, same draws,
-    same estimate as calling the sampler directly.
+    The runner dispatches to the ``layered-omission`` fastsim sampler
+    — same stream, same draws, same estimate as calling the sampler
+    directly.
     """
-    runner = TrialRunner(
-        partial(LayeredScheduleBroadcast, graph, steps, source_steps),
-        OmissionFailures(p),
-        workers=workers,
-        executor=executor,
-    )
-    return runner.run(trials, stream).estimate
-
-
-def _uniform_schedule(m: int, budget: int):
-    """Spread a layer-2 step budget as evenly as possible over singletons."""
-    steps = []
-    for index in range(budget):
-        steps.append({(index % m) + 1})
-    return steps
-
-
-def _describe_runner() -> TrialRunner:
-    graph = layered_graph(5)
-    steps = _uniform_schedule(5, 8)
-    return TrialRunner(
-        partial(LayeredScheduleBroadcast, graph, steps, 1),
-        OmissionFailures(0.5),
-    )
+    runner = config.runner("layered-omission", p, m, params)
+    steps = runner.algorithm_factory().step_positions
+    return runner.run(trials, stream).estimate, steps
 
 
 @register(
@@ -83,7 +58,7 @@ def _describe_runner() -> TrialRunner:
     "O(opt + log n)",
     scenarios=[ScenarioSpec(
         label="layered schedule + omission",
-        build=_describe_runner,
+        cell=("layered-omission", 0.5, 5, {"budget": 8}),
         topology="layered graphs G(m), m=5..8",
         trials="2500 / 8000",
     )],
@@ -113,13 +88,12 @@ def run_e11(config: ExperimentConfig) -> ExperimentReport:
         )
         # Short budget: opt + ceil(log2 n) total steps, one for the source.
         short_budget = opt + math.ceil(math.log2(n)) - 1
-        short_steps = _uniform_schedule(m, short_budget)
-        short_analysis = analyze_layer2_schedule(graph, short_steps)
-        short_success = _schedule_success(
-            graph, short_steps, max(1, short_budget // m), p, trials,
-            stream.child("short", m), config.workers,
-            executor=config.executor,
+        short_success, short_steps = _schedule_success(
+            config, m, p, {"budget": short_budget,
+                           "source_steps": max(1, short_budget // m)},
+            trials, stream.child("short", m),
         )
+        short_analysis = analyze_layer2_schedule(graph, short_steps)
         short_fails = short_success < target
         table.add_row(
             m=m, n=n, opt=opt, budget=short_budget, budget_kind="opt+log n",
@@ -128,16 +102,11 @@ def run_e11(config: ExperimentConfig) -> ExperimentReport:
             almost_safe=short_success >= target,
         )
         # Long budget: the Theorem 3.4 answer, opt * ceil(c log n).
-        repeat = omission_phase_length(n, p)
-        long_steps = []
-        for position in range(1, m + 1):
-            long_steps.extend([{position}] * repeat)
-        long_analysis = analyze_layer2_schedule(graph, long_steps)
-        long_success = _schedule_success(
-            graph, long_steps, repeat, p, trials,
-            stream.child("long", m), config.workers,
-            executor=config.executor,
+        long_success, long_steps = _schedule_success(
+            config, m, p, {"repeat": omission_phase_length(n, p)},
+            trials, stream.child("long", m),
         )
+        long_analysis = analyze_layer2_schedule(graph, long_steps)
         long_ok = long_success >= target - 2.0 / math.sqrt(trials)
         table.add_row(
             m=m, n=n, opt=opt, budget=len(long_steps), budget_kind="opt*log n",

@@ -18,24 +18,9 @@ loop the runner started from.
 
 from __future__ import annotations
 
-from functools import partial
-
 from repro.analysis.estimation import hoeffding_margin
 from repro.analysis.thresholds import radio_malicious_threshold
-from repro.core.radio_repeat import ADOPT_ANY, ADOPT_MAJORITY, RadioRepeat
-from repro.failures.adversaries import ComplementAdversary
-from repro.failures.base import OmissionFailures
-from repro.failures.malicious import MaliciousFailures
-from repro.graphs.builders import line, random_tree, spider, star
-from repro.graphs.layered import layered_graph
-from repro.radio.closed_form import (
-    layered_schedule,
-    line_schedule,
-    spider_schedule,
-    star_schedule,
-)
-from repro.radio.greedy import greedy_schedule
-from repro.montecarlo import TrialRunner
+from repro.core.radio_repeat import ADOPT_ANY, ADOPT_MAJORITY
 from repro.experiments.registry import (
     ExperimentConfig,
     ExperimentReport,
@@ -55,30 +40,23 @@ MC_WIDTH_QUICK = 0.05
 MC_WIDTH_FULL = 0.02
 
 
-def _schedules(config: ExperimentConfig, stream: RngStream):
-    """The benchmark zoo: (name, schedule) pairs."""
+def _zoo(config: ExperimentConfig, stream: RngStream):
+    """The benchmark zoo: ``(n, params)`` shapes of the ``radio-repeat``
+    family — closed-form optimal schedules, greedy for the random
+    tree."""
     zoo = [
-        ("line-8", line_schedule(line(8))),
-        ("spider-3x3", spider_schedule(spider(3, 3), 3, 3)),
-        ("star-6", star_schedule(star(6), 0, 0)),
-        ("layered-3", layered_schedule(layered_graph(3))),
+        (8, {}),
+        (3, {"graph": "spider"}),
+        (6, {"graph": "star"}),
+        (3, {"graph": "layered"}),
     ]
     if not config.quick:
-        rt = random_tree(18, stream.child("rt"), max_degree=4)
         zoo += [
-            ("line-16", line_schedule(line(16))),
-            ("rtree-18", greedy_schedule(rt, 0)),
+            (16, {}),
+            (18, {"graph": "random-tree",
+                  "graph_seed": stream.child("rt").seed}),
         ]
     return zoo
-
-
-def _describe_runner(rule, p, failure_model) -> TrialRunner:
-    schedule = line_schedule(line(8))
-    algorithm = RadioRepeat(schedule, 1, rule=rule, p=p)
-    return TrialRunner(
-        partial(RadioRepeat, schedule, 1, rule, algorithm.phase_length),
-        failure_model,
-    )
 
 
 @register(
@@ -89,18 +67,14 @@ def _describe_runner(rule, p, failure_model) -> TrialRunner:
     scenarios=[
         ScenarioSpec(
             label="radio-repeat any + omission",
-            build=lambda: _describe_runner(ADOPT_ANY, 0.4,
-                                           OmissionFailures(0.4)),
+            cell=("radio-repeat", 0.4, 8, {"rule": ADOPT_ANY}),
             topology="line/spider/star/layered/random tree",
             trials="≤ 2000 / 20000",
             sequential="width ≤ 0.05 / 0.02 (bernstein)",
         ),
         ScenarioSpec(
             label="radio-repeat majority + complement",
-            build=lambda: _describe_runner(
-                ADOPT_MAJORITY, 0.1,
-                MaliciousFailures(0.1, ComplementAdversary()),
-            ),
+            cell=("radio-repeat", 0.1, 8, {"rule": ADOPT_MAJORITY}),
             topology="line/spider/star/layered/random tree",
             trials="≤ 2000 / 20000",
             sequential="width ≤ 0.05 / 0.02 (bernstein)",
@@ -118,27 +92,23 @@ def run_e12(config: ExperimentConfig) -> ExperimentReport:
         "mc_success", "mc_trials", "target", "almost_safe", "backend",
     ])
     passed = True
-    for name, schedule in _schedules(config, stream):
-        topology = schedule.topology
+    for size, shape in _zoo(config, stream):
+        omission = config.runner("radio-repeat", 0.4, size,
+                                 {**shape, "rule": ADOPT_ANY})
+        topology = omission.algorithm_factory().topology
+        name = topology.name
         n = topology.order
         target = 1.0 - 1.0 / n
         delta = topology.max_degree()
         p_malicious = round(0.5 * radio_malicious_threshold(delta), 3)
+        malicious = config.runner("radio-repeat", p_malicious, size,
+                                  {**shape, "rule": ADOPT_MAJORITY})
         cases = [
-            (ADOPT_ANY, "omission", 0.4,
-             OmissionFailures(0.4)),
-            (ADOPT_MAJORITY, "malicious", p_malicious,
-             MaliciousFailures(p_malicious, ComplementAdversary())),
+            (ADOPT_ANY, "omission", 0.4, omission),
+            (ADOPT_MAJORITY, "malicious", p_malicious, malicious),
         ]
-        for rule, failure_name, p, failure_model in cases:
-            algorithm = RadioRepeat(schedule, 1, rule=rule, p=p)
-            runner = TrialRunner(
-                partial(RadioRepeat, schedule, 1, rule,
-                        algorithm.phase_length),
-                failure_model,
-                workers=config.workers,
-                executor=config.executor,
-            )
+        for rule, failure_name, p, runner in cases:
+            algorithm = runner.algorithm_factory()
             outcome = runner.run_until(
                 width, cap, stream.child("mc", name, rule), bound="bernstein"
             )
@@ -150,8 +120,9 @@ def run_e12(config: ExperimentConfig) -> ExperimentReport:
             ok = outcome.estimate >= target - slack
             passed = passed and ok
             table.add_row(
-                graph=name, n=n, opt=schedule.length, rule=rule,
-                failures=failure_name, p=p, m=algorithm.phase_length,
+                graph=name, n=n, opt=algorithm.base_schedule.length,
+                rule=rule, failures=failure_name, p=p,
+                m=algorithm.phase_length,
                 rounds=algorithm.rounds, mc_success=outcome.estimate,
                 mc_trials=outcome.trials,
                 target=target, almost_safe=ok, backend=outcome.backend,

@@ -19,13 +19,7 @@ only timing matters), and exhibits the exponential decay in ``m``.
 
 from __future__ import annotations
 
-from functools import partial
-
-from repro.core.hello import HelloProtocolAlgorithm, hello_success_probability
-from repro.failures.adversaries import GarbageAdversary, SilentAdversary
-from repro.failures.malicious import MaliciousFailures, Restriction
-from repro.graphs.builders import two_node
-from repro.montecarlo import TrialRunner
+from repro.core.hello import hello_success_probability
 from repro.experiments.registry import (
     ExperimentConfig,
     ExperimentReport,
@@ -36,13 +30,6 @@ from repro.experiments.tables import Table
 from repro.rng import RngStream
 
 
-def _describe_runner() -> TrialRunner:
-    return TrialRunner(
-        partial(HelloProtocolAlgorithm, two_node(), 0, 8),
-        MaliciousFailures(0.2, SilentAdversary(), Restriction.LIMITED),
-    )
-
-
 @register(
     "E13",
     "Hello protocol (limited malicious, any p < 1)",
@@ -50,14 +37,13 @@ def _describe_runner() -> TrialRunner:
     "almost-safely for every p < 1",
     scenarios=[ScenarioSpec(
         label="hello timing channel (drop/corrupt)",
-        build=_describe_runner,
+        cell=("hello", 0.2, 8, {}),
         topology="2-node graph",
         trials="150 / 600",
     )],
 )
 def run_e13(config: ExperimentConfig) -> ExperimentReport:
     stream = RngStream(config.seed).child("E13")
-    topology = two_node()
     trials = config.scaled_trials(150 if config.quick else 600)
     probabilities = [0.2, 0.6] if config.quick else [0.2, 0.5, 0.8]
     ms = [8, 32] if config.quick else [8, 16, 32, 64]
@@ -69,10 +55,7 @@ def run_e13(config: ExperimentConfig) -> ExperimentReport:
     # The worst limited-malicious behaviour against a timing channel is
     # *dropping* (the exact recurrence's model); content corruption is
     # harmless and is shown in separate rows as a sanity contrast.
-    adversaries = [
-        ("drop", SilentAdversary()),
-        ("corrupt", GarbageAdversary()),
-    ]
+    adversaries = [("drop", "silent"), ("corrupt", "garbage")]
     for p in probabilities:
         for m in ms:
             for message in (0, 1):
@@ -83,12 +66,9 @@ def run_e13(config: ExperimentConfig) -> ExperimentReport:
                         hello_success_probability(p, m, message)
                         if adversary_name == "drop" else 1.0
                     )
-                    runner = TrialRunner(
-                        partial(HelloProtocolAlgorithm, topology, message, m),
-                        MaliciousFailures(p, adversary, Restriction.LIMITED),
-                        workers=config.workers,
-                        executor=config.executor,
-                    )
+                    runner = config.runner("hello", p, m, {
+                        "message": message, "adversary": adversary,
+                    })
                     outcome = runner.run(
                         trials,
                         stream.child("mc", p, m, message, adversary_name),

@@ -22,16 +22,6 @@ pre-migration goldens still pin the results.
 
 from __future__ import annotations
 
-from functools import partial
-
-from repro.core.flooding import flooding_rounds
-from repro.core.labels import PrimeScheduleBroadcast, RoundRobinBroadcast
-from repro.core.windowed import WindowedMalicious
-from repro.failures.adversaries import ComplementAdversary
-from repro.failures.base import OmissionFailures
-from repro.failures.malicious import MaliciousFailures
-from repro.graphs.builders import binary_tree, grid, line
-from repro.montecarlo import TrialRunner
 from repro.experiments.registry import (
     ExperimentConfig,
     ExperimentReport,
@@ -42,29 +32,6 @@ from repro.experiments.tables import Table
 from repro.rng import RngStream
 
 
-def _describe_windowed() -> TrialRunner:
-    return TrialRunner(
-        partial(WindowedMalicious, grid(3, 4), 0, 1, p=0.25),
-        MaliciousFailures(0.25, ComplementAdversary()),
-    )
-
-
-def _describe_round_robin() -> TrialRunner:
-    topology = binary_tree(3)
-    cycles = flooding_rounds(topology.order, 3, 0.5)
-    return TrialRunner(
-        partial(RoundRobinBroadcast, topology, 0, 1, cycles=cycles),
-        OmissionFailures(0.5),
-    )
-
-
-def _describe_prime() -> TrialRunner:
-    return TrialRunner(
-        partial(PrimeScheduleBroadcast, line(3), 0, 1, rounds=2500),
-        OmissionFailures(0.3),
-    )
-
-
 @register(
     "E14",
     "Discussion variants: windowed, round robin, prime schedules",
@@ -73,19 +40,19 @@ def _describe_prime() -> TrialRunner:
     scenarios=[
         ScenarioSpec(
             label="windowed malicious",
-            build=_describe_windowed,
+            cell=("windowed-malicious", 0.25, 3, {"cols": 4}),
             topology="grid 3x4 / 4x5",
             trials="25 / 80",
         ),
         ScenarioSpec(
             label="labelled round robin",
-            build=_describe_round_robin,
+            cell=("round-robin", 0.5, 3, {}),
             topology="binary tree d=3",
             trials="25 / 80",
         ),
         ScenarioSpec(
             label="prime-power schedule",
-            build=_describe_prime,
+            cell=("prime-schedule", 0.3, 3, {}),
             topology="line n=3, 2500-round horizon",
             trials="25 / 80",
         ),
@@ -100,66 +67,29 @@ def run_e14(config: ExperimentConfig) -> ExperimentReport:
     ])
     passed = True
 
-    # 1. Windowed malicious on a grid.
-    topology = grid(3, 4) if config.quick else grid(4, 5)
-    p = 0.25
-    runner = TrialRunner(
-        partial(WindowedMalicious, topology, 0, 1, p=p),
-        MaliciousFailures(p, ComplementAdversary()),
-        workers=config.workers,
-        executor=config.executor,
-    )
-    outcome = runner.run(trials, stream.child("win"))
-    reference = WindowedMalicious(topology, 0, 1, p=p)
-    target = 1.0 - 1.0 / topology.order
-    ok = outcome.estimate >= target - 2.0 / trials
-    passed = passed and ok
-    table.add_row(
-        variant="windowed", graph=topology.name, n=topology.order, p=p,
-        rounds=reference.rounds, mc_success=outcome.estimate, target=target,
-        almost_safe=ok,
-    )
-
-    # 2. Labelled round robin on a binary tree (radio, omission).
-    tree_topology = binary_tree(3)
-    p = 0.5
-    cycles = flooding_rounds(tree_topology.order, 3, p)
-    runner = TrialRunner(
-        partial(RoundRobinBroadcast, tree_topology, 0, 1, cycles=cycles),
-        OmissionFailures(p),
-        workers=config.workers,
-        executor=config.executor,
-    )
-    outcome = runner.run(trials, stream.child("robin"))
-    reference = RoundRobinBroadcast(tree_topology, 0, 1, cycles=cycles)
-    target = 1.0 - 1.0 / tree_topology.order
-    ok = outcome.estimate >= target - 2.0 / trials
-    passed = passed and ok
-    table.add_row(
-        variant="round-robin", graph=tree_topology.name,
-        n=tree_topology.order, p=p, rounds=reference.rounds,
-        mc_success=outcome.estimate, target=target, almost_safe=ok,
-    )
-
-    # 3. Prime-power schedule on a short line (feasibility, tiny n).
-    line_topology = line(3)
-    p = 0.3
-    horizon = 2500
-    runner = TrialRunner(
-        partial(PrimeScheduleBroadcast, line_topology, 0, 1, rounds=horizon),
-        OmissionFailures(p),
-        workers=config.workers,
-        executor=config.executor,
-    )
-    outcome = runner.run(trials, stream.child("prime"))
-    target = 1.0 - 1.0 / line_topology.order
-    ok = outcome.estimate >= target - 2.0 / trials
-    passed = passed and ok
-    table.add_row(
-        variant="prime-powers", graph=line_topology.name,
-        n=line_topology.order, p=p, rounds=horizon,
-        mc_success=outcome.estimate, target=target, almost_safe=ok,
-    )
+    variants = [
+        # Windowed malicious on a grid.
+        ("windowed", "win", "windowed-malicious", 0.25,
+         3 if config.quick else 4, {"cols": 4 if config.quick else 5}),
+        # Labelled round robin on a binary tree (radio, omission).
+        ("round-robin", "robin", "round-robin", 0.5, 3, {}),
+        # Prime-power schedule on a short line (feasibility, tiny n),
+        # over the family's 2500-round horizon.
+        ("prime-powers", "prime", "prime-schedule", 0.3, 3, {}),
+    ]
+    for variant, stream_name, family, p, size, params in variants:
+        runner = config.runner(family, p, size, params)
+        reference = runner.algorithm_factory()
+        topology = reference.topology
+        outcome = runner.run(trials, stream.child(stream_name))
+        target = 1.0 - 1.0 / topology.order
+        ok = outcome.estimate >= target - 2.0 / trials
+        passed = passed and ok
+        table.add_row(
+            variant=variant, graph=topology.name, n=topology.order, p=p,
+            rounds=reference.rounds, mc_success=outcome.estimate,
+            target=target, almost_safe=ok,
+        )
     notes = [
         "windowed: acceptance = ceil(m/2) identical copies from the parent "
         "within the last m rounds; no indices, no global clock",

@@ -23,9 +23,6 @@ trusted to hit.
 from __future__ import annotations
 
 import math
-from functools import partial
-
-import numpy as np
 
 from repro.analysis.chernoff import (
     majority_error_probability,
@@ -38,13 +35,7 @@ from repro.core.parameters import (
     omission_phase_length,
     theoretical_omission_constant,
 )
-from repro.core.simple_omission import SimpleOmission
-from repro.engine.protocol import MESSAGE_PASSING
-from repro.failures.base import OmissionFailures
 from repro.fastsim.closed_forms import simple_omission_success_probability
-from repro.graphs.bfs import bfs_tree
-from repro.graphs.builders import binary_tree
-from repro.montecarlo import TrialRunner
 from repro.experiments.registry import (
     ExperimentConfig,
     ExperimentReport,
@@ -55,6 +46,13 @@ from repro.experiments.tables import Table
 from repro.rng import RngStream
 
 
+#: The heterogeneous-rate leg: a linear ramp of per-node omission
+#: rates 0.15..0.75 on the depth-5 tree, with deliberately short
+#: phases (m = 4) so the success probability sits well inside (0, 1)
+#: and the agreement check has teeth.
+_HETERO_CELL = ("hetero-omission", 0.75, 5,
+                {"p_low": 0.15, "phase_length": 4})
+
 #: Default sequential stopping widths (quick / full) of the three
 #: Monte-Carlo validation legs.  The omission-mc check sits near
 #: certainty, so the empirical-Bernstein bound stops it an order of
@@ -62,25 +60,6 @@ from repro.rng import RngStream
 #: and spend most of theirs.
 MC_WIDTH_QUICK = 0.05
 MC_WIDTH_FULL = 0.025
-
-
-def _describe_exact_m() -> TrialRunner:
-    topology = binary_tree(5)
-    m = omission_phase_length(topology.order, 0.5)
-    return TrialRunner(
-        partial(SimpleOmission, topology, 0, 1, MESSAGE_PASSING, m),
-        OmissionFailures(0.5),
-    )
-
-
-def _describe_hetero() -> TrialRunner:
-    topology = binary_tree(5)
-    rates = np.round(np.linspace(0.15, 0.75, topology.order), 4)
-    return TrialRunner(
-        partial(SimpleOmission, topology, 0, 1, MESSAGE_PASSING, 4),
-        OmissionFailures(p_v=rates),
-        use_fastsim=False,
-    )
 
 
 @register(
@@ -91,14 +70,14 @@ def _describe_hetero() -> TrialRunner:
     scenarios=[
         ScenarioSpec(
             label="exact-m omission check",
-            build=_describe_exact_m,
+            cell=("simple-omission", 0.5, 5, {}),
             topology="binary tree d=5",
             trials="≤ 20000 / 80000",
             sequential="width ≤ 0.05 / 0.025 (bernstein)",
         ),
         ScenarioSpec(
-            label="heterogeneous p_v ramp (batchsim leg)",
-            build=_describe_hetero,
+            label="heterogeneous p_v ramp",
+            cell=_HETERO_CELL,
             topology="binary tree d=5",
             trials="≤ 10000 / 40000",
             sequential="width ≤ 0.05 / 0.025 (bernstein)",
@@ -131,22 +110,17 @@ def run_e15(config: ExperimentConfig) -> ExperimentReport:
     # 1b. End-to-end check of the exact calculator: Monte-Carlo success
     # at the exact m on a concrete tree matches the closed form (the
     # TrialRunner dispatches to the vectorised omission sampler).
-    mc_topology = binary_tree(5)
     mc_p = 0.5
-    mc_m = omission_phase_length(mc_topology.order, mc_p)
     mc_cap = config.adaptive_cap(20000 if config.quick else 80000)
-    runner = TrialRunner(
-        partial(SimpleOmission, mc_topology, 0, 1, MESSAGE_PASSING, mc_m),
-        OmissionFailures(mc_p),
-        workers=config.workers,
-        executor=config.executor,
-    )
+    runner = config.runner("simple-omission", mc_p, 5)
+    algorithm = runner.algorithm_factory()
+    mc_topology = algorithm.topology
     outcome = runner.run_until(
         width, mc_cap, stream.child("omission-mc"), bound="bernstein"
     )
     mc_margin = hoeffding_margin(outcome.trials, confidence=0.999)
     closed_form = simple_omission_success_probability(
-        bfs_tree(mc_topology, 0), mc_m, mc_p
+        algorithm.tree, algorithm.phase_length, mc_p
     )
     mc_ok = (
         abs(outcome.estimate - closed_form) <= mc_margin
@@ -166,24 +140,13 @@ def run_e15(config: ExperimentConfig) -> ExperimentReport:
     # through *both* vectorised tiers — the p_v-threaded fastsim
     # sampler and the batchsim engine — against the per-node closed
     # form ∏(1 - p_v^m).
-    hetero_rates = np.round(
-        np.linspace(0.15, 0.75, mc_topology.order), 4
-    )
-    # Deliberately short phases so the success probability sits well
-    # inside (0, 1) and the agreement check has teeth.
-    hetero_m = 4
-    hetero_factory = partial(
-        SimpleOmission, mc_topology, 0, 1, MESSAGE_PASSING, hetero_m
-    )
-    hetero_closed = simple_omission_success_probability(
-        bfs_tree(mc_topology, 0), hetero_m, hetero_rates
-    )
     hetero_cap = config.adaptive_cap(10000 if config.quick else 40000)
     for label, use_fastsim in (("fastsim", True), ("batchsim", False)):
-        hetero_runner = TrialRunner(
-            hetero_factory, OmissionFailures(p_v=hetero_rates),
-            use_fastsim=use_fastsim, workers=config.workers,
-            executor=config.executor,
+        hetero_runner = config.runner(*_HETERO_CELL, use_fastsim=use_fastsim)
+        hetero = hetero_runner.algorithm_factory()
+        hetero_rates = hetero_runner.failure_model.p_vector
+        hetero_closed = simple_omission_success_probability(
+            hetero.tree, hetero.phase_length, hetero_rates
         )
         hetero_outcome = hetero_runner.run_until(
             width, hetero_cap, stream.child("hetero-mc", label),
