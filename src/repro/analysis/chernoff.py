@@ -5,6 +5,12 @@ Chernoff's bound" to pick the constant ``c`` in ``m = ⌈c log n⌉``.
 This module provides both the classical closed-form bounds (for the
 asymptotic story) and *exact* binomial tails (so the library can pick
 the genuinely smallest repetition counts at finite ``n``).
+
+The exact tails call the ``scipy.special`` ufuncs behind
+``scipy.stats.binom``, so a process loads ``scipy.special`` for them
+and ``scipy.sparse`` for radio delivery; ``scipy.stats`` and
+``scipy.optimize`` load only at a first interval
+(:mod:`~repro.analysis.estimation`) or threshold solve.
 """
 
 from __future__ import annotations
@@ -12,7 +18,11 @@ from __future__ import annotations
 import math
 from typing import Optional
 
-from scipy import stats
+# ``stats.binom.sf`` / ``.cdf`` call ``_binom_sf`` / ``_binom_cdf`` for
+# ``k`` in ``[0, n)``; the tails settle every other ``k`` first, so they
+# equal ``float(stats.binom.sf(k - 1, n, p))`` / ``float(stats.binom.cdf(
+# k, n, p))`` bit for bit (pinned by tests/test_binomial_tails.py).
+from scipy.special import _ufuncs
 
 from repro._validation import check_non_negative_int, check_positive_int, check_probability
 
@@ -43,7 +53,7 @@ def binomial_tail_ge(trials: int, threshold: float, prob: float) -> float:
     if k > trials:
         return 0.0
     # sf(k - 1) = P[X > k - 1] = P[X >= k]
-    return float(stats.binom.sf(k - 1, trials, prob))
+    return float(_ufuncs._binom_sf(k - 1.0, float(trials), prob))
 
 
 def binomial_tail_le(trials: int, threshold: float, prob: float) -> float:
@@ -55,7 +65,7 @@ def binomial_tail_le(trials: int, threshold: float, prob: float) -> float:
         return 0.0
     if k >= trials:
         return 1.0
-    return float(stats.binom.cdf(k, trials, prob))
+    return float(_ufuncs._binom_cdf(float(k), float(trials), prob))
 
 
 def majority_error_probability(repetitions: int, wrong_prob: float) -> float:

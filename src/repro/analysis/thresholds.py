@@ -18,8 +18,6 @@ from __future__ import annotations
 import math
 from typing import Dict, List
 
-from scipy import optimize
-
 from repro._validation import check_non_negative_int, check_probability
 
 __all__ = [
@@ -48,6 +46,7 @@ def radio_malicious_threshold(max_degree: int) -> float:
     def gap(p: float) -> float:
         return p - (1.0 - p) ** exponent
 
+    from scipy import optimize
     # gap(0) = -1 < 0 and gap(1) = 1 > 0: brentq bracket is valid.
     root = optimize.brentq(gap, 0.0, 1.0, xtol=1e-15, rtol=8.9e-16)
     return float(root)

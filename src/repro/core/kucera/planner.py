@@ -32,7 +32,8 @@ from repro._validation import check_positive_int, check_probability
 from repro.analysis.chernoff import majority_error_probability
 from repro.core.kucera.plan import Edge, Plan, PlanGuarantee, Repeat, Serial, guarantee
 
-__all__ = ["build_plan", "working_failure_level", "alpha_exponent"]
+__all__ = ["build_plan", "edge_boost", "working_failure_level",
+           "alpha_exponent"]
 
 
 def alpha_exponent(rho: int, kappa: int) -> float:
@@ -68,18 +69,25 @@ def working_failure_level(rho: int, kappa: int) -> float:
     return min(level, 0.05)
 
 
-def _boost_repetitions(p: float, target: float) -> int:
-    """Minimal odd ``κ0`` with ``majority_error(κ0, p) <= target``."""
+def edge_boost(p: float, rho: int = 4, kappa: int = 3) -> int:
+    """Minimal odd ``κ0`` whose [CO2] boost takes edge failure ``p`` to
+    the ``(ρ, κ)`` working level (step 1 above); ``ValueError`` unless
+    ``p < 1/2`` and some ``κ0 <= 2**14`` does."""
+    if p >= 0.5:
+        raise ValueError(
+            f"Kučera plans require p < 1/2 (Theorem 3.2 feasibility), got {p}"
+        )
+    target = working_failure_level(rho, kappa)
     if p <= target:
         return 1
-    kappa = 1
-    while majority_error_probability(kappa, p) > target:
-        kappa += 2
-        if kappa > 1 << 14:
-            raise RuntimeError(
+    kappa0 = 1
+    while majority_error_probability(kappa0, p) > target:
+        kappa0 += 2
+        if kappa0 > 1 << 14:
+            raise ValueError(
                 f"cannot boost edge failure {p} to {target}; p too close to 1/2"
             )
-    return kappa
+    return kappa0
 
 
 def build_plan(min_length: int, p: float, failure_target: float,
@@ -104,16 +112,11 @@ def build_plan(min_length: int, p: float, failure_target: float,
     p = check_probability(p, "p", allow_zero=True)
     failure_target = check_probability(failure_target, "failure_target",
                                        allow_zero=False)
-    if p >= 0.5:
-        raise ValueError(
-            f"Kučera plans require p < 1/2 (Theorem 3.2 feasibility), got {p}"
-        )
     if rho <= kappa:
         raise ValueError(
             f"need rho > kappa for linear time, got rho={rho}, kappa={kappa}"
         )
-    q_work = working_failure_level(rho, kappa)
-    kappa0 = _boost_repetitions(p, q_work)
+    kappa0 = edge_boost(p, rho, kappa)
     plan: Plan = Edge() if kappa0 == 1 else Repeat(Edge(), kappa0)
     while guarantee(plan, p).length < min_length:
         plan = Repeat(Serial(plan, rho), kappa)

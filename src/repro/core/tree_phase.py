@@ -73,10 +73,6 @@ class PhaseSchedule:
         """``n · m`` rounds overall."""
         return self._tree.topology.order * self._m
 
-    def rank_of(self, node: int) -> int:
-        """0-based enumeration rank of ``node`` (``v_{rank+1}``)."""
-        return self._rank[node]
-
     def window_of(self, node: int) -> Tuple[int, int]:
         """Half-open round window ``[start, end)`` of ``node``'s phase."""
         rank = self._rank[node]

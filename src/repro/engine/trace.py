@@ -43,10 +43,6 @@ class RoundRecord:
     actual: Dict[int, Any]
     deliveries: Dict[int, Any]
 
-    def was_faulty(self, node: int) -> bool:
-        """Whether ``node``'s transmitter failed this round."""
-        return node in self.faulty
-
     def transmitted(self, node: int) -> Any:
         """What ``node`` actually transmitted (``None`` if silent)."""
         return self.actual.get(node)

@@ -139,18 +139,10 @@ class OrderedMerge:
         self._ready: Dict[int, Any] = {}
         self._next_in_order = 0
         self._on_result = on_result
-        self._completed = 0
-        self._total = total
-
-    @property
-    def unresolved(self) -> bool:
-        """Whether any shard has neither completed nor failed."""
-        return self._completed + len(self.errors) < self._total
 
     def complete(self, index: int, value: Any) -> None:
         """Record shard ``index``'s value and stream any ready prefix."""
         self.results[index] = value
-        self._completed += 1
         if self._on_result is None:
             return
         self._ready[index] = value

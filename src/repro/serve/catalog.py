@@ -94,6 +94,7 @@ from repro.core import (
 from repro.core.flooding import flooding_rounds
 from repro.core.hello import HelloProtocolAlgorithm
 from repro.core.kucera import KuceraBroadcast
+from repro.core.kucera.planner import edge_boost
 from repro.core.parameters import (
     mp_malicious_phase_length,
     omission_phase_length,
@@ -142,15 +143,16 @@ MAX_NODES = 4096
 FactoryAndFailures = Tuple[Callable[[], Any], Any]
 
 
-def _check_n(n: Any, minimum: int, meaning: str,
+def _check_n(value: Any, minimum: int, name: str,
              maximum: int = MAX_NODES) -> int:
-    if not isinstance(n, int) or isinstance(n, bool):
-        raise ValueError(f"n ({meaning}) must be an int, got {n!r}")
-    if not minimum <= n <= maximum:
+    """``value`` if an int in ``[minimum, maximum]``; errors say ``name``
+    (a param's own name, or ``n (meaning)`` for the size ``n``)."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ValueError(f"{name} must be an int, got {value!r}")
+    if not minimum <= value <= maximum:
         raise ValueError(
-            f"n ({meaning}) must lie in [{minimum}, {maximum}], got {n}"
-        )
-    return n
+            f"{name} must lie in [{minimum}, {maximum}], got {value}")
+    return value
 
 
 def _phase_length(phase_length: Any, default: Callable[[], int]) -> int:
@@ -198,12 +200,13 @@ def _graph(kind: Any, n: Any, shapes: Dict[str, int],
     elif graph_seed is not None:
         raise ValueError("graph_seed applies to graph='random-tree' only")
     minimum, meaning, build = _GRAPHS[kind]
-    return build(_check_n(n, minimum, meaning, shapes[kind]), graph_seed)
+    return build(_check_n(n, minimum, f"n ({meaning})", shapes[kind]),
+                 graph_seed)
 
 
 def _grid(n: Any, cols: Any) -> Topology:
     """The ``n x cols`` grid (``cols`` defaults to the side ``n``)."""
-    rows = _check_n(n, 2, "grid side")
+    rows = _check_n(n, 2, "n (grid side)")
     cols = _check_n(cols, 2, "cols") if cols else rows
     if rows * cols > MAX_NODES:
         raise ValueError(f"grid must satisfy rows * cols <= {MAX_NODES}")
@@ -307,7 +310,7 @@ def _build_equalizing_mp(p: float, n: int, *, message: int = 1,
                          effective_rate: Optional[float] = None
                          ) -> FactoryAndFailures:
     p = check_probability(p, "p", allow_zero=False, allow_one=False)
-    m = _check_n(n, 1, "phase length", maximum=256)
+    m = _check_n(n, 1, "n (phase length)", maximum=256)
     factory = partial(SimpleMalicious, two_node(), 0,
                       check_bit(message, "message"), MESSAGE_PASSING, m)
     adversary = _slowed(EqualizingMpAdversary(source=0), p, effective_rate)
@@ -324,7 +327,7 @@ def _build_equalizing_mp(p: float, n: int, *, message: int = 1,
 def _build_malicious_radio_star(p: float, n: int, *,
                                 phase_length: int = 0) -> FactoryAndFailures:
     p = check_probability(p, "p", allow_zero=False, allow_one=False)
-    delta = _check_n(n, 2, "star degree", maximum=MAX_NODES - 1)
+    delta = _check_n(n, 2, "n (star degree)", maximum=MAX_NODES - 1)
     topology = star(delta, source_is_center=False)
     m = _phase_length(phase_length, lambda: radio_malicious_phase_length(
         topology.order, p, delta))
@@ -344,7 +347,7 @@ def _build_equalizing_star(p: float, n: int, *, phase_length: int = 15,
                            effective_rate: Optional[float] = None
                            ) -> FactoryAndFailures:
     p = check_probability(p, "p", allow_zero=False, allow_one=False)
-    delta = _check_n(n, 2, "star degree", maximum=MAX_NODES - 1)
+    delta = _check_n(n, 2, "n (star degree)", maximum=MAX_NODES - 1)
     m = _check_n(phase_length, 1, "phase_length")
     topology = star(delta, source_is_center=False)
     factory = partial(SimpleMalicious, topology, 0,
@@ -414,6 +417,7 @@ def _build_grid_flooding(p: float, n: int, *, cols: int = 0,
 def _build_kucera_flip(p: float, n: int, *,
                        graph: str = "line") -> FactoryAndFailures:
     p = check_probability(p, "p", allow_zero=False, allow_one=False)
+    edge_boost(p)  # refuse p >= 1/2, or too close to it, at resolution
     topology = _graph(graph, n, _KUCERA_SHAPES)
     factory = partial(KuceraBroadcast, topology, 0, 1, p=p)
     return factory, MaliciousFailures(p, RandomFlipAdversary(),
@@ -450,7 +454,7 @@ def _build_layered_opt(p: float, n: int) -> FactoryAndFailures:
         raise ValueError(
             f"layered-opt is purely combinatorial; p must be 0, got {p}"
         )
-    m = _check_n(n, 2, "bit-node count m", maximum=5)
+    m = _check_n(n, 2, "n (bit-node count m)", maximum=5)
     return partial(_layered_opt_verdict, m), None
 
 
@@ -471,7 +475,7 @@ def _build_layered_omission(p: float, n: int, *,
                             source_steps: int = 1,
                             repeat: int = 0) -> FactoryAndFailures:
     p = check_probability(p, "p", allow_zero=True)
-    m = _check_n(n, 2, "bit-node count m", maximum=10)
+    m = _check_n(n, 2, "n (bit-node count m)", maximum=10)
     graph = layered_graph(m)
     if repeat:
         if budget or source_steps != 1:
@@ -541,7 +545,7 @@ def _build_radio_repeat(p: float, n: int, *, rule: str = "any",
 def _build_hello(p: float, n: int, *, adversary: str = "silent",
                  message: int = 0) -> FactoryAndFailures:
     p = check_probability(p, "p", allow_zero=False, allow_one=False)
-    m = _check_n(n, 1, "half-round count m", maximum=4096)
+    m = _check_n(n, 1, "n (half-round count m)", maximum=4096)
     adversaries = {"silent": SilentAdversary, "garbage": GarbageAdversary}
     if adversary not in adversaries:
         raise ValueError(
@@ -583,7 +587,7 @@ def _build_round_robin(p: float, n: int, *,
 def _build_prime_schedule(p: float, n: int, *,
                           rounds: int = 2500) -> FactoryAndFailures:
     p = check_probability(p, "p", allow_zero=False, allow_one=False)
-    length = _check_n(n, 2, "line length", maximum=64)
+    length = _check_n(n, 2, "n (line length)", maximum=64)
     rounds = _check_n(rounds, 1, "rounds", maximum=100_000)
     factory = partial(PrimeScheduleBroadcast, line(length), 0, 1,
                       rounds=rounds)

@@ -212,7 +212,6 @@ class SimulationServer:
         self._host = host
         self._port = port
         self._server: Optional[asyncio.AbstractServer] = None
-        self._connections = 0
 
     @property
     def service(self) -> SimulationService:
@@ -227,11 +226,6 @@ class SimulationServer:
         sock = self._server.sockets[0]
         host, port = sock.getsockname()[:2]
         return host, port
-
-    @property
-    def connections_served(self) -> int:
-        """Total connections accepted since start."""
-        return self._connections
 
     async def start(self) -> Tuple[str, int]:
         """Bind and start accepting; returns the bound address."""
@@ -263,7 +257,6 @@ class SimulationServer:
 
     async def _handle_connection(self, reader: asyncio.StreamReader,
                                  writer: asyncio.StreamWriter) -> None:
-        self._connections += 1
         get_registry().counter("serve.connections").inc()
         write_lock = asyncio.Lock()
         pending: List[asyncio.Task] = []

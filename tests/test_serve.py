@@ -431,11 +431,31 @@ class TestServiceValidation:
         Query("flooding", 0.1, 5, 10, params={"graph": "spider"}),
         Query("radio-repeat", 0.2, 8, 10, params={"graph_seed": 7}),
         Query("radio-repeat", 0.2, 8, 10, params={"graph": "random-tree"}),
+        Query("windowed-malicious", 0.25, 2, 10, params={"cols": 1}),
+        Query("kucera-flip", 0.499, 4, 10),
+        Query("kucera-flip", 0.6, 4, 10),
     ])
     def test_bad_parameters(self, query):
         with pytest.raises(QueryError) as excinfo:
             self._submit(query)
         assert excinfo.value.code == "bad-parameters"
+
+    @pytest.mark.parametrize("query, message", [
+        (Query("windowed-malicious", 0.25, 2, 10, params={"cols": 1}),
+         "cols must lie in [2, 4096], got 1"),
+        (Query("windowed-malicious", 0.25, 1, 10),
+         "n (grid side) must lie in [2, 4096], got 1"),
+        (Query("prime-schedule", 0.3, 5, 10, params={"rounds": -1}),
+         "rounds must lie in [1, 100000], got -1"),
+        (Query("layered-omission", 0.3, 3, 10, params={"budget": 1.5}),
+         "budget must be an int, got 1.5"),
+        (Query("round-robin", 0.3, 2, 10, params={"cycles": -2}),
+         "cycles must lie in [1, 4096], got -2"),
+    ])
+    def test_range_errors_name_the_field(self, query, message):
+        with pytest.raises(QueryError) as excinfo:
+            self._submit(query)
+        assert str(excinfo.value) == message
 
     def test_trials_ceiling(self):
         service = SimulationService(max_trials=100)
@@ -656,6 +676,25 @@ class TestWireProtocol:
                    for entry in snapshot["counters"]
                    if entry["name"] == "serve.errors"}
         assert by_code == {"bad-parameters": 1}
+
+    def test_kucera_p_too_close_to_half_is_bad_parameters(self):
+        # The planner cannot boost p = 0.499 to its working level with
+        # at most 2**14 repetitions; resolution refuses it before any
+        # trial runs, and the server keeps serving.
+        async def scenario(host, port, server):
+            refused = await query_one(host, port, {
+                "scenario": "kucera-flip", "p": 0.499, "n": 4,
+                "trials": 16})
+            served = await query_one(host, port, {
+                "scenario": "kucera-flip", "p": 0.3, "n": 4, "trials": 16})
+            return refused, served, server.service.stats()
+
+        refused, served, stats = run(self._with_server(scenario))
+        assert refused["ok"] is False
+        assert refused["error"] == "bad-parameters"
+        assert "too close to 1/2" in refused["message"]
+        assert served["ok"] is True
+        assert stats.errors == 1 and stats.computed == 1
 
     def test_out_of_order_ids_are_reassembled(self):
         async def scenario(host, port, server):
