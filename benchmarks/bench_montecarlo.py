@@ -423,9 +423,9 @@ def test_remote_executor_overhead_vs_local(benchmark):
 
     Two loopback ``repro.distrib`` workers against a two-process local
     pool on the same batchsim sweep.  No speedup is asserted — on one
-    host the remote backend pays pickling plus a TCP round trip per
-    chunk on top of the same process count, and CI runners have too
-    few cores for sharding to win anyway.  What this records (for
+    host the remote backend pays a TCP round trip per chunk on top of
+    the same process count, and CI runners have too few cores for
+    sharding to win anyway.  What this records (for
     ``diff_bench.py``'s trend gate) is the *overhead* of the wire, and
     what it asserts is the invariant that makes the substrate safe:
     the shipped run's indicators are byte-identical to the local one.
@@ -434,7 +434,6 @@ def test_remote_executor_overhead_vs_local(benchmark):
     import subprocess
     import sys
 
-    from repro.core.windowed import WindowedMalicious
     from repro.montecarlo import RemoteSocketExecutor
 
     def spawn_worker():
@@ -447,16 +446,17 @@ def test_remote_executor_overhead_vs_local(benchmark):
         assert match, f"worker failed to start: {banner!r}"
         return process, (match.group(1), int(match.group(2)))
 
-    factory = partial(WindowedMalicious, grid(4, 4), 0, 1, p=0.25)
-    failure = MaliciousFailures(0.25, ComplementAdversary())
+    # Windowed Simple-Malicious on the 4 x 4 grid vs the complement
+    # adversary; remote workers run only catalog specs.
+    cell = ("windowed-malicious", 0.25, 4, {})
     trials = 2000
     workers = [spawn_worker() for _ in range(2)]
     try:
-        remote = TrialRunner(
-            factory, failure, workers=2,
+        remote = TrialRunner.from_spec(
+            *cell, workers=2,
             executor=RemoteSocketExecutor([peer for _, peer in workers]),
         )
-        local = TrialRunner(factory, failure, workers=2)
+        local = TrialRunner.from_spec(*cell, workers=2)
 
         def shipped():
             return remote.run(trials, 7)

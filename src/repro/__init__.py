@@ -20,8 +20,8 @@ Quickstart::
                            metadata=algo.metadata())
     assert result.is_successful_broadcast()
 
-See ``DESIGN.md`` for the system inventory and ``EXPERIMENTS.md`` for
-the per-theorem reproduction results.
+See ``ARCHITECTURE.md`` for the system inventory and ``EXPERIMENTS.md``
+for the per-theorem reproduction results.
 """
 
 from repro import (

@@ -40,9 +40,9 @@ def _build_parser() -> argparse.ArgumentParser:
     worker = commands.add_parser(
         "worker", help="run one stateless NDJSON shard worker")
     worker.add_argument("--host", default="127.0.0.1",
-                        help="interface to bind (default loopback; only "
-                             "bind non-loopback on trusted networks — "
-                             "shard payloads are pickles)")
+                        help="interface to bind (default loopback; the "
+                             "worker runs only catalog specs, but bind "
+                             "non-loopback on trusted networks only)")
     worker.add_argument("--port", type=int, default=0,
                         help="TCP port (default 0: pick a free port and "
                              "print it)")
@@ -75,14 +75,8 @@ async def _worker_main(args: argparse.Namespace) -> None:
 
 
 def _smoke() -> int:
-    from functools import partial
-
     import numpy as np
 
-    from repro.core import SimpleOmission
-    from repro.engine import MESSAGE_PASSING
-    from repro.failures import OmissionFailures
-    from repro.graphs import binary_tree
     from repro.montecarlo import RemoteSocketExecutor, TrialRunner
 
     def spawn(extra: Optional[List[str]] = None):
@@ -99,9 +93,8 @@ def _smoke() -> int:
         port = int(address.rpartition(":")[2])
         return process, port
 
-    factory = partial(SimpleOmission, binary_tree(4), 0, 1,
-                      MESSAGE_PASSING, 3)
-    model = OmissionFailures(0.3)
+    # Simple-Omission on a depth-4 binary tree, phase length 3.
+    spec = ("simple-omission", 0.3, 4, {"phase_length": 3})
     trials, seed = 1024, 2007
 
     steady, steady_port = spawn()
@@ -116,11 +109,11 @@ def _smoke() -> int:
         # worker receives a second shard and dies mid-sweep (fastsim
         # would answer without sharding, batchsim with one chunk per
         # worker).
-        remote = TrialRunner(factory, model, use_fastsim=False,
-                             use_batchsim=False,
-                             executor=executor).run(trials, seed)
-        local = TrialRunner(factory, model, use_fastsim=False,
-                            use_batchsim=False).run(trials, seed)
+        remote = TrialRunner.from_spec(*spec, use_fastsim=False,
+                                       use_batchsim=False,
+                                       executor=executor).run(trials, seed)
+        local = TrialRunner.from_spec(*spec, use_fastsim=False,
+                                      use_batchsim=False).run(trials, seed)
 
         deadline = time.monotonic() + 10.0
         while doomed.poll() is None and time.monotonic() < deadline:

@@ -1,61 +1,21 @@
-"""Picklable shard functions for executor conformance testing.
+"""Crash-injection shard functions for the local executor tests.
 
-The remote worker only resolves functions inside the ``repro.``
-namespace (:data:`repro.distrib.protocol.TRUSTED_FUNCTION_PREFIX`), so
-the cross-backend conformance suite cannot ship ad-hoc test-module
-functions the way the in-process and local-pool tests always could.
-These helpers live here — importable on both ends of the wire — so the
-*same* shard functions exercise all three executor backends.
-
-They are deliberately trivial (arithmetic, scripted failures, scripted
-sleeps): the point is the executor contract — ordering, streaming,
-error selection, crash retry — not the work itself.
+A local process pool runs any picklable module-level function, so the
+crash and retry cases of the executor suite need one that takes its
+worker down.  Remote workers run only catalog spec shards; their
+crash cases use ``--die-after-runs`` workers instead.
 """
 
 from __future__ import annotations
 
 import os
-import time
 
-__all__ = [
-    "shard_square",
-    "shard_fail_on_odd",
-    "shard_slow_first",
-    "shard_sleep_then_square",
-    "shard_exit",
-    "shard_exit_unless_marked",
-]
-
-
-def shard_square(value: int) -> int:
-    """The no-surprises shard: ``value ** 2``."""
-    return value * value
-
-
-def shard_fail_on_odd(value: int) -> int:
-    """Raise deterministically on odd values (error-selection tests)."""
-    if value % 2:
-        raise ValueError(f"shard value {value} failed")
-    return value
-
-
-def shard_slow_first(value: int) -> int:
-    """Value 0 finishes last — forces out-of-order completion."""
-    if value == 0:
-        time.sleep(0.3)
-    return value
-
-
-def shard_sleep_then_square(value: int, seconds: float) -> int:
-    """Square after a scripted delay (keeps a worker busy mid-kill)."""
-    time.sleep(seconds)
-    return value * value
+__all__ = ["shard_exit", "shard_exit_unless_marked"]
 
 
 def shard_exit(value: int) -> int:
     """Die without raising — ``os._exit`` skips all cleanup, so the
-    parent sees a broken pool / dropped connection, never a pickled
-    exception."""
+    parent sees a broken pool, never an exception."""
     os._exit(1)
 
 

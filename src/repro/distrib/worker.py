@@ -10,10 +10,11 @@ most one shard per worker connection at a time, so extra threads would
 only let misbehaving clients oversubscribe the host.
 
 The worker holds **no state between requests**: every ``run`` carries
-the entrypoint spec and the pickled argument tuple (scenario factory
-included), the worker rebuilds the scenario and runs the absolute
-trial range, and by the bit-identity invariant the result is
-byte-identical to what any other placement would have produced.
+a catalog spec, a tier and an absolute trial range, the worker
+rebuilds the scenario from the spec (:func:`repro.montecarlo.trials.
+run_spec_shard`) and runs the range, and by the bit-identity invariant
+the result is byte-identical to what any other placement would have
+produced.
 Killing a worker mid-shard therefore loses nothing but time — the
 executor re-ships the same shard elsewhere.
 
@@ -34,14 +35,15 @@ from typing import Any, Dict, Optional, Tuple
 
 from repro.distrib.protocol import (
     MAX_LINE_BYTES,
+    MAX_SHARD_TRIALS,
     PROTOCOL_VERSION,
+    SHARD_FIELDS,
     WORKER_ROLE,
     decode_line,
-    decode_payload,
+    encode_bits,
     encode_line,
-    encode_payload,
-    resolve_function,
 )
+from repro.montecarlo.trials import run_spec_shard
 
 __all__ = ["ShardWorker"]
 
@@ -121,6 +123,9 @@ class ShardWorker:
         except ValueError as error:
             return {"ok": False, "error": "bad-json", "message": str(error)}
         ident = message.get("id")
+        if type(ident) is not int:
+            return {"ok": False, "error": "bad-request",
+                    "message": "id must be an int"}
         op = message.get("op")
         if op == "hello":
             return {"id": ident, "ok": True, "role": WORKER_ROLE,
@@ -130,58 +135,44 @@ class ShardWorker:
         if op == "run":
             return await self._run(ident, message)
         return {"id": ident, "ok": False, "error": "bad-request",
-                "message": f"unknown op: {op!r}"}
+                "message": f"unknown op: {str(op)[:64]!r}"}
 
-    async def _run(self, ident: Any,
+    async def _run(self, ident: int,
                    message: Dict[str, Any]) -> Dict[str, Any]:
         if message.get("protocol") != PROTOCOL_VERSION:
             return {"id": ident, "ok": False, "error": "bad-request",
                     "message": f"protocol mismatch: worker speaks "
                                f"{PROTOCOL_VERSION}, request says "
-                               f"{message.get('protocol')!r}"}
+                               f"{str(message.get('protocol'))[:64]!r}"}
         if self._die_after_runs is not None:
             if self._runs_served >= self._die_after_runs:
                 # Fault injection: die mid-shard, no reply, no goodbye.
                 os._exit(1)
             self._runs_served += 1
-        spec = message.get("function")
-        payload = message.get("payload")
-        digest = message.get("digest")
-        if not isinstance(spec, str) or not isinstance(payload, str) \
-                or not isinstance(digest, str):
+        args = tuple(message.get(name) for name in SHARD_FIELDS)
+        spec, tier, root_seed, start, stop = args
+        if not (isinstance(spec, str) and isinstance(tier, str)
+                and all(type(value) is int for value in args[2:])
+                and 0 <= start <= stop <= start + MAX_SHARD_TRIALS):
             return {"id": ident, "ok": False, "error": "bad-request",
-                    "message": "run needs string function/payload/digest"}
-        try:
-            function = resolve_function(spec)
-        except PermissionError as error:
-            return {"id": ident, "ok": False, "error": "forbidden-function",
-                    "message": str(error)}
-        except ValueError as error:
-            return {"id": ident, "ok": False, "error": "bad-request",
-                    "message": str(error)}
-        try:
-            args = decode_payload(payload, digest)
-        except ValueError as error:
-            return {"id": ident, "ok": False, "error": "bad-payload",
-                    "message": str(error)}
-        if not isinstance(args, tuple):
-            return {"id": ident, "ok": False, "error": "bad-payload",
-                    "message": f"shard args must unpickle to a tuple, "
-                               f"got {type(args).__name__}"}
+                    "message": f"run needs a string spec and tier, an int "
+                               f"root_seed and ints 0 <= start <= stop <= "
+                               f"start + {MAX_SHARD_TRIALS}"}
         loop = asyncio.get_running_loop()
         try:
-            seconds, value = await loop.run_in_executor(
-                self._pool, self._execute, function, args)
+            seconds, indicators = await loop.run_in_executor(
+                self._pool, self._execute, args)
         except Exception as error:  # the shard raised: deterministic
-            error_payload, error_digest = encode_payload(error)
+            # Cut, so an error quoting a huge field still fits a frame.
             return {"id": ident, "ok": False, "error": "shard-error",
-                    "payload": error_payload, "digest": error_digest}
-        value_payload, value_digest = encode_payload(value)
-        return {"id": ident, "ok": True, "payload": value_payload,
-                "digest": value_digest, "seconds": seconds}
+                    "type": type(error).__name__,
+                    "message": str(error)[:2000]}
+        bits, length, digest = encode_bits(indicators)
+        return {"id": ident, "ok": True, "bits": bits, "length": length,
+                "digest": digest, "seconds": seconds}
 
     @staticmethod
-    def _execute(function, args) -> Tuple[float, Any]:
+    def _execute(args: Tuple) -> Tuple[float, Any]:
         started = time.monotonic()
-        value = function(*args)
-        return time.monotonic() - started, value
+        indicators = run_spec_shard(*args)
+        return time.monotonic() - started, indicators

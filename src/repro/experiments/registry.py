@@ -153,16 +153,17 @@ class ExperimentConfig:
         cell — the only way an experiment builds a Monte-Carlo run.
 
         The cell ``(family, p, n, params)`` resolves through the wire
-        catalog (:func:`resolve_scenario`), so it computes exactly what
-        a service query with the same spec computes; :attr:`workers`
+        catalog (:meth:`TrialRunner.from_spec`), so it computes exactly
+        what a service query with the same spec computes; :attr:`workers`
         and :attr:`executor` pick the shard substrate.
         ``use_fastsim=False, use_batchsim=False`` pins the scalar
         engine for validation columns.
         """
-        return TrialRunner(*resolve_scenario(family, p, n, params),
-                           workers=self.workers, executor=self.executor,
-                           use_fastsim=use_fastsim,
-                           use_batchsim=use_batchsim)
+        return TrialRunner.from_spec(family, p, n, params,
+                                     workers=self.workers,
+                                     executor=self.executor,
+                                     use_fastsim=use_fastsim,
+                                     use_batchsim=use_batchsim)
 
 
 @dataclass
@@ -265,9 +266,9 @@ class ScenarioFamily:
     Results are memoised on the canonical wire spec ``(name, p, n,
     params)`` (:func:`repro.montecarlo.scenario_fingerprint`), never
     on the built objects, so a builder must be a pure function of its
-    arguments.  The factory needs to be **picklable** (a module-level
-    callable or :func:`functools.partial` over one) only for process
-    or remote sharding.
+    arguments.  Shards of a spec-built runner carry only the spec; the
+    factory is pickled only when a runner built from it directly
+    shards onto a ``local-process`` pool, so keep it picklable.
 
     Attributes
     ----------

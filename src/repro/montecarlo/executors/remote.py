@@ -6,32 +6,36 @@ protocol version are verified before any shard is shipped), then
 drives the same round/retry merge loop as the local pool (both run
 :class:`~repro.montecarlo.executors.base.RetryingExecutor`) — a thread
 per in-flight shard checks an idle connection out of a small peer
-pool, ships ``{"op": "run", ...}`` with the pickled argument tuple,
-and blocks for the reply.  The *main* thread owns the merge, so
-streaming callbacks fire in shard-index order exactly as locally.
+pool, ships ``{"op": "run", ...}`` with the shard's catalog spec,
+tier and trial range, and blocks for the reply.  The *main* thread
+owns the merge, so streaming callbacks fire in shard-index order
+exactly as locally.
+
+Only :func:`repro.montecarlo.trials.run_spec_shard` shards (those of
+:meth:`~repro.montecarlo.TrialRunner.from_spec` runners) cross the
+wire; any other function is refused with a ``TypeError`` before a
+connection opens.  Both directions are plain JSON data.
 
 Worker death is a first-class event, not an abort: a dropped
-connection (EOF, reset, refused mid-run) surfaces as
-:class:`WorkerDisconnect`, the peer is discarded from the pool, and
-the shard is re-shipped to a surviving worker — up to
-``max_shard_retries`` times per shard — before a
+connection (EOF, reset, refused mid-run), a garbage frame or a
+corrupt bits frame surfaces as :class:`WorkerDisconnect`, the peer is
+discarded from the pool, and the shard is re-shipped to a surviving
+worker — up to ``max_shard_retries`` times per shard — before a
 :class:`WorkerCrashError` reaches the caller.  Because workers are
 stateless and indicators are a pure function of the absolute trial
 index, the retried run's results are byte-identical to an undisturbed
 one; losing a worker costs time, never bits.
 
-Deterministic shard exceptions travel back pickled (``shard-error``
-replies) and re-raise on the client with the usual lowest-index
-deterministic selection; they are never retried, because they would
-raise identically anywhere.
-
-Trust model (see :mod:`repro.distrib.protocol`): pickle payloads mean
-workers must only be run on trusted networks.
+A shard that raises on the worker answers a structured ``shard-error``
+(exception type name and message), raised here as a
+:class:`RemoteShardError` with the usual lowest-index selection and
+never retried: it would raise identically anywhere.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 import socket
 import threading
 import time
@@ -43,12 +47,11 @@ from typing import (Any, Callable, Dict, Iterator, List, Optional, Sequence,
 from repro.distrib.protocol import (
     MAX_LINE_BYTES,
     PROTOCOL_VERSION,
+    SHARD_FIELDS,
     WORKER_ROLE,
+    decode_bits,
     decode_line,
-    decode_payload,
     encode_line,
-    encode_payload,
-    function_spec,
 )
 from repro.montecarlo.executors.base import (
     RetryingExecutor,
@@ -58,7 +61,12 @@ from repro.montecarlo.executors.base import (
     _summarise_args,
 )
 
-__all__ = ["RemoteSocketExecutor", "parse_peers"]
+__all__ = ["RemoteSocketExecutor", "RemoteShardError", "parse_peers"]
+
+
+class RemoteShardError(RuntimeError):
+    """A structured error reply for a shard: deterministic (the same
+    spec and range fail on any worker), so never retried."""
 
 
 def _format_peer(peer: Tuple[str, int]) -> str:
@@ -246,7 +254,13 @@ class RemoteSocketExecutor(RetryingExecutor):
     @contextmanager
     def _session(self, function: Callable[..., Any]
                  ) -> Iterator[ShardSession]:
-        spec = function_spec(function)
+        from repro.montecarlo.trials import run_spec_shard
+
+        if function is not run_spec_shard:
+            raise TypeError(
+                f"remote workers run only catalog spec shards "
+                f"(run_spec_shard), not {function!r}: build the runner "
+                f"with TrialRunner.from_spec")
         peers = self._connect()
         try:
             yield ShardSession(
@@ -254,7 +268,7 @@ class RemoteSocketExecutor(RetryingExecutor):
                 pool=lambda width: ThreadPoolExecutor(
                     max_workers=width,
                     thread_name_prefix="repro-remote-shard"),
-                task=functools.partial(self._run_one, peers, spec),
+                task=functools.partial(self._run_one, peers),
             )
         finally:
             peers.close_all()
@@ -288,40 +302,48 @@ class RemoteSocketExecutor(RetryingExecutor):
                 f"no remote workers reachable: {'; '.join(unreachable)}")
         return _PeerPool(connections)
 
-    def _run_one(self, pool: _PeerPool, spec: str, args: Tuple,
+    def _run_one(self, pool: _PeerPool, args: Tuple,
                  submitted: float) -> Tuple[float, float, Any]:
-        """Ship one shard to an idle worker; return (queue, run, value)."""
+        """Ship one shard to an idle worker; return (queue, run, bits)."""
         connection = pool.acquire()
         queue_seconds = time.monotonic() - submitted
         try:
-            payload, digest = encode_payload(args)
-            reply = connection.request({
-                "op": "run", "protocol": PROTOCOL_VERSION,
-                "function": spec, "payload": payload, "digest": digest,
-            })
+            reply = connection.request(dict(
+                zip(SHARD_FIELDS, args), op="run",
+                protocol=PROTOCOL_VERSION))
         except WorkerDisconnect:
             pool.discard(connection)
             raise
-        if reply.get("ok"):
+        if reply.get("ok") is True:
+            start, stop = args[-2:]
+            seconds = reply.get("seconds")
             try:
-                value = decode_payload(reply.get("payload", ""),
-                                       reply.get("digest", ""))
+                if (reply.get("length") != stop - start
+                        or not isinstance(seconds, float)
+                        or not 0 <= seconds < math.inf):
+                    raise ValueError(f"length must be {stop - start} and "
+                                     f"seconds a finite float >= 0")
+                value = decode_bits(reply.get("bits"), reply.get("length"),
+                                    reply.get("digest"))
             except ValueError as error:
                 pool.discard(connection)
                 raise WorkerDisconnect(
                     f"worker {connection.address} "
                     f"returned a corrupt result frame: {error}") from error
             pool.release(connection)
-            seconds = float(reply.get("seconds", 0.0))
             return queue_seconds, seconds, value
-        # Structured failure: the worker itself is healthy.
-        pool.release(connection)
-        kind = reply.get("error")
-        if kind == "shard-error":
-            raise decode_payload(reply["payload"], reply["digest"])
-        raise RuntimeError(
-            f"worker {connection.address} rejected "
-            f"the shard ({kind}): {reply.get('message')}")
+        # Structured failure: the worker itself is healthy.  A
+        # ``shard-error`` names the exception the shard raised; a
+        # protocol rejection names its error kind.
+        kind, message = reply.get("error"), reply.get("message")
+        error_type = reply.get("type") if kind == "shard-error" else kind
+        if isinstance(error_type, str) and isinstance(message, str):
+            pool.release(connection)
+            raise RemoteShardError(f"{error_type}: {message} (on worker "
+                                   f"{connection.address})")
+        pool.discard(connection)
+        raise WorkerDisconnect(
+            f"worker {connection.address} sent a malformed reply")
 
     def _crash_text(self, lowest: int, total: int, args: Tuple) -> str:
         peers = ", ".join(_format_peer(peer) for peer in self._peers)

@@ -35,7 +35,8 @@ from typing import Any
 
 from repro._validation import check_positive_int
 
-__all__ = ["scenario_fingerprint", "canonical_json", "FINGERPRINT_VERSION"]
+__all__ = ["scenario_fingerprint", "canonical_json", "canonical_spec",
+           "FINGERPRINT_VERSION"]
 
 #: Semantics version: bumped whenever a spec may compute different
 #: indicators (or the fingerprint layout changes), so persisted caches
@@ -56,6 +57,13 @@ def canonical_json(value: Any) -> str:
     numpy array) and ``ValueError`` for non-finite floats.
     """
     return _ENCODER.encode(value)
+
+
+def canonical_spec(family: str, p: Any, n: Any, params: Any) -> str:
+    """The canonical wire spec ``[family, float(p), n, params]``: what
+    the service memoises and fingerprints on and what remote shards
+    carry.  Raises like :func:`canonical_json` (or ``float``)."""
+    return _ENCODER.encode([family, float(p), n, dict(params)])
 
 
 def scenario_fingerprint(spec: str, trials: int, seed: int, *,

@@ -35,7 +35,9 @@ centralises that loop and makes it fast through a three-tier dispatch
 Both sharded paths hand their shards to the runner's
 :class:`~repro.montecarlo.executors.ShardExecutor` (in-process, local
 process pool or remote workers): shard-ordered merging, and
-first-exception propagation with cancellation.
+first-exception propagation with cancellation.  A
+:meth:`TrialRunner.from_spec` runner's shards carry only its catalog
+spec (:func:`run_spec_shard`), the only shards remote workers run.
 
 Besides fixed budgets (:meth:`TrialRunner.run`), the runner offers a
 **sequential mode** (:meth:`TrialRunner.run_until`): the batch grows in
@@ -58,6 +60,7 @@ Example::
 
 from __future__ import annotations
 
+import json
 import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple, Union
@@ -82,12 +85,14 @@ from repro.engine.simulator import ExecutionResult, run_execution
 from repro.failures.base import FailureModel, FaultFree
 from repro.montecarlo.dispatch import SamplerEntry, find_sampler
 from repro.montecarlo.executors import ShardExecutor, make_executor
+from repro.montecarlo.fingerprint import canonical_spec
 from repro.obs import get_registry
 from repro.rng import RngStream, as_stream, derive_seed
 
 __all__ = ["TrialRunner", "TrialResult", "RunningTally",
            "SequentialResult", "SequentialStep", "SEQUENTIAL_BOUNDS",
-           "ENGINE_BACKEND", "BATCHSIM_BACKEND", "MIN_BATCHSIM_SHARD"]
+           "ENGINE_BACKEND", "BATCHSIM_BACKEND", "MIN_BATCHSIM_SHARD",
+           "run_spec_shard"]
 
 AlgorithmFactory = Callable[[], Algorithm]
 SuccessPredicate = Callable[[ExecutionResult], bool]
@@ -445,6 +450,38 @@ def _run_shard(factory: AlgorithmFactory,
     return indicators
 
 
+def _resolve_spec(spec: str) -> Tuple[AlgorithmFactory, FailureModel]:
+    """Resolve a canonical ``[family, p, n, params]`` JSON spec through
+    the catalog; ``ValueError`` for any other string, and what the
+    catalog raises for an unknown family or bad parameters."""
+    from repro.experiments import registry
+
+    try:
+        family, p, n, params = json.loads(spec)
+        if canonical_spec(family, p, n, params) != spec:
+            raise ValueError(f"{spec[:200]!r} is not canonical")
+    except (TypeError, ValueError) as error:
+        raise ValueError(f"shard spec is not a canonical [family, p, n, "
+                         f"params] array: {error}") from error
+    return registry.resolve_scenario(family, p, n, params)
+
+
+def run_spec_shard(spec: str, tier: str, root_seed: int,
+                   start: int, stop: int) -> np.ndarray:
+    """Run trials ``start..stop-1`` of a canonical catalog spec on
+    ``tier``: the shard entrypoint of :meth:`TrialRunner.from_spec`
+    runners on every executor, remote workers included."""
+    factory, failure_model = _resolve_spec(spec)
+    if tier == BATCHSIM_BACKEND:
+        return run_batch_shard(factory, failure_model, root_seed, start, stop)
+    if tier == ENGINE_BACKEND:
+        return _run_shard(factory, failure_model, None, root_seed,
+                          start, stop)
+    raise ValueError(
+        f"shard tier must be {BATCHSIM_BACKEND!r} or {ENGINE_BACKEND!r}, "
+        f"got {tier!r}")
+
+
 def _record_batch(backend: str, trials: int, seconds: float) -> None:
     """Report one executed batch to the process-wide metrics registry.
 
@@ -481,10 +518,10 @@ class TrialRunner:
     Parameters
     ----------
     algorithm_factory:
-        Zero-argument callable building the algorithm under test.  It
-        is invoked once per shard (not per trial); with ``workers > 1``
-        it must be picklable (a module-level function or class, not a
-        lambda).
+        Zero-argument callable building the algorithm under test,
+        invoked once per shard (not per trial).  It is pickled only to
+        shard onto a ``local-process`` pool (so not a lambda there);
+        remote shards need a :meth:`from_spec` runner.
     failure_model:
         The failure model shared by all trials (default
         :class:`~repro.failures.base.FaultFree`).  Failure randomness
@@ -503,8 +540,7 @@ class TrialRunner:
         chunks' worth stay in-process, and mid-sized batches may use
         fewer processes than requested).  The per-trial indicators are
         bit-identical either way, and :attr:`TrialResult.workers`
-        reports the count actually used.  With ``workers > 1`` the
-        factory must be picklable on both sharded paths.
+        reports the count actually used.
     executor:
         Execution substrate for the sharded paths: ``None`` (default)
         resolves from ``workers`` exactly as before — in-process at
@@ -559,6 +595,31 @@ class TrialRunner:
         self._use_batchsim = bool(use_batchsim)
         # Dispatch probes, keyed by ``sequential`` (see :meth:`_tiers`).
         self._probes: Dict[bool, _Tiers] = {}
+        self._spec: Optional[str] = None
+
+    @classmethod
+    def from_spec(cls, family: str, p: float, n: int,
+                  params: Optional[Mapping[str, Any]] = None, *,
+                  workers: int = 1,
+                  executor: Optional[Union[str, ShardExecutor]] = None,
+                  use_fastsim: bool = True,
+                  use_batchsim: bool = True) -> "TrialRunner":
+        """The runner of the catalog scenario ``(family, p, n, params)``,
+        resolved from its canonical JSON (:attr:`spec`) exactly as each
+        of its :func:`run_spec_shard` shards resolves it.  Raises like
+        :func:`~repro.experiments.registry.resolve_scenario`."""
+        spec = canonical_spec(family, p, n, params or {})
+        runner = cls(*_resolve_spec(spec), workers=workers,
+                     executor=executor, use_fastsim=use_fastsim,
+                     use_batchsim=use_batchsim)
+        runner._spec = spec
+        return runner
+
+    @property
+    def spec(self) -> Optional[str]:
+        """The canonical wire spec of a :meth:`from_spec` runner (what
+        its shards carry), ``None`` for a factory-built one."""
+        return self._spec
 
     @property
     def algorithm_factory(self) -> AlgorithmFactory:
@@ -828,7 +889,9 @@ class TrialRunner:
                 )
             fold(0, indicators)
             return indicators, 1
-        if batch is not None:
+        if self._spec is not None:
+            function, head = run_spec_shard, (self._spec, _backend(tiers))
+        elif batch is not None:
             function, head = run_batch_shard, (
                 self._factory, self._failure_model)
         else:

@@ -84,7 +84,7 @@ from repro.montecarlo import (
     make_executor,
     scenario_fingerprint,
 )
-from repro.montecarlo.fingerprint import canonical_json
+from repro.montecarlo.fingerprint import canonical_spec
 from repro.montecarlo.trials import SEQUENTIAL_BOUNDS, SequentialResult
 from repro.obs import get_registry, span
 from repro.serve.admission import AdmissionController
@@ -500,32 +500,25 @@ class SimulationService:
         non-numeric ``p``) is a ``bad-parameters`` error.
         """
         try:
-            return canonical_json(
-                [query.scenario, float(query.p), query.n, dict(query.params)])
+            return canonical_spec(query.scenario, query.p, query.n,
+                                  query.params)
         except (TypeError, ValueError) as error:
             raise QueryError("bad-parameters",
                              f"scenario spec is not canonical: {error}"
                              ) from error
 
-    @staticmethod
-    def _build(query: Union[Query, SequentialQuery],
-               family: ScenarioFamily) -> Tuple[Any, Any]:
-        """The family's ``(factory or compute, failure model)`` pair."""
-        try:
-            return family.build(query.p, query.n, **dict(query.params))
-        except (TypeError, ValueError) as error:
-            raise QueryError("bad-parameters", str(error)) from error
-
     def _resolve(self, query: Union[Query, SequentialQuery],
-                 family: ScenarioFamily, spec: str) -> TrialRunner:
+                 spec: str) -> TrialRunner:
         """The ``TrialRunner`` for this query's scenario, memoised on
         its canonical ``spec``."""
         runner = self._runners.get(spec)
         if runner is None:
-            factory, failure_model = self._build(query, family)
-            runner = TrialRunner(factory, failure_model,
-                                 workers=self._workers,
-                                 executor=self._shard_executor)
+            try:
+                runner = TrialRunner.from_spec(
+                    query.scenario, query.p, query.n, query.params,
+                    workers=self._workers, executor=self._shard_executor)
+            except (TypeError, ValueError) as error:
+                raise QueryError("bad-parameters", str(error)) from error
             if len(self._runners) >= max(self._cache.capacity, 1):
                 self._runners.pop(next(iter(self._runners)))
             self._runners[spec] = runner
@@ -533,7 +526,11 @@ class SimulationService:
 
     def _resolve_exact(self, query: Query,
                        family: ScenarioFamily) -> Callable[[], object]:
-        compute, failure_model = self._build(query, family)
+        try:
+            compute, failure_model = family.build(query.p, query.n,
+                                                  **dict(query.params))
+        except (TypeError, ValueError) as error:
+            raise QueryError("bad-parameters", str(error)) from error
         if failure_model is not None:
             raise QueryError(
                 "bad-parameters",
@@ -618,7 +615,7 @@ class SimulationService:
                 )
             self._validate_sequential(query)
             spec = self._spec(query)
-            runner = self._resolve(query, family, spec)
+            runner = self._resolve(query, spec)
             target = float(query.target_width)
             return _Plan(
                 key=(spec, query.max_trials, query.seed),
@@ -639,7 +636,7 @@ class SimulationService:
             return _Plan(key=(spec, 1, 0), extra="exact-search",
                          compute=partial(_exact_result, compute),
                          tier="exact")
-        runner = self._resolve(query, family, spec)
+        runner = self._resolve(query, spec)
         return _Plan(
             key=(spec, query.trials, query.seed),
             extra=None,

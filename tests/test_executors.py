@@ -9,26 +9,22 @@ local-pool and the remote-socket backend through the *same* assertions,
 so a new backend cannot silently weaken the semantics the trial
 runners' bit-identity guarantee is built on.
 
-Shard functions come from :mod:`repro.distrib.testing` — the remote
-worker only resolves functions under the ``repro.`` trust prefix, so
-test-module locals cannot cross the wire.
+The shards are catalog spec shards (:func:`run_spec_shard`), the only
+kind a remote worker runs; a spec whose ``p`` the family refuses is the
+deterministic error.  Crashes come from :mod:`repro.distrib.testing`
+on the local pool and from ``--die-after-runs`` workers remotely.
 """
 
 from __future__ import annotations
 
 import concurrent.futures
-import time
+import socket
 
+import numpy as np
 import pytest
 
 from repro import obs
-from repro.distrib.testing import (
-    shard_exit,
-    shard_exit_unless_marked,
-    shard_fail_on_odd,
-    shard_slow_first,
-    shard_square,
-)
+from repro.distrib.testing import shard_exit, shard_exit_unless_marked
 from repro.montecarlo.executors import (
     DEFAULT_SPEC_RETRIES,
     InProcessExecutor,
@@ -38,13 +34,40 @@ from repro.montecarlo.executors import (
     make_executor,
 )
 from repro.montecarlo.executors.base import pool_context
-from repro.montecarlo.executors.remote import parse_peers
+from repro.montecarlo.executors.remote import RemoteShardError, parse_peers
+from repro.montecarlo.fingerprint import canonical_spec
+from repro.montecarlo.trials import run_spec_shard
 from tests.helpers import WorkerProcess
 
 fork_only = pytest.mark.skipif(
     pool_context().get_start_method() != "fork",
     reason="crash-injection workers rely on fork-shared module state",
 )
+
+#: Simple-Omission on a depth-3 binary tree, phase length 2.
+SPEC = canonical_spec("simple-omission", 0.3, 3, {"phase_length": 2})
+
+#: What a failing shard raises on each backend: the family's own
+#: ``ValueError`` in-process and on the pool, its structured
+#: ``shard-error`` from a remote worker.
+SHARD_ERRORS = (ValueError, RemoteShardError)
+
+
+def _shard(start, stop):
+    """An engine-tier shard of :data:`SPEC` over ``[start, stop)``."""
+    return (SPEC, "engine", 2007, start, stop)
+
+
+def _failing(p):
+    """A shard whose spec the family refuses: ``p must lie in [0, 1),
+    got <p>``."""
+    return (canonical_spec("simple-omission", p, 3, {}), "engine", 2007,
+            0, 1)
+
+
+def _same(results, shards):
+    return all(np.array_equal(value, run_spec_shard(*shard))
+               for value, shard in zip(results, shards, strict=True))
 
 
 @pytest.fixture(scope="module")
@@ -73,39 +96,46 @@ class TestConformance:
     """The same assertions against every backend."""
 
     def test_results_come_back_in_shard_order(self, executor):
-        assert executor.run_sharded(
-            shard_square, [(i,) for i in range(7)]
-        ) == [0, 1, 4, 9, 16, 25, 36]
+        shards = [_shard(4 * i, 4 * i + 4) for i in range(7)]
+        results = executor.run_sharded(run_spec_shard, shards)
+        assert _same(results, shards)
+        assert np.array_equal(np.concatenate(results),
+                              run_spec_shard(*_shard(0, 28)))
 
     def test_on_result_streams_in_shard_order(self, executor):
-        # Shard 0 completes last on any parallel backend; the callback
-        # must still fire strictly in index order.
+        # Shard 0 is the largest, so it completes last on any parallel
+        # backend; the callback must still fire strictly in index order.
+        shards = [_shard(0, 64)] + [_shard(64 + i, 65 + i) for i in range(3)]
         seen = []
         results = executor.run_sharded(
-            shard_slow_first, [(i,) for i in range(4)],
+            run_spec_shard, shards,
             on_result=lambda index, value: seen.append((index, value)),
         )
-        assert results == [0, 1, 2, 3]
-        assert seen == [(0, 0), (1, 1), (2, 2), (3, 3)]
+        assert _same(results, shards)
+        assert [index for index, _ in seen] == [0, 1, 2, 3]
+        assert _same([value for _, value in seen], shards)
 
     def test_lowest_shard_index_error_wins(self, executor):
-        with pytest.raises(ValueError, match="shard value 1 failed"):
-            executor.run_sharded(
-                shard_fail_on_odd, [(i,) for i in range(6)])
+        shards = [_shard(0, 1), _failing(1.1), _shard(1, 2), _failing(1.3),
+                  _shard(2, 3), _failing(1.5)]
+        with pytest.raises(SHARD_ERRORS, match="got 1.1"):
+            executor.run_sharded(run_spec_shard, shards)
 
     def test_on_result_never_fires_at_or_after_the_failing_shard(
             self, executor):
         seen = []
-        with pytest.raises(ValueError, match="shard value 1 failed"):
+        with pytest.raises(SHARD_ERRORS, match="got 1.1"):
             executor.run_sharded(
-                shard_fail_on_odd, [(0,), (1,), (2,)],
+                run_spec_shard, [_shard(0, 1), _failing(1.1), _shard(1, 2)],
                 on_result=lambda index, value: seen.append((index, value)),
             )
-        assert seen == [(0, 0)]
+        assert [index for index, _ in seen] == [0]
+        assert _same([seen[0][1]], [_shard(0, 1)])
 
     def test_metrics_labelled_by_backend(self, executor):
         with obs.use_registry() as registry:
-            executor.run_sharded(shard_square, [(i,) for i in range(3)])
+            executor.run_sharded(run_spec_shard,
+                                 [_shard(i, i + 1) for i in range(3)])
             counter = registry.counter("mc.executor.shards",
                                        backend=executor.name)
             assert counter.value == 3
@@ -146,14 +176,16 @@ class TestLocalCrashSemantics:
 def retrying(request):
     """Build a two-worker executor of each backend that shares the
     retry-and-merge core; remote gets a fresh loopback pair per test,
-    since crash tests kill their workers."""
+    started with ``--die-after-runs 0`` when ``crashing``, since crash
+    tests kill their workers."""
     workers = []
 
-    def build(max_shard_retries):
+    def build(max_shard_retries, crashing=False):
         if request.param == "local-process":
             return LocalProcessExecutor(
                 2, max_shard_retries=max_shard_retries)
-        workers.extend([WorkerProcess(), WorkerProcess()])
+        extra = ("--die-after-runs", "0") if crashing else ()
+        workers.extend([WorkerProcess(*extra), WorkerProcess(*extra)])
         return RemoteSocketExecutor(
             [(w.host, w.port) for w in workers],
             max_shard_retries=max_shard_retries)
@@ -167,10 +199,15 @@ class TestRetryingCrashSemantics:
     """The shared round and retry loops, pinned on both backends."""
 
     def test_retry_budget_is_bounded(self, retrying):
-        executor = retrying(max_shard_retries=1)
+        executor = retrying(max_shard_retries=1, crashing=True)
+        # Locally the shard kills its pool worker; remotely every
+        # worker dies on its first run op, whatever the shard.
+        function, shards = ((shard_exit, [(0,)])
+                            if executor.name == "local-process"
+                            else (run_spec_shard, [_shard(0, 1)]))
         with obs.use_registry() as registry:
             with pytest.raises(WorkerCrashError, match="shard 0 of 1"):
-                executor.run_sharded(shard_exit, [(0,)])
+                executor.run_sharded(function, shards)
             # One retry attempted (and counted) before the crash surfaced.
             assert registry.counter("mc.executor.retries",
                                     backend=executor.name).value == 1
@@ -180,8 +217,9 @@ class TestRetryingCrashSemantics:
         # generous retry budget — it would raise identically anywhere.
         executor = retrying(max_shard_retries=5)
         with obs.use_registry() as registry:
-            with pytest.raises(ValueError, match="shard value 1 failed"):
-                executor.run_sharded(shard_fail_on_odd, [(0,), (1,)])
+            with pytest.raises(SHARD_ERRORS, match="got 1.1"):
+                executor.run_sharded(run_spec_shard,
+                                     [_shard(0, 1), _failing(1.1)])
             assert registry.counter("mc.executor.retries",
                                     backend=executor.name).value == 0
 
@@ -197,53 +235,47 @@ class TestRetryingCrashSemantics:
 
         monkeypatch.setattr(concurrent.futures.Future, "cancel",
                             counting_cancel)
-        shards = [(2 * i + 1,) for i in range(6)]  # all odd: all raise
-        with pytest.raises(ValueError, match="shard value 1 failed"):
-            executor.run_sharded(shard_fail_on_odd, shards)
+        shards = [_failing(1.1 + i) for i in range(6)]  # all raise
+        with pytest.raises(SHARD_ERRORS, match="got 1.1"):
+            executor.run_sharded(run_spec_shard, shards)
         assert len(calls) == len(shards)
 
 
 class TestRemoteCrashSemantics:
     """Worker death over the wire: retry, reassignment, attribution."""
 
-    def test_killed_worker_reassigns_shard_to_survivor(self, tmp_path):
-        # The marker protocol is cross-process: the first worker to run
-        # the shard creates the marker and dies; the retry lands on the
-        # surviving worker, sees the marker and completes — with the
-        # same shard arguments, so the answer is the undisturbed one.
-        doomed, steady = WorkerProcess(), WorkerProcess()
+    def test_killed_worker_reassigns_shard_to_survivor(self):
+        # The peer pool hands out the last-connected idle worker first,
+        # so the doomed worker (listed last) takes the first shard and
+        # dies on it; the retry lands on the survivor with the same
+        # shard arguments, so the answer is the undisturbed one.
+        doomed = WorkerProcess("--die-after-runs", "0")
+        steady = WorkerProcess()
         try:
-            marker = str(tmp_path / "remote-crash")
             executor = RemoteSocketExecutor(
-                [(doomed.host, doomed.port), (steady.host, steady.port)],
+                [(steady.host, steady.port), (doomed.host, doomed.port)],
                 max_shard_retries=1)
+            shards = [_shard(0, 4), _shard(4, 8)]
             with obs.use_registry() as registry:
-                results = executor.run_sharded(
-                    shard_exit_unless_marked, [(9, marker)])
-                assert results == [81]
+                results = executor.run_sharded(run_spec_shard, shards)
+                assert _same(results, shards)
                 assert registry.counter(
                     "mc.executor.retries",
                     backend="remote-socket").value == 1
-            # Exactly one of the pair died executing the shard.  The
-            # client can see the dead worker's socket close a moment
-            # before the process is reaped, so allow it time to exit.
-            deadline = time.monotonic() + 5.0
-            while (doomed.alive() and steady.alive()
-                   and time.monotonic() < deadline):
-                time.sleep(0.01)
-            assert sum(1 for w in (doomed, steady) if w.alive()) == 1
+            doomed.process.wait(timeout=5.0)
+            assert steady.alive()
         finally:
             doomed.close()
             steady.close()
 
     def test_retries_exhausted_surfaces_worker_crash_error(self):
-        worker = WorkerProcess()
+        worker = WorkerProcess("--die-after-runs", "0")
         try:
             executor = RemoteSocketExecutor(
                 [(worker.host, worker.port)], max_shard_retries=0)
             with pytest.raises(WorkerCrashError,
                                match=r"shard 0 of 1 \(retries exhausted\)"):
-                executor.run_sharded(shard_exit, [(0,)])
+                executor.run_sharded(run_spec_shard, [_shard(0, 1)])
         finally:
             worker.close()
 
@@ -251,7 +283,7 @@ class TestRemoteCrashSemantics:
         executor = RemoteSocketExecutor([("127.0.0.1", 1)],
                                         connect_timeout=0.5)
         with pytest.raises(WorkerCrashError, match="no remote workers"):
-            executor.run_sharded(shard_square, [(1,)])
+            executor.run_sharded(run_spec_shard, [_shard(0, 1)])
 
     def test_heartbeat_reports_per_peer_liveness(self, worker_pair):
         live, dead_port = worker_pair[0], 1
@@ -262,18 +294,16 @@ class TestRemoteCrashSemantics:
         assert beat[live.address] is True
         assert beat[f"127.0.0.1:{dead_port}"] is False
 
-    def test_forbidden_function_is_a_deterministic_rejection(
-            self, worker_pair):
-        executor = RemoteSocketExecutor(
-            [(w.host, w.port) for w in worker_pair])
-
-        with pytest.raises(RuntimeError, match="forbidden-function"):
-            executor.run_sharded(_outside_trust_prefix, [(1,)])
-
-
-def _outside_trust_prefix(value):
-    """Module-level (picklable spec) but outside the repro. namespace."""
-    return value
+    def test_forbidden_function_is_a_deterministic_rejection(self):
+        # Anything but a catalog spec shard is refused before the
+        # executor opens a connection: the listener never sees one.
+        with socket.create_server(("127.0.0.1", 0)) as listener:
+            listener.setblocking(False)
+            executor = RemoteSocketExecutor([listener.getsockname()[:2]])
+            with pytest.raises(TypeError, match="run_spec_shard"):
+                executor.run_sharded(shard_exit, [(1,)])
+            with pytest.raises(BlockingIOError):
+                listener.accept()
 
 
 class TestMakeExecutor:

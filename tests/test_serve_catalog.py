@@ -58,7 +58,10 @@ from repro.serve import Query, QueryError, SimulationService
 #: ``(name, label) -> (p, n, params, expected backend, fingerprint,
 #: indicators sha256)``.  The ``default`` row of a family uses its
 #: default params; every further row pins one value of a family param
-#: an experiment varies (one family, several param sets).  Kept tiny so
+#: an experiment varies (one family, several param sets), and every
+#: Monte-Carlo family has a row where some but not all of the trials
+#: fail (a ``mixed`` row where no other row did), so a builder or shard
+#: worker that dropped ``p`` or a param changes a digest.  Kept tiny so
 #: the whole catalog serves in about a second.  The last two columns
 #: are literal pins (see the module docstring); the indicator digest
 #: ``cc8cd41c…`` is sixteen successes.
@@ -188,6 +191,26 @@ SAMPLES = {
         0.3, 3, {"repeat": 2}, "fastsim:layered-omission",
         "62ad5cb5801c0cc50c4a454407aa06064ac65979ed7d113e9d0a7b8e6e97db93",
         "5b81cda0f80dcf6d33e65c1d08c4760265ffc9c3b6c1612cd0562825fe157057"),
+    ("hello", "mixed"): (  # fails 8 of 16
+        0.5, 2, {}, "batchsim",
+        "3c502bde00625b0e0d8c5e54d47f649f2e2b2a91498c64a77c1bb26460171286",
+        "2dd475200a2e777cd5789f0a551fc1041d380d3578e0661bd450dc4ae2b783d2"),
+    ("hetero-omission", "mixed"): (  # fails 3 of 16
+        0.5, 2, {"phase_length": 1}, "fastsim:simple-omission",
+        "9cd68f36fa5a6bd518a1de450e8d6469839cf3b419c26b532d086c93252bf514",
+        "1eba7942cce67f37c4cd3106fd7c99ddc298aec3fd8a799e2c3b4f1bc6585542"),
+    ("malicious-radio-star", "mixed"): (  # fails 8 of 16
+        0.1, 4, {"phase_length": 1}, "fastsim:simple-malicious-radio",
+        "fe512f089315792265f33db6c69a0a87052336a8fd056100dcdcf607dd096fe7",
+        "496a90414d510f33e32f4d0b9b670015a32f25a6184975580724bfef8c9c7cb7"),
+    ("round-robin", "mixed"): (  # fails 13 of 16
+        0.3, 2, {"cycles": 1}, "batchsim",
+        "7034d1a922f9ab8f9fee7b257f89d538aac6c9a21df2a02c6216842587774101",
+        "7c344504574f6ce9726d9cdc9abbde9bd91bf7672f74031ef5b93822410d9e22"),
+    ("simple-malicious-mp", "mixed"): (  # fails 8 of 16
+        0.2, 2, {"phase_length": 1}, "fastsim:simple-malicious-mp",
+        "e7913a626f4ec6e29882c2ed98b97dd88209f9681345cfc1709a91c49b5ff713",
+        "94ae46c253ab3f2c360f7d2c7e8e6128fb2fbd45baad3c9c89efba1698612ab2"),
 }
 
 EXPERIMENT_IDS = tuple(f"E{index:02d}" for index in range(1, 16))
@@ -252,9 +275,13 @@ def _serve_samples():
     return run(scenario())
 
 
+@pytest.fixture(scope="module")
+def answers():
+    return _serve_samples()
+
+
 class TestEveryFamilyServes:
-    def test_all_samples_round_trip(self):
-        answers = _serve_samples()
+    def test_all_samples_round_trip(self, answers):
         for key, (p, n, params, backend, *_) in SAMPLES.items():
             name = key[0]
             answer = answers[key]
@@ -271,14 +298,23 @@ class TestEveryFamilyServes:
                                   direct.indicators), key
             assert answer.result.backend == direct.backend, key
 
-    def test_fingerprints_and_indicators_are_pinned(self):
+    def test_fingerprints_and_indicators_are_pinned(self, answers):
         assert FINGERPRINT_VERSION == 2, "re-pin both columns below"
-        answers = _serve_samples()
         for key, (*_, fingerprint, digest) in SAMPLES.items():
             assert answers[key].indicators_digest() == digest, (
                 f"{key} computes different indicators: bump "
                 f"FINGERPRINT_VERSION, then re-pin")
             assert answers[key].fingerprint == fingerprint, key
+
+    def test_every_monte_carlo_family_has_a_pin_with_failing_trials(
+            self, answers):
+        # A pin of sixteen successes stays green under a builder or a
+        # shard worker that ignores p or a param; a mixed one does not.
+        mixed = {name for (name, _), answer in answers.items()
+                 if 0 < answer.result.successes < TRIALS}
+        montecarlo = {family.name for family in all_families()
+                      if family.kind != FAMILY_EXACT}
+        assert montecarlo - mixed == set()
 
     def test_every_param_of_a_pin_changes_its_indicators(self):
         # The fingerprint hashes the spec, so a builder that ignored a
