@@ -147,7 +147,7 @@ def repetitions_for_majority(wrong_prob: float, target: float,
     while majority_error_probability(high, wrong_prob) > target:
         low, high = high, high * 2
         if high > max_repetitions:
-            raise RuntimeError(
+            raise ValueError(
                 f"no repetition count up to {max_repetitions} reaches "
                 f"target {target} at wrong_prob {wrong_prob}"
             )

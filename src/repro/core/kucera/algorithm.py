@@ -35,7 +35,19 @@ from repro.core.tree_phase import majority_or_default
 from repro.graphs.bfs import SpanningTree, bfs_tree
 from repro.graphs.topology import Topology
 
-__all__ = ["KuceraBroadcast", "KuceraProtocol"]
+__all__ = ["KuceraBroadcast", "KuceraProtocol", "default_plan"]
+
+
+def default_plan(order: int, height: int, p: float,
+                 failure_target: Optional[float] = None,
+                 rho: int = 4, kappa: int = 3) -> Plan:
+    """The planner's plan for a BFS tree of ``height`` over ``order``
+    nodes: length >= the height, per-node failure budget ``(1/n²) /
+    (height + 1)`` unless ``failure_target`` overrides it."""
+    height = max(height, 1)
+    if failure_target is None:
+        failure_target = union_bound_target(order) / (height + 1)
+    return build_plan(height, p, failure_target, rho=rho, kappa=kappa)
 
 
 class KuceraProtocol(Protocol):
@@ -123,9 +135,7 @@ class KuceraBroadcast(Algorithm):
     p:
         Per-transmission failure probability (must be < 1/2).
     plan:
-        Explicit plan override; by default the planner builds one of
-        length >= the BFS height with per-node failure budget
-        ``(1/n²) / (height + 1)``.
+        Explicit plan override; :func:`default_plan` by default.
     rho, kappa:
         Planner constants (see :func:`repro.core.kucera.planner.build_plan`).
     """
@@ -148,11 +158,9 @@ class KuceraBroadcast(Algorithm):
                 f"tree is rooted at {tree.root}, not at source {self._source}"
             )
         self._tree = tree
-        height = max(tree.height, 1)
         if plan is None:
-            if failure_target is None:
-                failure_target = union_bound_target(topology.order) / (height + 1)
-            plan = build_plan(height, p, failure_target, rho=rho, kappa=kappa)
+            plan = default_plan(topology.order, tree.height, p,
+                                failure_target, rho=rho, kappa=kappa)
         self._plan = plan
         self._compiled = compile_plan(plan, p)
         if self._compiled.length < tree.height:

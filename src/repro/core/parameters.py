@@ -108,7 +108,7 @@ def repetitions_for_signed_majority(good_prob: float, bad_prob: float,
     while signed_majority_error(high, good_prob, bad_prob) > target:
         low, high = high, high * 2
         if high > max_repetitions:
-            raise RuntimeError(
+            raise ValueError(
                 f"no repetition count up to {max_repetitions} reaches "
                 f"target {target}; margin too thin "
                 f"(good={good_prob}, bad={bad_prob})"

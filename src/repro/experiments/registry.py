@@ -27,6 +27,7 @@ the documentation cannot drift from the registry (pinned by
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
@@ -40,6 +41,7 @@ __all__ = [
     "Cell",
     "ScenarioSpec",
     "ScenarioFamily",
+    "Param",
     "register",
     "register_family",
     "get_family",
@@ -254,6 +256,55 @@ class ScenarioSpec:
 
 
 @dataclass(frozen=True)
+class Param:
+    """One declared input: a family's ``p``, or a param as its builder's
+    keyword default (``rounds: int = Param("int", 2500, 1, 10**5)``).
+
+    ``kind`` is ``"int"`` (never a bool), ``"number"`` (finite, passed
+    on as ``float``) or ``"choice"`` (one of ``choices``, of the same
+    type).  ``[low, high]`` is the range, and ``open`` excludes either
+    end.  ``zero_default`` accepts ``0`` to select the builder's
+    computed default, and ``nullable`` accepts ``None``.  A ``graph``
+    choice's ``shapes`` map each kind to ``(smallest n, what n means,
+    largest n)``.
+    """
+
+    kind: str
+    default: Any = None
+    low: Any = None
+    high: Any = None
+    open: Tuple[bool, bool] = (False, False)
+    zero_default: bool = False
+    nullable: bool = False
+    choices: Tuple[Any, ...] = ()
+    shapes: Optional[Dict[str, Tuple[int, str, int]]] = None
+
+    def check(self, name: str, value: Any) -> Any:
+        """``value`` if legal; a ``ValueError`` naming ``name`` if not."""
+        if value is None and self.nullable:
+            return None
+        if self.kind == "choice":
+            if not any(type(value) is type(choice) and value == choice
+                       for choice in self.choices):
+                raise ValueError(f"{name} must be one of "
+                                 f"{list(self.choices)}, got {value!r}")
+            return value
+        number = self.kind == "number"
+        if isinstance(value, bool) or not isinstance(
+                value, (int, float) if number else int):
+            kind = "a number" if number else "an int"
+            raise ValueError(f"{name} must be {kind}, got {value!r}")
+        low_ok = value > self.low if self.open[0] else value >= self.low
+        high_ok = value < self.high if self.open[1] else value <= self.high
+        if not (low_ok and high_ok or value == 0 and self.zero_default):
+            raise ValueError(  # NaN fails both bounds
+                f"{name} must lie in {'(' if self.open[0] else '['}"
+                f"{self.low}, {self.high}{')' if self.open[1] else ']'}, "
+                f"got {value}")
+        return float(value) if number else value
+
+
+@dataclass(frozen=True)
 class ScenarioFamily:
     """A parameterised scenario the serving layer can build on demand.
 
@@ -261,7 +312,7 @@ class ScenarioFamily:
     :mod:`repro.serve` names a family and supplies ``(p, n)`` (plus
     optional family-specific ``params``), an experiment runner does
     the same through :meth:`ExperimentConfig.runner`, and
-    :attr:`build` returns the ``(algorithm_factory, failure_model)``
+    :meth:`build` returns the ``(algorithm_factory, failure_model)``
     pair both turn into a :class:`~repro.montecarlo.TrialRunner`.
     Results are memoised on the canonical wire spec ``(name, p, n,
     params)`` (:func:`repro.montecarlo.scenario_fingerprint`), never
@@ -274,13 +325,15 @@ class ScenarioFamily:
     ----------
     name:
         Wire name clients use (kebab-case, e.g. ``"simple-omission"``).
-    build:
-        ``build(p, n, **params) -> (factory, failure_model)``.  It must
-        validate its inputs and raise ``ValueError`` on out-of-range
-        parameters — the service maps that to a client error instead of
-        a crash.
+    builder:
+        The registered ``builder(p, n, **params)``, called by :meth:`build`.
     description:
         One-line summary for catalogs and docs.
+    p, params:
+        The declared ``p`` and ``name -> Param``.
+    sizes:
+        ``graph kind -> (smallest n, what n means, largest n)``, keyed
+        by ``None`` for a family without a ``graph`` param.
     size_meaning:
         What the wire parameter ``n`` selects (e.g. ``"line length"``,
         ``"grid side"``) — rendered in the catalog so clients know what
@@ -303,11 +356,33 @@ class ScenarioFamily:
     """
 
     name: str
-    build: Callable[..., Tuple[Callable[[], object], object]]
+    builder: Callable[..., Tuple[Callable[[], object], object]]
     description: str
+    p: Param
+    params: Dict[str, Param]
+    sizes: Dict[Optional[str], Tuple[int, str, int]]
     size_meaning: str = "number of nodes"
     experiments: Tuple[str, ...] = ()
     kind: str = "montecarlo"
+
+    def build(self, p: Any, n: Any, **params: Any):
+        """``(factory, failure_model)`` of the scenario ``(p, n, params)``.
+
+        The declarations validate: an unknown param or a value of the
+        wrong kind or range is a ``ValueError`` naming the field.
+        Builders only build, from validated values with every default
+        filled in; they check only rules that tie two fields together.
+        """
+        unknown = sorted(map(str, params.keys() - self.params.keys()))
+        if unknown:
+            raise ValueError(
+                f"unknown param(s) {', '.join(unknown)} for {self.name}; "
+                f"known: {', '.join(self.params) or 'none'}")
+        values = {name: param.check(name, params.get(name, param.default))
+                  for name, param in self.params.items()}
+        low, meaning, high = self.sizes[values.get("graph")]
+        n = Param("int", low=low, high=high).check(f"n ({meaning})", n)
+        return self.builder(self.p.check("p", p), n, **values)
 
 
 #: :attr:`ScenarioFamily.kind` values.
@@ -319,25 +394,38 @@ _FAMILY_KINDS = (FAMILY_MONTECARLO, FAMILY_EXACT)
 _FAMILIES: Dict[str, ScenarioFamily] = {}
 
 
-def register_family(name: str, description: str,
+def register_family(name: str, description: str, *, p: Param,
+                    n: Optional[Tuple[int, str, int]] = None,
                     size_meaning: str = "number of nodes",
                     experiments: Tuple[str, ...] = (),
                     kind: str = FAMILY_MONTECARLO):
-    """Decorator registering a scenario-family builder under ``name``."""
+    """Decorator registering a scenario-family builder under ``name``.
+
+    ``p`` and ``n`` (``(smallest, meaning, largest)``, unless a
+    ``graph`` param's shapes set it) declare their ranges; each
+    keyword-only builder argument declares a param by its default.
+    """
     if kind not in _FAMILY_KINDS:
         raise ValueError(
             f"family kind must be one of {_FAMILY_KINDS}, got {kind!r}"
         )
 
-    def decorate(build: Callable[..., Tuple[Callable[[], object], object]]):
+    def decorate(builder: Callable[..., Tuple[Callable[[], object], object]]):
         if name in _FAMILIES:
             raise ValueError(f"duplicate scenario family {name!r}")
+        params = {key: arg.default for key, arg in
+                  inspect.signature(builder).parameters.items()
+                  if arg.kind is arg.KEYWORD_ONLY}
+        if not all(isinstance(param, Param) for param in params.values()):
+            raise TypeError(f"{name}: builder keywords must default to Params")
+        graph = params.get("graph")
         _FAMILIES[name] = ScenarioFamily(
-            name=name, build=build, description=description,
+            name=name, builder=builder, description=description, p=p,
+            params=params, sizes=graph.shapes if graph else {None: n},
             size_meaning=size_meaning, experiments=tuple(experiments),
             kind=kind,
         )
-        return build
+        return builder
 
     return decorate
 
@@ -375,11 +463,10 @@ def resolve_scenario(name: str, p: float, n: int,
 
     The single entry point the service, its wire protocol and every
     experiment cell (:meth:`ExperimentConfig.runner`) use:
-    ``KeyError`` for an unknown family, ``ValueError``/``TypeError``
-    from the family's own validation for bad parameters.
+    ``KeyError`` for an unknown family, ``ValueError`` for bad
+    parameters (:meth:`ScenarioFamily.build`).
     """
-    family = get_family(name)
-    return family.build(p, n, **dict(params or {}))
+    return get_family(name).build(p, n, **dict(params or {}))
 
 
 @dataclass(frozen=True)

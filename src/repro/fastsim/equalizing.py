@@ -64,7 +64,8 @@ def sample_equalizing_star(order: int, phase_length: int, rate: float,
     hear_true = (1.0 - rate) ** order
     hear_flip = rate
     draws = stream.generator.multinomial(
-        phase_length, [hear_true, hear_flip, 1.0 - hear_true - hear_flip],
+        phase_length,
+        [hear_true, hear_flip, max(0.0, 1.0 - hear_true - hear_flip)],
         size=trials,
     )
     true_votes = draws[:, 0]

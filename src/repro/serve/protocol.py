@@ -96,7 +96,7 @@ class _OpSchema:
 
     def __init__(self, query_type: type, submit: str,
                  required: Tuple[str, ...], optional: Tuple[str, ...],
-                 numbers: Tuple[str, ...], strings: Tuple[str, ...] = ()):
+                 numbers: Tuple[str, ...]):
         self.query_type = query_type
         #: Name of the :class:`SimulationService` method answering the op.
         self.submit = submit
@@ -105,7 +105,6 @@ class _OpSchema:
         self.allowed = frozenset(required + optional)
         #: Fields that must be JSON numbers (coerced to ``float``).
         self.numbers = numbers
-        self.strings = strings
 
 
 _SCHEMAS: Dict[str, _OpSchema] = {
@@ -120,7 +119,6 @@ _SCHEMAS: Dict[str, _OpSchema] = {
         required=("scenario", "p", "n", "target_width", "max_trials"),
         optional=("seed", "bound", "params"),
         numbers=("p", "target_width"),
-        strings=("bound",),
     ),
 }
 
@@ -147,9 +145,6 @@ def _parse_query(schema: _OpSchema, request: Dict[str, Any]) -> Any:
     for key in schema.objects:
         if key in fields and not isinstance(fields[key], dict):
             raise QueryError("bad-request", f"{key} must be a JSON object")
-    for key in schema.strings:
-        if key in fields and not isinstance(fields[key], str):
-            raise QueryError("bad-request", f"{key} must be a string")
     return schema.query_type(**fields)
 
 
@@ -406,6 +401,13 @@ class SimulationServer:
                     "n": family.size_meaning,
                     "kind": family.kind,
                     "experiments": list(family.experiments),
+                    "p_range": dict(vars(family.p)),
+                    "n_range": [{"graph": graph, "low": low,
+                                 "meaning": meaning, "high": high}
+                                for graph, (low, meaning, high)
+                                in family.sizes.items()],
+                    "params": [dict(vars(param), name=name) for name, param
+                               in family.params.items()],
                 }
                 for family in all_families()
             ],

@@ -74,8 +74,10 @@ import numpy as np
 from repro._validation import check_positive_int
 from repro.experiments.registry import (
     FAMILY_EXACT,
+    Param,
     ScenarioFamily,
     get_family,
+    resolve_scenario,
 )
 from repro.montecarlo import (
     ShardExecutor,
@@ -282,6 +284,17 @@ class ServiceStats:
         return (self.coalesced_hits + self.cache_hits) / answered
 
 
+#: The query fields besides the scenario spec and the trial count,
+#: declared like family params.
+_SEED = Param("int", low=0, high=float("inf"))
+_TARGET_WIDTH = Param("number", low=0, high=1, open=(True, False))
+_BOUND = Param("choice", choices=SEQUENTIAL_BOUNDS)
+#: An exact family's one batch shape: any other would fragment the memo
+#: across keys whose answers are identical by construction.
+_EXACT_FIELDS = (("trials", Param("int", low=1, high=1)),
+                 ("seed", Param("int", low=0, high=0)))
+
+
 class _Plan(NamedTuple):
     """What one query kind contributes to the shared serving pipeline."""
 
@@ -407,7 +420,8 @@ class SimulationService:
         self._workers = check_positive_int(workers, "workers")
         self._shard_executor = make_executor(shard_executor,
                                              workers=self._workers)
-        self._max_trials = check_positive_int(max_trials, "max_trials")
+        self._trials = Param("int", low=1, high=check_positive_int(
+            max_trials, "max_trials"))
         self._cache = ResultCache(cache_capacity)
         self._coalescer = Coalescer()
         self._executor = executor
@@ -424,10 +438,11 @@ class SimulationService:
             for key, value in self._journal.load():
                 self._cache.put(key, value)
         # Scenario resolution is itself worth memoising: building a
-        # runner re-probes dispatch (builds the algorithm, scans the
-        # registry, checks batchsim eligibility).  Keyed by the
-        # canonical spec, bounded like the result cache.
-        self._runners: Dict[str, TrialRunner] = {}
+        # runner validates the spec and re-probes dispatch (builds the
+        # algorithm, scans the registry, checks batchsim eligibility).
+        # Keyed by the canonical spec, bounded like the result cache;
+        # an exact family's entry is its ``compute``.
+        self._runners: Dict[str, Any] = {}
         self._queries = 0
         self._computed = 0
         self._coalesced_hits = 0
@@ -507,141 +522,86 @@ class SimulationService:
                              f"scenario spec is not canonical: {error}"
                              ) from error
 
-    def _resolve(self, query: Union[Query, SequentialQuery],
-                 spec: str) -> TrialRunner:
-        """The ``TrialRunner`` for this query's scenario, memoised on
-        its canonical ``spec``."""
-        runner = self._runners.get(spec)
-        if runner is None:
+    def _resolve(self, query: Union[Query, SequentialQuery], spec: str,
+                 family: ScenarioFamily) -> Any:
+        """The ``TrialRunner`` for this query's scenario, or an exact
+        family's ``compute``, memoised on its canonical ``spec``: a hit
+        neither validates nor builds."""
+        resolved = self._runners.get(spec)
+        if resolved is None:
             try:
-                runner = TrialRunner.from_spec(
-                    query.scenario, query.p, query.n, query.params,
-                    workers=self._workers, executor=self._shard_executor)
+                if family.kind == FAMILY_EXACT:
+                    resolved = resolve_scenario(query.scenario, query.p,
+                                                query.n, query.params)[0]
+                else:
+                    resolved = TrialRunner.from_spec(
+                        query.scenario, query.p, query.n, query.params,
+                        workers=self._workers,
+                        executor=self._shard_executor)
             except (TypeError, ValueError) as error:
                 raise QueryError("bad-parameters", str(error)) from error
             if len(self._runners) >= max(self._cache.capacity, 1):
                 self._runners.pop(next(iter(self._runners)))
-            self._runners[spec] = runner
-        return runner
+            self._runners[spec] = resolved
+        return resolved
 
-    def _resolve_exact(self, query: Query,
-                       family: ScenarioFamily) -> Callable[[], object]:
+    def _check_fields(self, query: Union[Query, SequentialQuery],
+                      fields: Tuple[Tuple[str, Param], ...],
+                      context: str = "") -> None:
+        """``bad-request`` unless each named query field is legal."""
         try:
-            compute, failure_model = family.build(query.p, query.n,
-                                                  **dict(query.params))
-        except (TypeError, ValueError) as error:
-            raise QueryError("bad-parameters", str(error)) from error
-        if failure_model is not None:
-            raise QueryError(
-                "bad-parameters",
-                f"exact family {family.name!r} must not carry a failure "
-                f"model"
-            )
-        return compute
-
-    def _validate_seed(self, seed: Any) -> None:
-        if not isinstance(seed, int) or isinstance(seed, bool):
-            raise QueryError("bad-request", "seed must be an int")
-        if seed < 0:
-            raise QueryError("bad-request",
-                             f"seed must be non-negative, got {seed}")
-
-    def _validate_trials(self, value: Any, name: str) -> None:
-        if not isinstance(value, int) or isinstance(value, bool):
-            raise QueryError("bad-request", f"{name} must be an int")
-        if not 1 <= value <= self._max_trials:
-            raise QueryError(
-                "bad-request",
-                f"{name} must lie in [1, {self._max_trials}], got {value}"
-            )
-
-    def _validate(self, query: Query) -> None:
-        if not isinstance(query.scenario, str) or not query.scenario:
-            raise QueryError("bad-request", "scenario must be a non-empty "
-                                            "string")
-        self._validate_trials(query.trials, "trials")
-        self._validate_seed(query.seed)
-
-    def _validate_exact(self, query: Query) -> None:
-        """Exact families are deterministic: pin the batch shape.
-
-        Accepting arbitrary ``trials``/``seed`` would fragment the memo
-        across keys whose answers are identical by construction, so the
-        service insists on the canonical ``trials=1, seed=0`` instead
-        of silently aliasing.
-        """
-        if query.trials != 1:
-            raise QueryError(
-                "bad-request",
-                f"scenario {query.scenario!r} is exact (combinatorial); "
-                f"trials must be 1, got {query.trials}"
-            )
-        if query.seed != 0:
-            raise QueryError(
-                "bad-request",
-                f"scenario {query.scenario!r} is exact (combinatorial); "
-                f"seed must be 0, got {query.seed}"
-            )
-
-    def _validate_sequential(self, query: SequentialQuery) -> None:
-        if not isinstance(query.target_width, (int, float)) or isinstance(
-                query.target_width, bool):
-            raise QueryError("bad-request", "target_width must be a number")
-        if not 0.0 < float(query.target_width) <= 1.0:
-            raise QueryError(
-                "bad-request",
-                f"target_width must lie in (0, 1], got {query.target_width}"
-            )
-        self._validate_trials(query.max_trials, "max_trials")
-        if query.bound not in SEQUENTIAL_BOUNDS:
-            raise QueryError(
-                "bad-request",
-                f"bound must be one of {SEQUENTIAL_BOUNDS}, got "
-                f"{query.bound!r}"
-            )
-        self._validate_seed(query.seed)
+            for name, param in fields:
+                param.check(name, getattr(query, name))
+        except ValueError as error:
+            raise QueryError("bad-request", f"{context}{error}") from error
 
     # -- plans ---------------------------------------------------------
 
     def _plan(self, query: Union[Query, SequentialQuery]) -> _Plan:
         """Validate and resolve ``query`` into its kind's pipeline plan."""
+        family = self._family(query.scenario)
+        exact = family.kind == FAMILY_EXACT
         if isinstance(query, SequentialQuery):
-            family = self._family(query.scenario)
-            if family.kind == FAMILY_EXACT:
+            if exact:
                 raise QueryError(
                     "bad-request",
                     f"scenario {query.scenario!r} is exact "
                     f"(combinatorial); run_until does not apply"
                 )
-            self._validate_sequential(query)
-            spec = self._spec(query)
-            runner = self._resolve(query, spec)
+            self._check_fields(query, (
+                ("target_width", _TARGET_WIDTH),
+                ("max_trials", self._trials), ("bound", _BOUND),
+                ("seed", _SEED)))
+        else:
+            self._check_fields(query, (("trials", self._trials),
+                                       ("seed", _SEED)))
+            if exact:
+                self._check_fields(query, _EXACT_FIELDS, (
+                    f"scenario {query.scenario!r} is exact "
+                    f"(combinatorial); "))
+        spec = self._spec(query)
+        resolved = self._resolve(query, spec, family)
+        if isinstance(query, SequentialQuery):
             target = float(query.target_width)
             return _Plan(
                 key=(spec, query.max_trials, query.seed),
                 extra=("run_until", query.bound, SEQUENTIAL_CONFIDENCE,
                        SEQUENTIAL_INITIAL_TRIALS),
-                compute=partial(runner.run_until, target, query.max_trials,
-                                query.seed, SEQUENTIAL_CONFIDENCE,
-                                bound=query.bound,
+                compute=partial(resolved.run_until, target,
+                                query.max_trials, query.seed,
+                                SEQUENTIAL_CONFIDENCE, bound=query.bound,
                                 initial_trials=SEQUENTIAL_INITIAL_TRIALS),
                 tier="run_until", op="run_until", target=target,
             )
-        self._validate(query)
-        family = self._family(query.scenario)
-        spec = self._spec(query)
-        if family.kind == FAMILY_EXACT:
-            self._validate_exact(query)
-            compute = self._resolve_exact(query, family)
+        if exact:
             return _Plan(key=(spec, 1, 0), extra="exact-search",
-                         compute=partial(_exact_result, compute),
+                         compute=partial(_exact_result, resolved),
                          tier="exact")
-        runner = self._resolve(query, spec)
         return _Plan(
             key=(spec, query.trials, query.seed),
             extra=None,
-            compute=partial(runner.run, query.trials, query.seed),
-            tier="montecarlo", runner=runner,
+            compute=partial(resolved.run, query.trials, query.seed),
+            tier="montecarlo", runner=resolved,
         )
 
     def fingerprint(self, query: Union[Query, SequentialQuery]) -> str:

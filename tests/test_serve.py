@@ -20,12 +20,14 @@ under ``asyncio.run`` inside a plain test function.
 import asyncio
 import json
 import pickle
+import time
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro.batchsim.engine as engine_module
+import repro.serve.service as service_module
 from repro.experiments.registry import all_families, get_family, resolve_scenario
 from repro.montecarlo import TrialRunner
 from repro.obs import render_prometheus, use_registry
@@ -40,6 +42,7 @@ from repro.serve import (
     query_many,
     query_one,
 )
+from repro.serve.catalog import KUCERA_PROBE_BUDGET
 from repro.serve.traffic import make_query_pool, run_inprocess
 
 MC_QUERY = Query("windowed-malicious", 0.25, 2, 200, seed=5)
@@ -376,6 +379,21 @@ class TestServiceCacheExactness:
         assert again.indicators_digest() == first.indicators_digest()
         assert stats.cache.evictions >= 1
 
+    def test_exact_resolution_is_memoised_on_the_spec(self, monkeypatch):
+        builds = []
+        real = service_module.resolve_scenario
+
+        def spy(*args):
+            builds.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(service_module, "resolve_scenario", spy)
+        service = SimulationService(cache_capacity=0)
+        query = Query("layered-opt", 0.0, 3, 1)
+        answers = [run(service.submit(query)) for _ in range(3)]
+        assert [answer.source for answer in answers] == ["computed"] * 3
+        assert len(builds) == 1
+
     def test_fastsim_queries_are_memoised_too(self):
         async def scenario():
             service = SimulationService()
@@ -388,6 +406,17 @@ class TestServiceCacheExactness:
         assert replay.source == "cache"
         assert replay.result is cold.result
         assert stats.fastsim_answers == 1
+
+
+#: Kučera specs whose plan is too large to probe (rounds x nodes above
+#: ``KUCERA_PROBE_BUDGET``): probing ``p=0.45, n=64`` took 37 s and
+#: 1.7 GB, ``p=0.488, n=64`` ran out of memory.
+KUCERA_OVER_BUDGET = [
+    Query("kucera-flip", 0.45, 64, 10),
+    Query("kucera-flip", 0.47, 16, 10),
+    Query("kucera-flip", 0.488, 16, 10),
+    Query("kucera-flip", 0.488, 64, 10),
+]
 
 
 class TestServiceValidation:
@@ -434,6 +463,17 @@ class TestServiceValidation:
         Query("windowed-malicious", 0.25, 2, 10, params={"cols": 1}),
         Query("kucera-flip", 0.499, 4, 10),
         Query("kucera-flip", 0.6, 4, 10),
+        Query("hello", 0.2, 4, 10, params={"message": True}),
+        Query("hello", 0.2, 4, 10, params={"message": 1.0}),
+        Query("simple-omission", 0.3, 2, 10, params={"phase_length": 0.0}),
+        Query("simple-omission", 0.3, 2, 10,
+              params={"phase_length": False}),
+        *KUCERA_OVER_BUDGET,
+        # Legal once, then a crash out of submit: refused at resolution.
+        Query("windowed-malicious", 0.5, 2, 10),
+        Query("windowed-malicious", 0.4999, 2, 10),
+        Query("simple-malicious-mp", 0.4999, 2, 10),
+        Query("round-robin", 0.999, 4, 10),
     ])
     def test_bad_parameters(self, query):
         with pytest.raises(QueryError) as excinfo:
@@ -451,11 +491,48 @@ class TestServiceValidation:
          "budget must be an int, got 1.5"),
         (Query("round-robin", 0.3, 2, 10, params={"cycles": -2}),
          "cycles must lie in [1, 4096], got -2"),
+        (Query("flooding", 0.1, 5, 10, params={"bogus": 1}),
+         "unknown param(s) bogus for flooding; known: graph, rounds"),
+        (Query("flooding", 0.1, 5, 10, params={"graph": ["line"]}),
+         "graph must be one of ['line', 'binary-tree'], got ['line']"),
+        (Query("hello", 0.2, 4, 10, params={"adversary": ["silent"]}),
+         "adversary must be one of ['silent', 'garbage'], got ['silent']"),
+        (Query("equalizing-mp", 0.3, 6, 10,
+               params={"effective_rate": "0.2"}),
+         "effective_rate must be a number, got '0.2'"),
+        (Query("equalizing-mp", 0.3, 6, 10, params={"effective_rate": 0.5}),
+         "effective_rate must not exceed p, got 0.5 > 0.3"),
     ])
     def test_range_errors_name_the_field(self, query, message):
         with pytest.raises(QueryError) as excinfo:
             self._submit(query)
         assert str(excinfo.value) == message
+
+    @pytest.mark.parametrize("query", [
+        *KUCERA_OVER_BUDGET, Query("kucera-flip", 0.499, 4, 10)])
+    def test_kucera_plans_too_large_to_probe_are_refused_at_once(
+            self, query):
+        start = time.perf_counter()
+        with pytest.raises(QueryError) as excinfo:
+            SimulationService().fingerprint(query)
+        assert excinfo.value.code == "bad-parameters"
+        assert time.perf_counter() - start < 1.0
+        if query.p != 0.499:
+            assert str(KUCERA_PROBE_BUDGET) in excinfo.value.message
+
+    def test_equalizing_star_answers_below_machine_epsilon(self):
+        # (1 - p)**n + p rounds past 1 there; the multinomial's
+        # remainder must not go negative.
+        answer = self._submit(Query("equalizing-star", 1e-300, 2, 8))
+        assert answer.successes == 8
+
+    @pytest.mark.parametrize("p, n", [
+        (0.3, 64), (0.488, 4),  # the budget's edges
+        (0.3, 4), (0.1, 6),  # serve/traffic.py
+        (0.2, 8), (0.2, 4),  # perfbench
+    ])
+    def test_kucera_plans_within_budget_resolve(self, p, n):
+        SimulationService().fingerprint(Query("kucera-flip", p, n, 10))
 
     def test_trials_ceiling(self):
         service = SimulationService(max_trials=100)
@@ -614,6 +691,33 @@ class TestWireProtocol:
         assert stats["executor"]["workers"] == 1
         names = {entry["name"] for entry in catalog["scenarios"]}
         assert "windowed-malicious" in names
+
+    def test_catalog_lists_the_declared_params(self):
+        async def scenario(host, port, server):
+            return await query_one(host, port, {"op": "catalog"})
+
+        entries = {entry["name"]: entry
+                   for entry in run(self._with_server(scenario))["scenarios"]}
+        assert entries.keys() == {family.name for family in all_families()}
+        for name, entry in entries.items():
+            family = get_family(name)
+            assert [param["name"] for param in entry["params"]] == list(
+                family.params)
+            assert bool(entry["params"]) == (name != "layered-opt")
+            assert entry["p_range"]["low"] == family.p.low
+        cols = {param["name"]: param
+                for param in entries["windowed-malicious"]["params"]}["cols"]
+        assert cols == {"name": "cols", "kind": "int", "default": 0,
+                        "low": 2, "high": 4096, "open": [False, False],
+                        "zero_default": True, "nullable": False,
+                        "choices": [], "shapes": None}
+        assert entries["kucera-flip"]["p_range"]["high"] == 0.5
+        assert {size["graph"]: size["high"]
+                for size in entries["kucera-flip"]["n_range"]} == {
+                    "line": 64, "binary-tree": 5}
+        assert entries["hello"]["n_range"] == [
+            {"graph": None, "low": 1, "meaning": "half-round count m",
+             "high": 4096}]
 
     def test_metrics_op_ships_the_registry_snapshot(self):
         async def scenario(host, port, server):
