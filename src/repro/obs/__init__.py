@@ -18,7 +18,7 @@ Typical instrumentation site::
 
     with obs.span("serve.query", scenario=query.scenario):
         ...
-    obs.get_registry().counter("serve.queries").inc()
+    obs.get_registry().counter("mc.trials", backend=backend).inc(trials)
 
 The process-wide registry is swappable (:func:`set_registry` /
 :func:`use_registry`), which is how tests isolate their counts and how

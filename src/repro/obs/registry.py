@@ -1,13 +1,12 @@
 """Process-wide metrics registry: counters, gauges, histograms.
 
-The registry is the single sink every instrumentation site in the
-library writes to.  Three instrument kinds cover the serving and
-Monte-Carlo stack:
+The registry is the sink of every span and Monte-Carlo metric (the
+serving layer's counts stay on their components; the wire ``metrics``
+op merges them in).  Three instrument kinds:
 
-* :class:`Counter` — monotone event counts (queries served, cache
-  hits, trials executed per backend);
-* :class:`Gauge` — instantaneous levels (in-flight wire requests,
-  coalescer flights);
+* :class:`Counter` — monotone event counts (trials executed per
+  backend, dispatch probes, shard retries);
+* :class:`Gauge` — instantaneous levels;
 * :class:`Histogram` — fixed-bucket latency distributions (query
   spans, batch runs, pool shard durations) with bucket-interpolated
   percentile estimates.
@@ -18,9 +17,9 @@ Design constraints, in order of importance:
    touch numpy's generators — recording a metric cannot perturb a
    single indicator bit (pinned in ``tests/test_obs.py`` and
    ``benchmarks/bench_obs.py``).
-2. **Lock-safe.**  The serve layer records from the event-loop thread
-   *and* from executor threads simultaneously; every instrument guards
-   its mutation with its own lock (plain ``+=`` on an int is not
+2. **Lock-safe.**  Spans record from the event-loop thread while
+   Monte-Carlo runs record from executor threads; every instrument
+   guards its mutation with its own lock (plain ``+=`` on an int is not
    atomic across the interpreter's bytecode boundary).
 3. **Snapshot-able and resettable.**  ``snapshot()`` returns a plain
    JSON-serialisable dict (what the wire ``metrics`` op ships and

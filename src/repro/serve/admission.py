@@ -18,11 +18,6 @@ working set stays fast under overload.
 Everything is event-loop-local state (no locks, no threads) and fully
 deterministic: a slot is granted synchronously when free, the queue is
 FIFO, and rejection happens at admission time, never mid-run.
-
-Metrics (:mod:`repro.obs`): ``serve.admission.admitted{op}`` /
-``serve.admission.rejected{op}`` counters and
-``serve.admission.inflight{op}`` / ``serve.admission.waiting{op}``
-gauges.
 """
 
 from __future__ import annotations
@@ -34,7 +29,6 @@ from dataclasses import dataclass, field
 from typing import Deque, Dict, Mapping, Optional
 
 from repro._validation import check_non_negative_int, check_positive_int
-from repro.obs import get_registry
 from repro.serve.errors import OverloadedError
 
 __all__ = ["AdmissionController", "OverloadedError", "AdmissionStats"]
@@ -52,8 +46,13 @@ class AdmissionStats:
 
 @dataclass
 class _OpState:
+    """One op class's run slots and counts (``queued``: runs that waited)."""
+
     inflight: int = 0
     waiters: "Deque[asyncio.Future]" = field(default_factory=deque)
+    admitted: int = 0
+    rejected: int = 0
+    queued: int = 0
 
 
 class AdmissionController:
@@ -92,9 +91,8 @@ class AdmissionController:
         self._retry_after_ms = float(retry_after_ms)
         self._default_limit = check_positive_int(default_limit,
                                                  "default_limit")
-        self._states: Dict[str, _OpState] = {}
-        self._admitted = 0
-        self._rejected = 0
+        #: Run slots and counts, by op (read them, never write them).
+        self.ops: Dict[str, _OpState] = {}
 
     def limit(self, op: str) -> int:
         """The concurrency limit applied to ``op``."""
@@ -103,15 +101,16 @@ class AdmissionController:
     def stats(self) -> AdmissionStats:
         """Current counters snapshot (summed over ops)."""
         return AdmissionStats(
-            admitted=self._admitted, rejected=self._rejected,
-            inflight=sum(s.inflight for s in self._states.values()),
-            waiting=sum(len(s.waiters) for s in self._states.values()),
+            admitted=sum(s.admitted for s in self.ops.values()),
+            rejected=sum(s.rejected for s in self.ops.values()),
+            inflight=sum(s.inflight for s in self.ops.values()),
+            waiting=sum(len(s.waiters) for s in self.ops.values()),
         )
 
     def _state(self, op: str) -> _OpState:
-        state = self._states.get(op)
+        state = self.ops.get(op)
         if state is None:
-            state = self._states[op] = _OpState()
+            state = self.ops[op] = _OpState()
         return state
 
     async def acquire(self, op: str) -> None:
@@ -121,13 +120,11 @@ class AdmissionController:
         point), FIFO when queued, and the rejection decision is made
         entirely at admission time.
         """
-        registry = get_registry()
         state = self._state(op)
         if state.inflight < self.limit(op):
             state.inflight += 1
         elif len(state.waiters) >= self._max_waiting:
-            self._rejected += 1
-            registry.counter("serve.admission.rejected", op=op).inc()
+            state.rejected += 1
             depth = len(state.waiters)
             raise OverloadedError(
                 op,
@@ -138,8 +135,7 @@ class AdmissionController:
         else:
             future = asyncio.get_running_loop().create_future()
             state.waiters.append(future)
-            waiting = registry.gauge("serve.admission.waiting", op=op)
-            waiting.inc()
+            state.queued += 1
             try:
                 # A granted future means release() already transferred
                 # the slot to us — inflight stays constant.
@@ -155,11 +151,7 @@ class AdmissionController:
                     # slot on instead of leaking it.
                     self.release(op)
                 raise
-            finally:
-                waiting.dec()
-        self._admitted += 1
-        registry.counter("serve.admission.admitted", op=op).inc()
-        registry.gauge("serve.admission.inflight", op=op).inc()
+        state.admitted += 1
 
     def release(self, op: str) -> None:
         """Return a slot, handing it to the oldest waiter if any."""
@@ -171,7 +163,6 @@ class AdmissionController:
                 break
         else:
             state.inflight = max(0, state.inflight - 1)
-        get_registry().gauge("serve.admission.inflight", op=op).dec()
 
     @asynccontextmanager
     async def admit(self, op: str):

@@ -14,13 +14,6 @@ The cache is synchronous and unlocked by design: the service accesses
 it only from the event-loop thread (executor threads compute results
 but never touch the cache), so adding a lock would buy nothing and
 suggest a concurrency story that does not exist.
-
-Besides its own :class:`CacheStats` counters (the in-process API),
-every lookup and eviction is mirrored into the process-wide metrics
-registry (:mod:`repro.obs`; ``serve.cache.hits`` /
-``serve.cache.misses`` / ``serve.cache.evictions``), so the hit rate
-shows up in the ``metrics`` wire op and the Prometheus exposition
-without a stats round trip.
 """
 
 from __future__ import annotations
@@ -31,7 +24,6 @@ from typing import Iterator, List, Optional, Tuple, Union
 
 from repro._validation import check_non_negative_int
 from repro.montecarlo.trials import SequentialResult, TrialResult
-from repro.obs import get_registry
 
 __all__ = ["ResultCache", "CacheStats"]
 
@@ -103,11 +95,9 @@ class ResultCache:
         result = self._entries.get(fingerprint)
         if result is None:
             self._misses += 1
-            get_registry().counter("serve.cache.misses").inc()
             return None
         self._entries.move_to_end(fingerprint)
         self._hits += 1
-        get_registry().counter("serve.cache.hits").inc()
         return result
 
     def put(self, fingerprint: str, result: CacheValue) -> None:
@@ -124,7 +114,6 @@ class ResultCache:
         while len(self._entries) > self._capacity:
             self._entries.popitem(last=False)
             self._evictions += 1
-            get_registry().counter("serve.cache.evictions").inc()
 
     def stats(self) -> CacheStats:
         """Current counters snapshot."""

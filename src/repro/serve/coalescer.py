@@ -12,21 +12,12 @@ The coalescer is fingerprint-agnostic: it maps any hashable key to an
 ``asyncio`` future and runs the supplied zero-argument coroutine
 factory once per key generation.  Failures propagate to *every* waiter
 of that generation and are not cached — the next query retries.
-
-Launches and joins are mirrored into the process-wide metrics
-registry (:mod:`repro.obs`; counters ``serve.coalesce.started`` /
-``serve.coalesce.joined``, gauge ``serve.coalesce.inflight``), so the
-single-flight win — how many executions duplicate traffic *didn't*
-run — is visible in the ``metrics`` wire op alongside the
-``started``/``joined`` properties the stats op reports.
 """
 
 from __future__ import annotations
 
 import asyncio
 from typing import Any, Awaitable, Callable, Dict, Hashable
-
-from repro.obs import get_registry
 
 __all__ = ["Coalescer"]
 
@@ -62,18 +53,14 @@ class Coalescer:
         ``(result, coalesced)`` where ``coalesced`` is ``True`` for the
         callers that joined an existing flight.
         """
-        registry = get_registry()
         existing = self._inflight.get(key)
         if existing is not None:
             self._joined += 1
-            registry.counter("serve.coalesce.joined").inc()
             return await asyncio.shield(existing), True
         loop = asyncio.get_running_loop()
         future: "asyncio.Future[Any]" = loop.create_future()
         self._inflight[key] = future
         self._started += 1
-        registry.counter("serve.coalesce.started").inc()
-        registry.gauge("serve.coalesce.inflight").inc()
         try:
             result = await compute()
         except BaseException as error:
@@ -89,4 +76,3 @@ class Coalescer:
             return result, False
         finally:
             self._inflight.pop(key, None)
-            registry.gauge("serve.coalesce.inflight").dec()

@@ -27,7 +27,7 @@ that produced it.  This module owns the on-disk format:
   honest ``met`` flag).  ``crc`` is the CRC-32 of the canonical JSON
   of the other three fields — a torn or bit-flipped line fails the
   check, is **dropped and logged** (``repro.serve.persistence``
-  logger, ``serve.memo.corrupt`` counter), and never crashes the
+  logger, counted in ``records_dropped``), and never crashes the
   server; every other record still loads.  Later records for the same
   key win, so an append-only file doubles as a last-writer-wins map.
 
@@ -60,7 +60,6 @@ from repro.montecarlo.trials import (
     SequentialStep,
     TrialResult,
 )
-from repro.obs import get_registry
 
 __all__ = ["MemoJournal", "MemoRecord", "FORMAT_NAME", "FORMAT_VERSION"]
 
@@ -217,8 +216,8 @@ class MemoJournal:
         """Read every valid record (file order) and open for append.
 
         Corrupt lines — torn tails, CRC mismatches, malformed JSON —
-        are dropped individually with a log line and a
-        ``serve.memo.corrupt`` count.  A missing file is created; a
+        are dropped individually with a log line and counted in
+        :attr:`records_dropped`.  A missing file is created; a
         mangled header restarts the journal fresh; a *newer* format
         version raises (never clobber data from the future).
         """
@@ -235,13 +234,12 @@ class MemoJournal:
                     decoded = self._decode_record(line)
                     self._record_count += 1
                     if decoded is None:
-                        self._drop(line)
+                        self._dropped += 1
                     else:
                         records.append(decoded)
         else:
             self._rewrite([])
         self._loaded = len(records)
-        get_registry().counter("serve.memo.loaded").inc(len(records))
         self._open_append()
         return records
 
@@ -260,7 +258,6 @@ class MemoJournal:
         self._handle.write(_record_line(key, value))
         self._handle.flush()
         self._record_count += 1
-        get_registry().counter("serve.memo.appended").inc()
 
     def compact(self, live: Iterable[MemoRecord]) -> None:
         """Atomically rewrite the journal to exactly ``live``.
@@ -272,7 +269,6 @@ class MemoJournal:
         self.close()
         self._rewrite(list(live))
         self._compactions += 1
-        get_registry().counter("serve.memo.compactions").inc()
         self._open_append()
 
     # -- internals -----------------------------------------------------
@@ -335,7 +331,3 @@ class MemoJournal:
             logger.warning("memo journal %s: dropping corrupt record "
                            "(%s)", self._path, error)
             return None
-
-    def _drop(self, line: bytes) -> None:
-        self._dropped += 1
-        get_registry().counter("serve.memo.corrupt").inc()

@@ -45,22 +45,23 @@ each line as its own task and writes responses as they complete (the
 That is what lets N duplicate queries from one client coalesce into a
 single batch execution.
 
-The ``metrics`` op returns the process-wide :mod:`repro.obs` registry
-snapshot (``{"ok": true, "metrics": {counters, gauges, histograms}}``)
-— the machine-readable twin of ``stats``; pipe it through ``python -m
-repro.obs render`` (or point that command at a live server with
-``--host``/``--port``) for the Prometheus text exposition.  The server
-itself feeds the registry: per-op request counters (``serve.op``),
-wire-level error counters (``serve.wire.errors`` by code), a
-``serve.wire.inflight`` gauge of request lines currently being
-processed, and a ``serve.connections`` counter.
+The ``metrics`` op (``{"ok": true, "metrics": {counters, gauges,
+histograms}}``) is the machine-readable twin of ``stats``: its
+``serve.*`` counters and gauges are built from the counts ``stats``
+reads (plus the server's own ``serve.op``, ``serve.wire.errors``,
+``serve.wire.inflight`` and ``serve.connections``), merged into the
+process-wide :mod:`repro.obs` registry snapshot.  Pipe it through
+``python -m repro.obs render`` (or point that command at a live server
+with ``--host``/``--port``) for the Prometheus text exposition.
 """
 
 from __future__ import annotations
 
 import asyncio
 import json
-from typing import Any, Dict, List, Optional, Tuple, Union
+from collections import Counter
+from dataclasses import asdict
+from typing import Any, Dict, List, Mapping, Optional, Tuple, Union
 
 from repro.experiments.registry import all_families
 from repro.obs import get_registry
@@ -71,7 +72,6 @@ from repro.serve.service import (
     QueryError,
     SequentialAnswer,
     SequentialQuery,
-    ServiceStats,
     SimulationService,
 )
 
@@ -207,6 +207,10 @@ class SimulationServer:
         self._host = host
         self._port = port
         self._server: Optional[asyncio.AbstractServer] = None
+        self._connections = 0
+        self._inflight = 0
+        self._ops: "Counter[str]" = Counter()
+        self._wire_errors: "Counter[str]" = Counter()
 
     @property
     def service(self) -> SimulationService:
@@ -252,7 +256,7 @@ class SimulationServer:
 
     async def _handle_connection(self, reader: asyncio.StreamReader,
                                  writer: asyncio.StreamWriter) -> None:
-        get_registry().counter("serve.connections").inc()
+        self._connections += 1
         write_lock = asyncio.Lock()
         pending: List[asyncio.Task] = []
 
@@ -303,16 +307,13 @@ class SimulationServer:
                 pass
 
     async def _handle_line(self, line: bytes, respond) -> None:
-        registry = get_registry()
-        inflight = registry.gauge("serve.wire.inflight")
-        inflight.inc()
+        self._inflight += 1
         try:
             payload = await self._process_line(line)
         finally:
-            inflight.dec()
+            self._inflight -= 1
         if not payload.get("ok"):
-            registry.counter("serve.wire.errors",
-                             code=payload.get("error", "unknown")).inc()
+            self._wire_errors[payload.get("error", "unknown")] += 1
         try:
             await respond(payload)
         except (ConnectionResetError, BrokenPipeError):
@@ -328,7 +329,7 @@ class SimulationServer:
         request_id = request.get("id")
         op = request.get("op", "query")
         if op in ("query", "run_until", "stats", "catalog", "metrics"):
-            get_registry().counter("serve.op", op=op).inc()
+            self._ops[op] += 1
         if op == "stats":
             return self._stats_payload(request_id)
         if op == "catalog":
@@ -360,36 +361,82 @@ class SimulationServer:
             "errors": stats.errors,
             "shared_work_rate": stats.shared_work_rate,
             "uptime_seconds": round(stats.uptime_seconds, 3),
-            "cache": {
-                "hits": stats.cache.hits,
-                "misses": stats.cache.misses,
-                "evictions": stats.cache.evictions,
-                "size": stats.cache.size,
-                "capacity": stats.cache.capacity,
-            },
+            "cache": asdict(stats.cache),
             "coalescer": {
                 "inflight": stats.coalesce_inflight,
                 "started": stats.coalesce_started,
                 "joined": stats.coalesce_joined,
             },
-            "admission": self._admission_block(stats),
+            "admission": dict(asdict(self._service.admission.stats()),
+                              overloaded_answers=stats.overloaded),
             "executor": dict(stats.executor),
         }
         return _with_id(payload, request_id)
 
-    def _admission_block(self, stats: ServiceStats) -> Dict[str, Any]:
-        admission = self._service.admission.stats()
-        return {
-            "admitted": admission.admitted,
-            "rejected": admission.rejected,
-            "inflight": admission.inflight,
-            "waiting": admission.waiting,
-            "overloaded_answers": stats.overloaded,
-        }
-
     def _metrics_payload(self, request_id: Any) -> Dict[str, Any]:
-        return _with_id({"ok": True, "metrics": get_registry().snapshot()},
-                        request_id)
+        metrics = get_registry().snapshot()
+        for kind, entries in self._serving_series().items():
+            metrics[kind] = sorted(metrics[kind] + entries, key=lambda e: (
+                e["name"], sorted(e["labels"].items())))
+        return _with_id({"ok": True, "metrics": metrics}, request_id)
+
+    def _serving_series(self) -> Dict[str, List[Dict[str, Any]]]:
+        """The ``serve.*`` counters and gauges in the registry snapshot
+        format, built from the counts ``stats`` reads.  A series is
+        listed from its first event on, as a registry instrument is."""
+        service, stats = self._service, self._service.stats()
+        ops, journal = service.admission.ops.items(), service.journal
+
+        def labelled(name: str, label: str,
+                     counts: Mapping[str, int]) -> List:
+            return [(name, {label: key}, n) for key, n in counts.items()]
+
+        counters = [
+            ("serve.connections", {}, self._connections),
+            *labelled("serve.op", "op", self._ops),
+            *labelled("serve.wire.errors", "code", self._wire_errors),
+            ("serve.queries", {}, stats.queries),
+            *labelled("serve.answers", "source", {
+                "computed": stats.computed, "coalesced": stats.coalesced_hits,
+                "cache": stats.cache_hits}),
+            *labelled("serve.errors", "code", service.errors),
+            ("serve.cache.hits", {}, stats.cache.hits),
+            ("serve.cache.misses", {}, stats.cache.misses),
+            ("serve.cache.evictions", {}, stats.cache.evictions),
+            ("serve.coalesce.started", {}, stats.coalesce_started),
+            ("serve.coalesce.joined", {}, stats.coalesce_joined),
+            *labelled("serve.admission.admitted", "op",
+                      {op: state.admitted for op, state in ops}),
+            *labelled("serve.admission.rejected", "op",
+                      {op: state.rejected for op, state in ops}),
+        ]
+        if journal is not None:
+            # The service journals every computed answer.
+            counters += [
+                ("serve.memo.loaded", {}, journal.records_loaded),
+                ("serve.memo.appended", {}, stats.computed),
+                ("serve.memo.compactions", {}, journal.compactions),
+                ("serve.memo.corrupt", {}, journal.records_dropped)]
+        # (name, labels, level, whether the level ever moved); the
+        # request asking is itself a line in flight.
+        gauges = [
+            ("serve.wire.inflight", {}, self._inflight, True),
+            ("serve.coalesce.inflight", {}, stats.coalesce_inflight,
+             stats.coalesce_started),
+            *(("serve.admission.inflight", {"op": op}, state.inflight,
+               state.admitted) for op, state in ops),
+            *(("serve.admission.waiting", {"op": op}, len(state.waiters),
+               state.queued) for op, state in ops),
+        ]
+        return {
+            # Reading the journal is ``loaded``'s first event, even when
+            # it held no record.
+            "counters": [{"name": name, "labels": labels, "value": n}
+                         for name, labels, n in counters
+                         if n or name == "serve.memo.loaded"],
+            "gauges": [{"name": name, "labels": labels, "value": float(n)}
+                       for name, labels, n, moved in gauges if moved],
+        }
 
     def _catalog_payload(self, request_id: Any) -> Dict[str, Any]:
         payload: Dict[str, Any] = {

@@ -49,9 +49,7 @@ coalesced waiters lose nothing — bit-identical indicators either way.
 Every query runs under a ``serve.query`` span (:mod:`repro.obs`)
 whose resolve / fingerprint / cache / run / coalesce phases are child
 spans, so per-phase latency histograms (``serve.query.seconds``,
-``serve.run.seconds``, ...) and the slow-query log come for free;
-outcome counters (``serve.queries``, ``serve.answers`` by source,
-``serve.errors`` by code) land in the same registry.  The
+``serve.run.seconds``, ...) and the slow-query log come for free.  The
 instrumentation is inert by construction — wall-clock reads only,
 never the experiment RNG — so answers stay bit-identical with metrics
 on or off.
@@ -62,6 +60,7 @@ from __future__ import annotations
 import asyncio
 import dataclasses
 import time
+from collections import Counter
 from concurrent.futures import Executor
 from dataclasses import dataclass, field
 from hashlib import sha256
@@ -88,7 +87,7 @@ from repro.montecarlo import (
 )
 from repro.montecarlo.fingerprint import canonical_spec
 from repro.montecarlo.trials import SEQUENTIAL_BOUNDS, SequentialResult
-from repro.obs import get_registry, span
+from repro.obs import span
 from repro.serve.admission import AdmissionController
 from repro.serve.cache import CacheStats, ResultCache
 from repro.serve.coalescer import Coalescer
@@ -444,12 +443,9 @@ class SimulationService:
         # an exact family's entry is its ``compute``.
         self._runners: Dict[str, Any] = {}
         self._queries = 0
-        self._computed = 0
-        self._coalesced_hits = 0
-        self._cache_hits = 0
+        self._answers: "Counter[str]" = Counter()
         self._fastsim_answers = 0
-        self._errors = 0
-        self._overloaded = 0
+        self._errors: "Counter[str]" = Counter()
         self._started_monotonic = time.monotonic()
 
     @property
@@ -472,19 +468,25 @@ class SimulationService:
         """The persistent memo journal, when one is configured."""
         return self._journal
 
+    @property
+    def errors(self) -> Mapping[str, int]:
+        """Failed queries by error code."""
+        return self._errors
+
     def stats(self) -> ServiceStats:
         """Current counter snapshot."""
         return ServiceStats(
-            queries=self._queries, computed=self._computed,
-            coalesced_hits=self._coalesced_hits,
-            cache_hits=self._cache_hits,
-            fastsim_answers=self._fastsim_answers, errors=self._errors,
+            queries=self._queries, computed=self._answers[SOURCE_COMPUTED],
+            coalesced_hits=self._answers[SOURCE_COALESCED],
+            cache_hits=self._answers[SOURCE_CACHE],
+            fastsim_answers=self._fastsim_answers,
+            errors=sum(self._errors.values()),
             cache=self._cache.stats(),
             uptime_seconds=time.monotonic() - self._started_monotonic,
             coalesce_inflight=self._coalescer.inflight(),
             coalesce_started=self._coalescer.started,
             coalesce_joined=self._coalescer.joined,
-            overloaded=self._overloaded,
+            overloaded=self._errors.get("overloaded", 0),
             executor=self._shard_executor.describe(),
         )
 
@@ -658,8 +660,6 @@ class SimulationService:
         """The one pipeline every query kind runs through."""
         start = time.perf_counter()
         self._queries += 1
-        registry = get_registry()
-        registry.counter("serve.queries").inc()
         try:
             with span("serve.query", scenario=query.scenario):
                 with span("serve.resolve"):
@@ -679,9 +679,7 @@ class SimulationService:
                               if isinstance(cached, SequentialResult)
                               else None)
                 if served is not None:
-                    self._cache_hits += 1
-                    registry.counter("serve.answers",
-                                     source=SOURCE_CACHE).inc()
+                    self._answers[SOURCE_CACHE] += 1
                     return answer(query, served, fingerprint, SOURCE_CACHE,
                                   time.perf_counter() - start)
                 # Fastsim tier: one closed-form vectorised draw — cheaper
@@ -709,19 +707,15 @@ class SimulationService:
                     with span("serve.coalesce"):
                         result, coalesced = await self._coalescer.run(
                             flight, compute)
-                if coalesced:
-                    self._coalesced_hits += 1
-                else:
-                    self._computed += 1
+                if not coalesced:
                     self._memoise(fingerprint, result)
                 source = SOURCE_COALESCED if coalesced else SOURCE_COMPUTED
-                registry.counter("serve.answers", source=source).inc()
+                self._answers[source] += 1
                 return answer(query, result, fingerprint, source,
                               time.perf_counter() - start)
-        except QueryError as error:
-            self._errors += 1
-            if isinstance(error, OverloadedError):
-                self._overloaded += 1
-            registry.counter("serve.errors", code=error.code).inc()
+        except Exception as error:
+            # Anything else reaches the client as ``internal``.
+            code = error.code if isinstance(error, QueryError) else "internal"
+            self._errors[code] += 1
             raise
 

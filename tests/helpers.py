@@ -1,16 +1,29 @@
-"""Shared test helpers: scripted protocols and distrib worker spawning."""
+"""Shared test helpers: scripted protocols, distrib worker spawning and
+a server driven through every serving event."""
 
 from __future__ import annotations
 
+import asyncio
+import json
 import os
 import re
 import subprocess
 import sys
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro.engine.protocol import Algorithm, Protocol
 from repro.graphs.topology import Topology
+from repro.montecarlo.trials import TrialResult
+from repro.serve import (
+    MemoJournal,
+    SimulationServer,
+    SimulationService,
+    query_many,
+    query_one,
+)
 
 
 class ScriptedProtocol(Protocol):
@@ -103,3 +116,68 @@ class WorkerProcess:
             self.process.kill()
         self.process.stdout.close()
         self.process.wait()
+
+
+#: A batchsim cell slow enough that pipelined seeds contend for one
+#: run slot.
+_BATCH = {"scenario": "windowed-malicious", "p": 0.25, "n": 2,
+          "trials": 150}
+
+
+def serve_every_event(memo_path: Path
+                      ) -> Tuple[Dict[str, Any], Dict[str, Any]]:
+    """Drive a server through one of each serving event; return the
+    ``stats`` and ``metrics`` replies that follow.
+
+    The events: a computed batchsim query, a cache hit, a coalesced
+    burst, a queued run, an ``overloaded`` shed, a fastsim query, a
+    ``run_until``, an exact ``layered-opt`` query, a ``bad-parameters``
+    query and a bad-JSON line.  The memo journal starts with 32 records
+    and one corrupt line, and the cache holds 4 entries, so the load
+    evicts and the first fresh run compacts the journal.
+    """
+    journal = MemoJournal(memo_path)
+    journal.load()
+    for index in range(32):
+        journal.append(f"seed{index}", TrialResult(
+            np.array([True]), "batchsim", 1, index))
+    journal.close()
+    with open(memo_path, "a", encoding="utf8") as handle:
+        handle.write("{torn\n")
+
+    async def traffic():
+        service = SimulationService(
+            memo_path=str(memo_path), cache_capacity=4,
+            max_concurrent_runs=1, max_queued_runs=1)
+        server = SimulationServer(service)
+        host, port = await server.start()
+        try:
+            for request in (dict(_BATCH, seed=1), dict(_BATCH, seed=1)):
+                await query_one(host, port, request)
+            await query_many(host, port, [dict(_BATCH, seed=2)] * 3)
+            # One slot and one queue place: the first seed runs, the
+            # second waits, the third is shed.
+            await query_many(host, port, [dict(_BATCH, seed=seed)
+                                          for seed in (3, 4, 5)])
+            for request in (
+                    {"scenario": "flooding", "p": 0.1, "n": 8,
+                     "trials": 64},
+                    {"op": "run_until", "scenario": "flooding", "p": 0.1,
+                     "n": 8, "target_width": 0.2, "max_trials": 4096},
+                    {"scenario": "layered-opt", "p": 0, "n": 3,
+                     "trials": 1},
+                    {"scenario": "flooding", "p": 0.1, "n": 8,
+                     "trials": 16, "params": {"rounds": [1, 2]}}):
+                await query_one(host, port, request)
+            reader, writer = await asyncio.open_connection(host, port)
+            writer.write(b"{not json\n")
+            assert json.loads(await reader.readline())["error"] == "bad-json"
+            writer.close()
+            await writer.wait_closed()
+            return (await query_one(host, port, {"op": "stats"}),
+                    await query_one(host, port, {"op": "metrics"}))
+        finally:
+            await server.close()
+            service.close()
+
+    return asyncio.run(traffic())

@@ -15,6 +15,8 @@ Three layers of protection against documentation drift:
   relative link.
 """
 
+import inspect
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -30,6 +32,8 @@ from repro.experiments.describe import (
     throughput_provenance,
 )
 from repro.montecarlo.dispatch import registered_samplers
+from repro.serve import SimulationServer
+from tests.helpers import serve_every_event
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -125,8 +129,7 @@ class TestObservabilityDocs:
     def test_architecture_has_an_observability_section(self):
         architecture = (REPO_ROOT / "ARCHITECTURE.md").read_text()
         assert "## Observability" in architecture
-        for series in ("serve.query.seconds", "serve.cache.hits",
-                       "serve.coalesce.started", "mc.trials",
+        for series in ("serve.query.seconds", "mc.trials",
                        "mc.executor.shard.seconds", "mc.dispatch.match"):
             assert f"`{series}`" in architecture, (
                 f"metric series {series!r} missing from ARCHITECTURE.md's "
@@ -155,10 +158,20 @@ class TestServiceDocs:
         architecture = (REPO_ROOT / "ARCHITECTURE.md").read_text()
         assert "### Admission control" in architecture
         assert "retry_after_ms" in architecture
-        for series in ("serve.admission.admitted", "serve.admission.rejected",
-                       "serve.admission.inflight", "serve.admission.waiting",
-                       "serve.memo.corrupt"):
-            assert series in architecture, (
+
+    def test_architecture_names_every_serving_series(self, tmp_path):
+        # The serve.* counters and gauges the metrics op builds: every
+        # name the export spells, each one seen in a live reply.
+        spelled = set(re.findall(r'"(serve\.[a-z.]+)"', inspect.getsource(
+            SimulationServer._serving_series)))
+        _, metrics = serve_every_event(tmp_path / "memo.ndjson")
+        served = {entry["name"] for kind in ("counters", "gauges")
+                  for entry in metrics["metrics"][kind]
+                  if entry["name"].startswith("serve.")}
+        assert served == spelled
+        architecture = (REPO_ROOT / "ARCHITECTURE.md").read_text()
+        for series in sorted(served):
+            assert f"`{series}`" in architecture, (
                 f"metric series {series!r} missing from ARCHITECTURE.md"
             )
 

@@ -30,7 +30,7 @@ import repro.batchsim.engine as engine_module
 import repro.serve.service as service_module
 from repro.experiments.registry import all_families, get_family, resolve_scenario
 from repro.montecarlo import TrialRunner
-from repro.obs import render_prometheus, use_registry
+from repro.obs import NULL, render_prometheus, set_registry, use_registry
 from repro.serve import (
     Coalescer,
     Query,
@@ -44,6 +44,7 @@ from repro.serve import (
 )
 from repro.serve.catalog import KUCERA_PROBE_BUDGET
 from repro.serve.traffic import make_query_pool, run_inprocess
+from tests.helpers import serve_every_event
 
 MC_QUERY = Query("windowed-malicious", 0.25, 2, 200, seed=5)
 FASTSIM_QUERY = Query("simple-omission", 0.1, 3, 400, seed=1)
@@ -748,12 +749,10 @@ class TestWireProtocol:
 
     def test_wire_errors_are_counted_by_code(self):
         async def scenario(host, port, server):
-            with use_registry() as registry:
-                await query_one(host, port, {"scenario": "no-such",
-                                             "p": 0.1, "n": 2,
-                                             "trials": 8})
-                await query_one(host, port, {"op": "bogus"})
-                return registry.snapshot()
+            await query_one(host, port, {"scenario": "no-such", "p": 0.1,
+                                         "n": 2, "trials": 8})
+            await query_one(host, port, {"op": "bogus"})
+            return (await query_one(host, port, {"op": "metrics"}))["metrics"]
 
         snapshot = run(self._with_server(scenario))
         by_code = {entry["labels"]["code"]: entry["value"]
@@ -764,13 +763,13 @@ class TestWireProtocol:
 
     def test_list_param_is_a_counted_bad_parameters_error(self):
         async def scenario(host, port, server):
-            with use_registry() as registry:
-                response = await query_one(host, port, {
-                    "scenario": "flooding", "p": 0.1, "n": 8,
-                    "trials": 16, "params": {"rounds": [1, 2]},
-                })
-                stats = await query_one(host, port, {"op": "stats"})
-                return response, stats, registry.snapshot()
+            response = await query_one(host, port, {
+                "scenario": "flooding", "p": 0.1, "n": 8,
+                "trials": 16, "params": {"rounds": [1, 2]},
+            })
+            stats = await query_one(host, port, {"op": "stats"})
+            metrics = await query_one(host, port, {"op": "metrics"})
+            return response, stats, metrics["metrics"]
 
         response, stats, snapshot = run(self._with_server(scenario))
         assert response["ok"] is False
@@ -845,3 +844,81 @@ class TestTraffic:
         description = report.describe()
         assert "shared_rate" in description
         assert "p50=" in description and "p95=" in description
+
+
+class TestServingCounts:
+    """``stats`` and ``metrics`` read one count per serving event."""
+
+    #: What :func:`serve_every_event` serves: seven fresh runs (two
+    #: batchsim seeds, the burst leader, the queued seed, fastsim,
+    #: run_until, exact), two coalesced joins, one cache hit, one
+    #: ``bad-parameters`` and one ``overloaded``.
+    EXPECTED = {"queries": 12, "computed": 7, "coalesced_hits": 2,
+                "cache_hits": 1, "fastsim_answers": 1, "errors": 2}
+
+    def _assert_counted_once(self, stats, metrics):
+        """The counts are right, and each ``stats`` value equals its
+        ``metrics`` series."""
+        assert {key: stats[key] for key in self.EXPECTED} == self.EXPECTED
+        assert (stats["admission"]["rejected"], stats["cache"]["hits"]) == (
+            1, 1)
+
+        def series(kind):
+            return {(entry["name"], *entry["labels"].values()):
+                    entry["value"] for entry in metrics["metrics"][kind]}
+
+        def total(values, name):
+            return sum(value for (series_name, *_), value in values.items()
+                       if series_name == name)
+
+        counters, gauges = series("counters"), series("gauges")
+        admission = stats["admission"]
+        assert stats["queries"] == counters[("serve.queries",)]
+        for field, source in (("computed", "computed"),
+                              ("coalesced_hits", "coalesced"),
+                              ("cache_hits", "cache")):
+            assert stats[field] == counters[("serve.answers", source)]
+        assert stats["errors"] == total(counters, "serve.errors")
+        assert admission["overloaded_answers"] == counters[
+            ("serve.errors", "overloaded")]
+        for field in ("hits", "misses", "evictions"):
+            assert stats["cache"][field] == counters[("serve.cache." + field,)]
+        for field in ("started", "joined"):
+            assert stats["coalescer"][field] == counters[
+                ("serve.coalesce." + field,)]
+        assert stats["coalescer"]["inflight"] == gauges[
+            ("serve.coalesce.inflight",)]
+        for field in ("admitted", "rejected"):
+            assert admission[field] == total(
+                counters, "serve.admission." + field)
+        for field in ("inflight", "waiting"):
+            assert admission[field] == total(
+                gauges, "serve.admission." + field)
+        assert ("serve.admission.waiting", "query") in gauges
+        assert [counters[("serve.memo." + name,)] for name in (
+            "loaded", "corrupt", "compactions")] == [32, 1, 1]
+        assert counters[("serve.wire.errors", "bad-json")] == 1
+
+    def test_stats_and_metrics_report_the_same_counts(self, tmp_path):
+        with use_registry() as registry:
+            stats, metrics = serve_every_event(tmp_path / "memo.ndjson")
+            snapshot = registry.snapshot()
+        self._assert_counted_once(stats, metrics)
+        # The process registry holds no serve.* count, only the spans.
+        assert not [entry["name"] for kind in ("counters", "gauges")
+                    for entry in snapshot[kind]
+                    if entry["name"].startswith("serve.")]
+        assert "serve.query.seconds" in {
+            entry["name"] for entry in snapshot["histograms"]}
+
+    def test_serving_counts_survive_metrics_off(self, tmp_path):
+        previous = set_registry(NULL)
+        try:
+            stats, metrics = serve_every_event(tmp_path / "memo.ndjson")
+        finally:
+            set_registry(previous)
+        self._assert_counted_once(stats, metrics)
+        listed = [entry["name"] for entries in metrics["metrics"].values()
+                  for entry in entries]
+        assert listed and all(name.startswith("serve.") for name in listed)
+        assert not metrics["metrics"]["histograms"]

@@ -4,10 +4,10 @@ Each test throws one failure mode at a live :class:`SimulationServer`
 and asserts three things: the server **survives** (a follow-up query
 on a fresh connection succeeds), the client gets a **structured**
 error code (never a hung or torn connection where a response was
-possible), and the failure is **counted** (``serve.wire.errors{code}``
-/ ``serve.errors{code}``) without poisoning the memo — after any
-fault, recomputing the same fingerprint yields bytes identical to a
-clean direct run.
+possible), and the failure is **counted** (the ``metrics`` op's
+``serve.wire.errors{code}`` / ``serve.errors{code}``) without
+poisoning the memo — after any fault, recomputing the same
+fingerprint yields bytes identical to a clean direct run.
 
 Failure modes covered: malformed NDJSON, oversized request lines,
 connections torn mid-line and mid-flight, slow-loris clients
@@ -27,7 +27,7 @@ from hashlib import sha256
 
 from repro.experiments.registry import resolve_scenario
 from repro.montecarlo import TrialRunner
-from repro.obs import render_prometheus, use_registry
+from repro.obs import render_prometheus
 from repro.serve import (
     Query,
     SimulationServer,
@@ -54,6 +54,10 @@ async def _with_server(callback, **service_kwargs):
     finally:
         await server.close()
         service.close()
+
+
+async def _metrics(host, port):
+    return (await query_one(host, port, {"op": "metrics"}))["metrics"]
 
 
 async def _server_is_alive(host, port):
@@ -103,11 +107,9 @@ class TestMalformedInput:
             finally:
                 writer.close()
                 await writer.wait_closed()
-            return first, second
+            return first, second, await _metrics(host, port)
 
-        with use_registry() as registry:
-            first, second = run(_with_server(scenario))
-            snapshot = registry.snapshot()
+        first, second, snapshot = run(_with_server(scenario))
         by_order = sorted([first, second], key=lambda r: r.get("ok"))
         assert by_order[0]["error"] == "bad-json"
         assert by_order[1]["ok"] is True
@@ -241,11 +243,11 @@ class TestWorkerDeath:
         async def scenario(host, port, server):
             first = await query_one(host, port, SLOW_QUERY)
             second = await query_one(host, port, SLOW_QUERY)
-            return first, second
+            return (first, second, server.service.stats(),
+                    await _metrics(host, port))
 
-        with use_registry() as registry:
-            first, second = run(_with_server(scenario, executor=executor))
-            snapshot = registry.snapshot()
+        first, second, stats, snapshot = run(_with_server(
+            scenario, executor=executor))
         assert first["ok"] is False
         assert first["error"] == "internal"
         assert "worker died" in first["message"]
@@ -263,6 +265,12 @@ class TestWorkerDeath:
                        for entry in snapshot["counters"]
                        if entry["name"] == "serve.wire.errors"}
         assert wire_errors.get("internal") == 1
+        # The failed run is a counted error in both views.
+        assert (stats.queries, stats.errors) == (2, 1)
+        errors = {entry["labels"]["code"]: entry["value"]
+                  for entry in snapshot["counters"]
+                  if entry["name"] == "serve.errors"}
+        assert errors == {"internal": 1}
         executor.shutdown()
 
 
@@ -277,12 +285,10 @@ class TestOverload:
             other = dict(SLOW_QUERY, seed=SLOW_QUERY["seed"] + 1)
             responses = await query_many(host, port, [SLOW_QUERY, other])
             retry = await query_one(host, port, other)
-            return responses, retry
+            return responses, retry, await _metrics(host, port)
 
-        with use_registry() as registry:
-            (responses, retry) = run(_with_server(
-                scenario, max_concurrent_runs=1, max_queued_runs=0))
-            snapshot = registry.snapshot()
+        responses, retry, snapshot = run(_with_server(
+            scenario, max_concurrent_runs=1, max_queued_runs=0))
         by_ok = sorted(responses, key=lambda r: r["ok"])
         shed, served = by_ok[0], by_ok[1]
         assert served["ok"] is True
