@@ -19,13 +19,19 @@ queries/second in ``extra_info``.
 path: a service is killed and rebuilt against the same ``--memo-path``
 journal, and the replayed burst must be answered entirely from the
 rehydrated cache (hit rate 1.0, zero recomputation).
+
+``test_serve_hit_cost_flat_in_trials`` asserts that a wire cache hit
+costs the same whatever its ``trials``: the memo keeps each result's
+digest and success count, so a hit never touches the indicators.
 """
 
 import asyncio
+import json
 import tempfile
+import time
 from pathlib import Path
 
-from repro.serve import Query, SimulationService
+from repro.serve import Query, SimulationServer, SimulationService
 from repro.serve.traffic import run_inprocess
 
 #: One burst of the benchmark workload: heavily duplicated Monte-Carlo
@@ -118,3 +124,49 @@ def test_serve_warm_restart_hit_rate(benchmark):
         )
         benchmark.extra_info["warm_hit_rate"] = round(hit_rate, 3)
         benchmark.extra_info["warm_cache_hits"] = stats.cache_hits
+
+
+#: Hits per timed batch and batches per trial count (best of).
+HIT_BATCH = 50
+HIT_REPEATS = 20
+
+
+def test_serve_hit_cost_flat_in_trials(benchmark):
+    """A hit at a million trials costs under twice a hit at 512."""
+    server = SimulationServer(SimulationService())
+    loop = asyncio.new_event_loop()
+
+    def line(trials):
+        return json.dumps({"scenario": "simple-omission", "p": 0.1, "n": 3,
+                           "trials": trials, "seed": 1}).encode() + b"\n"
+
+    async def hits(request, count):
+        for _ in range(count):
+            payload = await server._process_line(request)
+        return payload
+
+    def best_hit_seconds(trials):
+        request = line(trials)
+        assert loop.run_until_complete(
+            hits(request, 1))["source"] == "computed"
+        best = float("inf")
+        for _ in range(HIT_REPEATS):
+            started = time.perf_counter()
+            payload = loop.run_until_complete(hits(request, HIT_BATCH))
+            best = min(best, time.perf_counter() - started)
+        assert payload["source"] == "cache"
+        assert payload["trials"] == trials
+        return best / HIT_BATCH
+
+    try:
+        small = best_hit_seconds(512)
+        large = best_hit_seconds(1_000_000)
+        million = line(1_000_000)
+        benchmark(lambda: loop.run_until_complete(hits(million, 1)))
+    finally:
+        loop.close()
+    benchmark.extra_info["hit_us_512"] = round(small * 1e6, 1)
+    benchmark.extra_info["hit_us_1e6"] = round(large * 1e6, 1)
+    assert large / small < 2.0, (
+        f"a hit at 1e6 trials took {large * 1e6:.0f} us, "
+        f"{large / small:.1f}x the {small * 1e6:.0f} us at 512")

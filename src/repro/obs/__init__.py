@@ -28,7 +28,6 @@ the overhead benchmark compares against the no-op
 
 from __future__ import annotations
 
-import threading
 from contextlib import contextmanager
 from typing import Iterator, Optional
 
@@ -39,6 +38,8 @@ from repro.obs.registry import (
     Histogram,
     MetricsRegistry,
     NullRegistry,
+    get_registry,
+    set_registry,
 )
 from repro.obs.render import prometheus_name, render_prometheus, render_registry
 from repro.obs.spans import (
@@ -78,30 +79,6 @@ __all__ = [
 
 #: The shared no-op registry: install it to switch metrics off.
 NULL = NullRegistry()
-
-_lock = threading.Lock()
-_registry: MetricsRegistry = MetricsRegistry()
-
-
-def get_registry() -> MetricsRegistry:
-    """The process-wide registry every instrumentation site records to."""
-    return _registry
-
-
-def set_registry(registry: MetricsRegistry) -> MetricsRegistry:
-    """Install ``registry`` process-wide; returns the previous one.
-
-    Pass :data:`NULL` to disable instrumentation entirely.
-    """
-    global _registry
-    if not isinstance(registry, MetricsRegistry):
-        raise TypeError(
-            f"registry must be a MetricsRegistry, got "
-            f"{type(registry).__name__}"
-        )
-    with _lock:
-        previous, _registry = _registry, registry
-    return previous
 
 
 @contextmanager

@@ -28,9 +28,17 @@ Design constraints, in order of importance:
 
 Instruments are get-or-create by ``(name, labels)``: asking for the
 same series twice returns the same object, so call sites never cache
-instrument handles unless they are hot.  A :class:`NullRegistry` with
-no-op instruments is the "metrics off" baseline the overhead benchmark
+instrument handles unless they are hot.  Spans are the hot case: each
+registry binds a span's histogram once per ``(name, labels in call
+order)`` (:meth:`MetricsRegistry.span_histogram`), so a repeated span
+sorts no labels and takes no lock.  A :class:`NullRegistry` with no-op
+instruments is the "metrics off" baseline the overhead benchmark
 compares against.
+
+The process-wide registry every instrumentation site records to lives
+here too (:func:`get_registry` / :func:`set_registry`, re-exported by
+:mod:`repro.obs`), so spans can read it without importing the package
+that imports them.
 """
 
 from __future__ import annotations
@@ -46,6 +54,8 @@ __all__ = [
     "MetricsRegistry",
     "NullRegistry",
     "DEFAULT_LATENCY_BUCKETS",
+    "get_registry",
+    "set_registry",
 ]
 
 #: Default latency buckets in seconds: sub-millisecond resolution for
@@ -220,6 +230,9 @@ class MetricsRegistry:
         self._counters: Dict[Tuple[str, LabelKey], Counter] = {}
         self._gauges: Dict[Tuple[str, LabelKey], Gauge] = {}
         self._histograms: Dict[Tuple[str, LabelKey], Histogram] = {}
+        #: Span histogram handles by ``(span name, labels in call
+        #: order)`` — see :meth:`span_histogram`.
+        self._span_histograms: Dict[Tuple[str, tuple], Histogram] = {}
 
     # -- accessors -----------------------------------------------------
 
@@ -257,6 +270,23 @@ class MetricsRegistry:
                     DEFAULT_LATENCY_BUCKETS if buckets is None else buckets
                 )
         return instrument
+
+    def span_histogram(self, name: str,
+                       labels: Mapping[str, object]) -> Histogram:
+        """The ``<name>.seconds`` histogram a span records into.
+
+        Bound once per ``(name, labels in call order)``: a repeated
+        span does one dict lookup — no label sort, no lock, no
+        get-or-create.  Label values must therefore be hashable.  The
+        first call goes through :meth:`histogram`, so the series is
+        the one ``histogram(f"{name}.seconds", **labels)`` names.
+        """
+        key = (name, tuple(labels.items()))
+        histogram = self._span_histograms.get(key)
+        if histogram is None:
+            histogram = self._span_histograms[key] = self.histogram(
+                f"{name}.seconds", **labels)
+        return histogram
 
     # -- read side -----------------------------------------------------
 
@@ -306,6 +336,7 @@ class MetricsRegistry:
             self._counters.clear()
             self._gauges.clear()
             self._histograms.clear()
+            self._span_histograms.clear()
 
 
 class _NullCounter(Counter):
@@ -360,3 +391,28 @@ class NullRegistry(MetricsRegistry):
                   buckets: Optional[Sequence[float]] = None,
                   **labels: object) -> Histogram:
         return self._null_histogram
+
+
+_lock = threading.Lock()
+_registry: MetricsRegistry = MetricsRegistry()
+
+
+def get_registry() -> MetricsRegistry:
+    """The process-wide registry every instrumentation site records to."""
+    return _registry
+
+
+def set_registry(registry: MetricsRegistry) -> MetricsRegistry:
+    """Install ``registry`` process-wide; returns the previous one.
+
+    Pass :data:`repro.obs.NULL` to disable instrumentation entirely.
+    """
+    global _registry
+    if not isinstance(registry, MetricsRegistry):
+        raise TypeError(
+            f"registry must be a MetricsRegistry, got "
+            f"{type(registry).__name__}"
+        )
+    with _lock:
+        previous, _registry = _registry, registry
+    return previous

@@ -10,10 +10,13 @@ A span is a named timed section::
 
 On exit every span records its duration into the registry histogram
 ``<name>.seconds`` (labels carried through), so nested spans give a
-per-phase latency breakdown for free.  Nesting is tracked through a
-:mod:`contextvars` variable, which makes the parent/child relationship
-correct across threads *and* across ``await`` points without any
-bookkeeping at the call sites.
+per-phase latency breakdown for free.  The histogram handle is bound
+once per registry and ``(name, labels)``
+(:meth:`~repro.obs.registry.MetricsRegistry.span_histogram`), so a
+repeated span costs a dict lookup, not a labelled get-or-create.
+Nesting is tracked through a :mod:`contextvars` variable, which makes
+the parent/child relationship correct across threads *and* across
+``await`` points without any bookkeeping at the call sites.
 
 Spans are **inert** by construction: they consume ``time.perf_counter``
 and nothing else — no randomness, no numpy — so instrumenting a code
@@ -38,7 +41,7 @@ import logging
 import time
 from typing import Any, Dict, List, Optional
 
-from repro.obs.registry import MetricsRegistry
+from repro.obs.registry import MetricsRegistry, get_registry
 
 __all__ = [
     "Span",
@@ -129,14 +132,14 @@ def slow_log_threshold() -> Optional[float]:
 class Span:
     """One timed section; use via :func:`span` as a context manager."""
 
-    __slots__ = ("name", "labels", "_registry", "parent", "children",
+    __slots__ = ("name", "labels", "_histogram", "parent", "children",
                  "_started", "seconds", "_token")
 
     def __init__(self, name: str, registry: MetricsRegistry,
                  labels: Dict[str, object]):
         self.name = name
         self.labels = labels
-        self._registry = registry
+        self._histogram = registry.span_histogram(name, labels)
         self.parent: Optional[Span] = None
         self.children: List[Span] = []
         self._started = 0.0
@@ -157,9 +160,7 @@ class Span:
         if self._token is not None:
             _current.reset(self._token)
             self._token = None
-        self._registry.histogram(
-            f"{self.name}.seconds", **self.labels
-        ).observe(self.seconds)
+        self._histogram.observe(self.seconds)
         if (self.parent is None and _slow_threshold is not None
                 and self.seconds >= _slow_threshold):
             logging.getLogger(SLOW_LOG_NAME).info(self.tree())
@@ -184,13 +185,12 @@ def span(name: str, registry: Optional[MetricsRegistry] = None,
     """A context-managed span recording into ``<name>.seconds``.
 
     ``registry`` defaults to the process-wide one
-    (:func:`repro.obs.get_registry`), resolved at *entry* so tests that
-    swap the default registry see spans land in theirs.
+    (:func:`repro.obs.get_registry`), resolved here, at each span, so
+    tests that swap the default registry see spans land in theirs.
     """
     if registry is None:
-        from repro.obs import get_registry
         registry = get_registry()
-    return Span(name, registry, dict(labels))
+    return Span(name, registry, labels)
 
 
 def current_span() -> Optional[Span]:

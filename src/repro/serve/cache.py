@@ -10,6 +10,11 @@ concern, handled LRU.  ``capacity=0`` degenerates to a pure
 pass-through: every ``get`` misses, every ``put`` is a no-op, and the
 service behaves as if memoisation were switched off.
 
+Each value is a :class:`MemoEntry`: the result plus its indicator
+SHA-256 and success count, computed once when the result is computed
+or rehydrated.  A hit then answers without touching the indicators, so
+it costs the same at 512 trials as at a million.
+
 The cache is synchronous and unlocked by design: the service accesses
 it only from the event-loop thread (executor threads compute results
 but never touch the cache), so adding a lock would buy nothing and
@@ -18,16 +23,68 @@ suggest a concurrency story that does not exist.
 
 from __future__ import annotations
 
+import dataclasses
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Iterator, List, Optional, Tuple, Union
+from hashlib import sha256
+from typing import Dict, Iterator, List, Optional, Tuple, Union
+
+import numpy as np
 
 from repro._validation import check_non_negative_int
 from repro.montecarlo.trials import SequentialResult, TrialResult
 
-__all__ = ["ResultCache", "CacheStats"]
+__all__ = ["ResultCache", "CacheStats", "MemoEntry"]
 
 CacheValue = Union[TrialResult, SequentialResult]
+
+
+def _batch(value: CacheValue) -> TrialResult:
+    """The batch a cache value's indicators live in."""
+    return value.result if isinstance(value, SequentialResult) else value
+
+
+class MemoEntry:
+    """A result with its indicator digest and success count.
+
+    ``digest`` is the SHA-256 over the raw indicator bytes (what the
+    wire protocol ships as ``indicators_sha256``) and ``successes``
+    counts them; for a :class:`SequentialResult` both describe its
+    final batch.  Build entries with :meth:`of`, which computes the two
+    once.
+    """
+
+    __slots__ = ("value", "digest", "successes", "_prefixes")
+
+    def __init__(self, value: CacheValue, digest: str, successes: int):
+        self.value = value
+        self.digest = digest
+        self.successes = successes
+        self._prefixes: Dict[int, "MemoEntry"] = {}
+
+    @classmethod
+    def of(cls, value: CacheValue) -> "MemoEntry":
+        """The entry for ``value``: hashes and counts its indicators."""
+        indicators = _batch(value).indicators
+        return cls(value, sha256(indicators.tobytes()).hexdigest(),
+                   int(np.count_nonzero(indicators)))
+
+    def prefix(self, trials: int) -> "MemoEntry":
+        """The entry of this batch's first ``trials`` indicators.
+
+        Memoised per length, so serving a prefix of a cached sequential
+        run hashes each served prefix at most once; the whole batch
+        reuses this entry's digest.
+        """
+        entry = self._prefixes.get(trials)
+        if entry is None:
+            result = _batch(self.value)
+            prefix = dataclasses.replace(
+                result, indicators=result.indicators[:trials], timings=None)
+            entry = self._prefixes[trials] = (
+                MemoEntry(prefix, self.digest, self.successes)
+                if trials == result.trials else MemoEntry.of(prefix))
+        return entry
 
 
 @dataclass(frozen=True)
@@ -48,7 +105,7 @@ class CacheStats:
 
 
 class ResultCache:
-    """LRU ``fingerprint -> result`` memo with hit/miss counters.
+    """LRU ``fingerprint -> MemoEntry`` memo with hit/miss counters.
 
     Parameters
     ----------
@@ -61,7 +118,7 @@ class ResultCache:
 
     def __init__(self, capacity: int = 256):
         self._capacity = check_non_negative_int(capacity, "capacity")
-        self._entries: "OrderedDict[str, CacheValue]" = OrderedDict()
+        self._entries: "OrderedDict[str, MemoEntry]" = OrderedDict()
         self._hits = 0
         self._misses = 0
         self._evictions = 0
@@ -81,8 +138,8 @@ class ResultCache:
         """Fingerprints, least- to most-recently used."""
         return iter(self._entries)
 
-    def items(self) -> List[Tuple[str, CacheValue]]:
-        """``(fingerprint, result)`` pairs, least- to most-recently used.
+    def items(self) -> List[Tuple[str, MemoEntry]]:
+        """``(fingerprint, entry)`` pairs, least- to most-recently used.
 
         The journal's compaction input: exactly the live entries, in a
         stable recency order so a compact-then-replay round trip
@@ -90,26 +147,27 @@ class ResultCache:
         """
         return list(self._entries.items())
 
-    def get(self, fingerprint: str) -> Optional[CacheValue]:
-        """The memoised result, refreshing its recency; ``None`` on miss."""
-        result = self._entries.get(fingerprint)
-        if result is None:
+    def get(self, fingerprint: str) -> Optional[MemoEntry]:
+        """The memoised entry, refreshing its recency; ``None`` on miss."""
+        entry = self._entries.get(fingerprint)
+        if entry is None:
             self._misses += 1
             return None
         self._entries.move_to_end(fingerprint)
         self._hits += 1
-        return result
+        return entry
 
-    def put(self, fingerprint: str, result: CacheValue) -> None:
-        """Memoise ``result``, evicting the LRU entry beyond capacity."""
-        if not isinstance(result, (TrialResult, SequentialResult)):
+    def put(self, fingerprint: str, entry: MemoEntry) -> None:
+        """Memoise ``entry``, evicting the LRU entry beyond capacity."""
+        if not isinstance(entry, MemoEntry):
             raise TypeError(
-                f"cache values must be TrialResult or SequentialResult, "
-                f"got {type(result).__name__}"
+                f"cache values must be MemoEntry (a TrialResult or "
+                f"SequentialResult with its digest), got "
+                f"{type(entry).__name__}"
             )
         if self._capacity == 0:
             return
-        self._entries[fingerprint] = result
+        self._entries[fingerprint] = entry
         self._entries.move_to_end(fingerprint)
         while len(self._entries) > self._capacity:
             self._entries.popitem(last=False)

@@ -169,9 +169,13 @@ class MemoJournal:
 
         journal = MemoJournal(path)
         for key, value in journal.load():   # rehydrate (oldest first)
-            cache.put(key, value)
+            cache.put(key, MemoEntry.of(value))
         journal.append(key, result)         # after each fresh compute
-        journal.compact(cache.items())      # drop superseded records
+        journal.compact(live)               # drop superseded records
+
+    The service wraps each rehydrated result in a
+    :class:`~repro.serve.cache.MemoEntry`, hashing its indicators once
+    there, and compacts to its live ``(key, entry.value)`` pairs.
 
     ``load()`` must be called before ``append()``; it creates the file
     (with header) when missing and opens the append handle.

@@ -40,10 +40,19 @@ carry ``retry_after_ms``, a back-off hint scaled by the queue depth at
 rejection.
 
 Requests on one connection may be **pipelined**: the server processes
-each line as its own task and writes responses as they complete (the
-``id`` is the correlation key; responses can arrive out of order).
-That is what lets N duplicate queries from one client coalesce into a
-single batch execution.
+each line as its own task and answers as each completes (the ``id`` is
+the correlation key; responses can arrive out of order).  That is what
+lets N duplicate queries from one client coalesce into a single batch
+execution.  A connection buffers the reply lines its tasks produce and
+writes them with one ``transport.write`` per event-loop turn, flushing
+what is left before it closes.
+
+Each connection's backlog is bounded: while the transport's write
+buffer is above its high-water mark — the client is not reading its
+answers — the server stops reading that client's lines, so a client
+that only writes cannot make the server buffer unbounded replies or
+tasks.  A client must therefore read while it writes; :func:`query_many`
+does.
 
 The ``metrics`` op (``{"ok": true, "metrics": {counters, gauges,
 histograms}}``) is the machine-readable twin of ``stats``: its
@@ -61,7 +70,7 @@ import asyncio
 import json
 from collections import Counter
 from dataclasses import asdict
-from typing import Any, Dict, List, Mapping, Optional, Tuple, Union
+from typing import Any, Dict, List, Mapping, Optional, Set, Tuple, Union
 
 from repro.experiments.registry import all_families
 from repro.obs import get_registry
@@ -81,6 +90,11 @@ __all__ = ["SimulationServer", "query_one", "query_many",
 #: Request-line size limit — a serving-layer guard against unbounded
 #: buffering, far above any legitimate query.
 MAX_LINE_BYTES = 64 * 1024
+
+#: Encodes every reply line: compact separators, otherwise
+#: ``json.dumps``'s defaults, so the bytes are what ``json.dumps(payload,
+#: separators=(",", ":"))`` gives without building an encoder per reply.
+_ENCODER = json.JSONEncoder(separators=(",", ":"))
 
 
 class _OpSchema:
@@ -173,8 +187,8 @@ def _answer_payload(answer: Union[Answer, SequentialAnswer],
     payload = {
         "ok": True,
         "scenario": answer.query.scenario,
-        "estimate": result.estimate,
-        "successes": result.successes,
+        "estimate": answer.estimate,
+        "successes": answer.successes,
         "trials": result.trials,
         "backend": result.backend,
         "workers": result.workers,
@@ -257,21 +271,38 @@ class SimulationServer:
     async def _handle_connection(self, reader: asyncio.StreamReader,
                                  writer: asyncio.StreamWriter) -> None:
         self._connections += 1
-        write_lock = asyncio.Lock()
-        pending: List[asyncio.Task] = []
+        loop = asyncio.get_running_loop()
+        transport = writer.transport
+        high_water = transport.get_write_buffer_limits()[1]
+        # Reply lines answered since this loop turn's write.
+        replies: List[str] = []
+        # Line tasks not yet done; each leaves the set as it finishes.
+        pending: Set[asyncio.Task] = set()
 
-        async def respond(payload: Dict[str, Any]) -> None:
-            data = json.dumps(payload, separators=(",", ":")) + "\n"
-            async with write_lock:
-                writer.write(data.encode("utf8"))
-                await writer.drain()
+        def flush() -> None:
+            if replies and not transport.is_closing():
+                transport.write("".join(replies).encode("utf8"))
+            replies.clear()
+
+        def respond(payload: Dict[str, Any]) -> None:
+            if not replies:
+                loop.call_soon(flush)
+            replies.append(_ENCODER.encode(payload) + "\n")
+
+        def finished(task: asyncio.Task) -> None:
+            pending.discard(task)
+            self._inflight -= 1
 
         try:
             while True:
+                if transport.get_write_buffer_size() > high_water:
+                    # The client is not reading its answers: read no
+                    # more of its lines until it catches up.
+                    await writer.drain()
                 try:
                     line = await reader.readline()
                 except (asyncio.LimitOverrunError, ValueError):
-                    await respond(_error(
+                    respond(_error(
                         "bad-request",
                         f"request line exceeds {MAX_LINE_BYTES} bytes"
                     ))
@@ -283,41 +314,40 @@ class SimulationServer:
                 task = asyncio.create_task(
                     self._handle_line(line, respond)
                 )
-                pending.append(task)
-                pending = [item for item in pending if not item.done()]
+                pending.add(task)
+                self._inflight += 1
+                task.add_done_callback(finished)
             if pending:
                 await asyncio.gather(*pending, return_exceptions=True)
         except asyncio.CancelledError:
             # Loop/server shutdown with the connection still open:
-            # drop in-flight line tasks and close quietly instead of
-            # letting the cancellation escape into asyncio's stream
-            # callback (which logs it as an error).
-            for task in pending:
+            # drop in-flight line tasks and unsent answers (a client
+            # that is not reading would hold a graceful close open
+            # forever) and close quietly instead of letting the
+            # cancellation escape into asyncio's stream callback
+            # (which logs it as an error).
+            for task in list(pending):
                 task.cancel()
-        except ConnectionResetError:
+            transport.abort()
+        except ConnectionError:
+            # The client reset the connection or vanished while its
+            # answers were held back.
             pass
         finally:
+            flush()
             writer.close()
             try:
                 await writer.wait_closed()
-            except (asyncio.CancelledError, ConnectionResetError,
-                    BrokenPipeError):
+            except (asyncio.CancelledError, ConnectionError):
                 # Teardown may cancel the handler while it drains the
                 # close; the transport is going away either way.
                 pass
 
     async def _handle_line(self, line: bytes, respond) -> None:
-        self._inflight += 1
-        try:
-            payload = await self._process_line(line)
-        finally:
-            self._inflight -= 1
+        payload = await self._process_line(line)
         if not payload.get("ok"):
             self._wire_errors[payload.get("error", "unknown")] += 1
-        try:
-            await respond(payload)
-        except (ConnectionResetError, BrokenPipeError):
-            pass
+        respond(payload)
 
     async def _process_line(self, line: bytes) -> Dict[str, Any]:
         try:
@@ -476,9 +506,12 @@ async def query_many(host: str, port: int,
                      requests: List[Dict[str, Any]]) -> List[Dict[str, Any]]:
     """Pipeline ``requests`` over one connection.
 
-    All request lines are written up front (which is what makes
-    duplicate queries coalesce server-side), then one response line is
-    read per request.  Responses are re-ordered to match the request
+    All request lines are handed to the transport up front (which is
+    what makes duplicate queries coalesce server-side) and one response
+    line is read per request while the transport is still sending: a
+    server stops reading a connection whose answers are not being read,
+    so waiting for the whole burst to drain before reading could
+    deadlock.  Responses are re-ordered to match the request
     list via their ``id`` echoes; requests without an ``id`` get one
     injected for correlation.  An empty request list answers ``[]``
     without opening a connection.
@@ -498,7 +531,6 @@ async def query_many(host: str, port: int,
             for request in tagged
         )
         writer.write(payload.encode("utf8"))
-        await writer.drain()
         by_id: Dict[Any, Dict[str, Any]] = {}
         unmatched: List[Dict[str, Any]] = []
         for _ in tagged:

@@ -25,7 +25,9 @@ Every query kind — a fixed-budget Monte-Carlo :class:`Query`, an exact
                    get the same result object; fastsim misses skip
                    this step (one closed-form draw is cheaper than
                    the bookkeeping)
-    memoise        completed results enter the LRU and, when a
+    memoise        completed results enter the LRU, each with its
+                   indicator digest and success count (computed once,
+                   so a hit never touches the indicators) and, when a
                    memo journal is configured (serve/persistence.py),
                    the on-disk journal — restarts rehydrate it
 
@@ -58,12 +60,10 @@ on or off.
 from __future__ import annotations
 
 import asyncio
-import dataclasses
 import time
 from collections import Counter
 from concurrent.futures import Executor
 from dataclasses import dataclass, field
-from hashlib import sha256
 from functools import partial
 from typing import (Any, Callable, Dict, Mapping, NamedTuple, Optional,
                     Tuple, Union)
@@ -89,7 +89,7 @@ from repro.montecarlo.fingerprint import canonical_spec
 from repro.montecarlo.trials import SEQUENTIAL_BOUNDS, SequentialResult
 from repro.obs import span
 from repro.serve.admission import AdmissionController
-from repro.serve.cache import CacheStats, ResultCache
+from repro.serve.cache import CacheStats, MemoEntry, ResultCache
 from repro.serve.coalescer import Coalescer
 from repro.serve.errors import OverloadedError, QueryError
 from repro.serve.persistence import MemoJournal
@@ -169,23 +169,33 @@ class SequentialQuery:
 
 @dataclass(frozen=True)
 class Answer:
-    """The service's reply: the exact result plus serving metadata."""
+    """The service's reply: the exact result plus serving metadata.
+
+    ``entry`` is the memo entry the answer was served from: the
+    :class:`TrialResult` with its indicator digest and success count.
+    """
 
     query: Query
-    result: TrialResult
+    entry: MemoEntry
     fingerprint: str
     source: str
     elapsed: float
 
     @property
-    def estimate(self) -> float:
-        """Success-probability point estimate."""
-        return self.result.estimate
+    def result(self) -> TrialResult:
+        """The exact batch result."""
+        return self.entry.value
 
     @property
     def successes(self) -> int:
         """Successful trials."""
-        return self.result.successes
+        return self.entry.successes
+
+    @property
+    def estimate(self) -> float:
+        """Success-probability point estimate."""
+        trials = self.trials
+        return self.successes / trials if trials else 0.0
 
     @property
     def trials(self) -> int:
@@ -203,30 +213,30 @@ class Answer:
         What the wire protocol sends instead of the vector itself:
         clients can assert byte-identity of replays (cache hits,
         coalesced answers, cross-server reruns) without shipping
-        ``trials`` booleans.
+        ``trials`` booleans.  Computed once per memo entry.
         """
-        return sha256(self.result.indicators.tobytes()).hexdigest()
+        return self.entry.digest
 
 
 @dataclass(frozen=True)
-class SequentialAnswer:
-    """The adaptive reply: the sequential trace plus serving metadata."""
+class SequentialAnswer(Answer):
+    """The adaptive reply: the sequential trace plus serving metadata.
+
+    ``entry`` holds the :class:`SequentialResult`; its digest and
+    success count describe the final batch.
+    """
 
     query: SequentialQuery
-    sequential: SequentialResult
-    fingerprint: str
-    source: str
-    elapsed: float
+
+    @property
+    def sequential(self) -> SequentialResult:
+        """The sequential run: trace, target, bound and ``met``."""
+        return self.entry.value
 
     @property
     def result(self) -> TrialResult:
         """The final batch over every trial actually run."""
-        return self.sequential.result
-
-    @property
-    def estimate(self) -> float:
-        """Success-probability point estimate."""
-        return self.result.estimate
+        return self.entry.value.result
 
     @property
     def met(self) -> bool:
@@ -238,10 +248,6 @@ class SequentialAnswer:
         """The final stopping-bound interval width (1.0 pre-extension)."""
         steps = self.sequential.steps
         return steps[-1].width if steps else 1.0
-
-    def indicators_digest(self) -> str:
-        """SHA-256 over the raw indicator bytes (see :class:`Answer`)."""
-        return sha256(self.result.indicators.tobytes()).hexdigest()
 
 
 @dataclass(frozen=True)
@@ -320,39 +326,44 @@ def _exact_result(compute: Callable[[], object]) -> TrialResult:
                        backend=BACKEND_EXACT, workers=1, seed=0)
 
 
-def _truncate_sequential(cached: SequentialResult,
-                         target_width: float) -> Optional[SequentialResult]:
+def _truncate_sequential(entry: MemoEntry,
+                         target_width: float) -> Optional[MemoEntry]:
     """Serve ``target_width`` from a cached (stricter) run, if valid.
 
     Sequential indicators are bit-identical prefixes: a run asked for a
     *wider* target walks the same extension trace and stops at the
     first step whose width clears it, so the cached run's prefix up to
-    that step IS the fresh answer.  A cached run that exhausted its cap
+    that step IS the fresh answer (its digest is memoised on ``entry``,
+    see :meth:`MemoEntry.prefix`).  A cached run that exhausted its cap
     (``met=False``) is the full trace any target would produce.
     Returns ``None`` when the cached run stopped early of what
     ``target_width`` needs — the caller recomputes (and the stricter
     fresh run then replaces the cache entry, extending it).
     """
+    cached = entry.value
     for index, step in enumerate(cached.steps):
         if step.width <= target_width:
-            result = dataclasses.replace(
-                cached.result,
-                indicators=cached.result.indicators[:step.trials],
-                timings=None,
-            )
-            return SequentialResult(
-                result=result, steps=cached.steps[:index + 1],
+            prefix = entry.prefix(step.trials)
+            return MemoEntry(SequentialResult(
+                result=prefix.value, steps=cached.steps[:index + 1],
                 target_width=target_width, bound=cached.bound, met=True,
-            )
+            ), prefix.digest, prefix.successes)
     if not cached.met:
         # Capped run: a stricter target runs the identical trace and
         # caps too — only the honest `met` recomputation (still False
         # here: no step cleared the target) differs.
-        return SequentialResult(
+        return MemoEntry(SequentialResult(
             result=cached.result, steps=cached.steps,
             target_width=target_width, bound=cached.bound, met=False,
-        )
+        ), entry.digest, entry.successes)
     return None
+
+
+def _computed_entry(compute: Callable[[], Union[TrialResult,
+                                                SequentialResult]]
+                    ) -> MemoEntry:
+    """Run ``compute`` and hash its indicators, off the event loop."""
+    return MemoEntry.of(compute())
 
 
 class SimulationService:
@@ -435,7 +446,7 @@ class SimulationService:
         if memo_path is not None:
             self._journal = MemoJournal(memo_path)
             for key, value in self._journal.load():
-                self._cache.put(key, value)
+                self._cache.put(key, MemoEntry.of(value))
         # Scenario resolution is itself worth memoising: building a
         # runner validates the spec and re-probes dispatch (builds the
         # algorithm, scans the registry, checks batchsim eligibility).
@@ -621,19 +632,19 @@ class SimulationService:
 
     # -- memo ----------------------------------------------------------
 
-    def _memoise(self, fingerprint: str,
-                 result: Union[TrialResult, SequentialResult]) -> None:
-        self._cache.put(fingerprint, result)
+    def _memoise(self, fingerprint: str, entry: MemoEntry) -> None:
+        self._cache.put(fingerprint, entry)
         if self._journal is None:
             return
-        self._journal.append(fingerprint, result)
+        self._journal.append(fingerprint, entry.value)
         # Compact once superseded records dominate the file.  With a
         # pass-through cache (capacity 0) the journal *is* the memo, so
         # compacting against the empty cache would erase it — skip.
         if (self._cache.capacity > 0
                 and self._journal.record_count
                 > max(32, 2 * self._cache.capacity)):
-            self._journal.compact(self._cache.items())
+            self._journal.compact([(key, entry.value) for key, entry
+                                   in self._cache.items()])
 
     # -- serving -------------------------------------------------------
 
@@ -669,14 +680,15 @@ class SimulationService:
                                                        extra=plan.extra)
                 with span("serve.cache"):
                     cached = self._cache.get(fingerprint)
+                value = None if cached is None else cached.value
                 if plan.target is None:
                     answer = Answer
-                    served = (cached if isinstance(cached, TrialResult)
+                    served = (cached if isinstance(value, TrialResult)
                               else None)
                 else:
                     answer = SequentialAnswer
                     served = (_truncate_sequential(cached, plan.target)
-                              if isinstance(cached, SequentialResult)
+                              if isinstance(value, SequentialResult)
                               else None)
                 if served is not None:
                     self._answers[SOURCE_CACHE] += 1
@@ -690,28 +702,29 @@ class SimulationService:
                            and plan.runner.dispatch_entry() is not None)
                 tier = "fastsim" if fastsim else plan.tier
 
-                async def compute() -> Any:
+                async def compute() -> MemoEntry:
                     async with self._admission.admit(plan.op):
                         with span("serve.run", tier=tier):
                             loop = asyncio.get_running_loop()
                             return await loop.run_in_executor(
-                                self._executor, plan.compute)
+                                self._executor, _computed_entry,
+                                plan.compute)
 
                 if fastsim:
-                    result, coalesced = await compute(), False
+                    entry, coalesced = await compute(), False
                     self._fastsim_answers += 1
                 else:
                     # run_until flights are per target; its memo key is not.
                     flight = (fingerprint if plan.target is None
                               else (fingerprint, plan.target))
                     with span("serve.coalesce"):
-                        result, coalesced = await self._coalescer.run(
+                        entry, coalesced = await self._coalescer.run(
                             flight, compute)
                 if not coalesced:
-                    self._memoise(fingerprint, result)
+                    self._memoise(fingerprint, entry)
                 source = SOURCE_COALESCED if coalesced else SOURCE_COMPUTED
                 self._answers[source] += 1
-                return answer(query, result, fingerprint, source,
+                return answer(query, entry, fingerprint, source,
                               time.perf_counter() - start)
         except Exception as error:
             # Anything else reaches the client as ``internal``.

@@ -16,15 +16,14 @@ directly or a live TCP server via the wire protocol.
 from __future__ import annotations
 
 import asyncio
-import json
 import random
 import time
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from repro._validation import check_positive_int
 from repro.obs import Histogram
-from repro.serve.protocol import MAX_LINE_BYTES
+from repro.serve.protocol import query_many
 from repro.serve.service import (
     OverloadedError,
     Query,
@@ -191,8 +190,9 @@ async def run_over_wire(host: str, port: int, *, queries: int = 64,
     """Fire the same burst at a live server over TCP.
 
     The sequence is split round-robin over ``connections`` pipelined
-    connections; each connection writes all its request lines up front,
-    so server-side the duplicates overlap and coalesce.
+    connections (:func:`~repro.serve.protocol.query_many`); each
+    connection sends all its request lines up front, so server-side the
+    duplicates overlap and coalesce.
     """
     check_positive_int(queries, "queries")
     check_positive_int(connections, "connections")
@@ -202,39 +202,11 @@ async def run_over_wire(host: str, port: int, *, queries: int = 64,
     for index, query in enumerate(sequence):
         batches[index % connections].append(query)
 
-    async def one_connection(batch: List[Query]) -> List[Dict[str, Any]]:
-        if not batch:
-            return []
-        reader, writer = await asyncio.open_connection(
-            host, port, limit=MAX_LINE_BYTES)
-        try:
-            lines = []
-            for index, query in enumerate(batch):
-                lines.append(json.dumps({
-                    "id": index, "scenario": query.scenario,
-                    "p": query.p, "n": query.n, "trials": query.trials,
-                    "seed": query.seed,
-                }, separators=(",", ":")))
-            writer.write(("\n".join(lines) + "\n").encode("utf8"))
-            await writer.drain()
-            responses = []
-            for _ in batch:
-                line = await reader.readline()
-                if not line:
-                    raise ConnectionError(
-                        "server closed before all responses")
-                responses.append(json.loads(line))
-            return responses
-        finally:
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionResetError, BrokenPipeError):
-                pass
-
     start = time.perf_counter()
-    all_responses = await asyncio.gather(
-        *(one_connection(batch) for batch in batches))
+    all_responses = await asyncio.gather(*(query_many(host, port, [
+        {"id": index, "scenario": query.scenario, "p": query.p,
+         "n": query.n, "trials": query.trials, "seed": query.seed}
+        for index, query in enumerate(batch)]) for batch in batches))
     elapsed = time.perf_counter() - start
     sources: Dict[str, int] = {}
     errors = 0

@@ -18,8 +18,14 @@ under ``asyncio.run`` inside a plain test function.
 """
 
 import asyncio
+import collections
+import gc
 import json
+import logging
 import pickle
+import re
+import socket
+import struct
 import time
 
 import pytest
@@ -42,6 +48,7 @@ from repro.serve import (
     query_many,
     query_one,
 )
+from repro.serve.cache import MemoEntry
 from repro.serve.catalog import KUCERA_PROBE_BUDGET
 from repro.serve.traffic import make_query_pool, run_inprocess
 from tests.helpers import serve_every_event
@@ -120,9 +127,10 @@ class TestFingerprint:
 
 class TestResultCache:
     def _result(self, seed=0):
+        """A memo entry over a fresh result, as the service stores it."""
         factory, model = resolve_scenario("simple-omission", 0.1, 2, {})
         from repro.montecarlo import TrialRunner
-        return TrialRunner(factory, model).run(8, seed)
+        return MemoEntry.of(TrialRunner(factory, model).run(8, seed))
 
     def test_miss_then_hit(self):
         cache = ResultCache(4)
@@ -810,6 +818,315 @@ class TestWireProtocol:
         slow_response, fast_response = run(self._with_server(scenario))
         assert slow_response["backend"] == "batchsim"
         assert fast_response["backend"].startswith("fastsim:")
+
+
+async def _open_small_buffered(server, host, port, reset=False):
+    """A connection with small kernel buffers at both ends.
+
+    Kernel socket buffers are outside the server's backlog bound; keeping
+    them small lets the bound itself show.  Accepted connections inherit
+    the listener's send buffer.  ``reset`` makes closing send a TCP reset
+    instead of a FIN.
+    """
+    server._server.sockets[0].setsockopt(
+        socket.SOL_SOCKET, socket.SO_SNDBUF, 16384)
+    sock = socket.socket()
+    sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+    if reset:
+        sock.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER,
+                        struct.pack("ii", 1, 0))
+    sock.setblocking(False)
+    await asyncio.get_running_loop().sock_connect(sock, (host, port))
+    return await asyncio.open_connection(sock=sock)
+
+
+class TestConnectionBacklog:
+    """A client that writes without reading cannot grow the server."""
+
+    HIT = {"scenario": "simple-omission", "p": 0.1, "n": 3, "trials": 64,
+           "seed": 1}
+    #: Lines pipelined by the non-reading client.  The server may read
+    #: one stream-reader buffer of them (at most 384 KiB, about 4.4k of
+    #: these 90-byte lines) beyond what its answers fill: the shrunken
+    #: kernel buffers and the transport's 64 KiB high-water mark hold a
+    #: few hundred 350-byte answers.
+    LINES = 12_000
+
+    def test_server_stops_reading_a_client_that_does_not_read(self):
+        async def scenario():
+            server = SimulationServer(SimulationService())
+            host, port = await server.start()
+            try:
+                await query_one(host, port, self.HIT)
+                reader, writer = await _open_small_buffered(
+                    server, host, port)
+                writer.write(b"".join(
+                    json.dumps(dict(self.HIT, id=index)).encode() + b"\n"
+                    for index in range(self.LINES)))
+                read, previous = None, -1
+                while read != previous:
+                    await asyncio.sleep(0.3)
+                    previous = read
+                    metrics = await query_one(host, port, {"op": "metrics"})
+                    series = {entry["name"]: entry["value"]
+                              for kind in ("counters", "gauges")
+                              for entry in metrics["metrics"][kind]
+                              if not entry["labels"]}
+                    read = series["serve.queries"]
+                inflight = series["serve.wire.inflight"]
+                ids = []
+                for _ in range(self.LINES):
+                    ids.append(json.loads(await reader.readline())["id"])
+                writer.close()
+                return read, inflight, ids
+            finally:
+                await server.close()
+
+        read, inflight, ids = run(scenario())
+        # The warm-up query, then a bounded share of the pipeline.
+        assert read - 1 < self.LINES // 2, read
+        # No line task waits on the writer: only the metrics request
+        # itself was in flight.
+        assert inflight == 1.0
+        # Once the client reads, every line is answered exactly once.
+        assert sorted(ids) == list(range(self.LINES))
+
+
+class TestHitWork:
+    """A repeated hit does bookkeeping only — counted, not timed."""
+
+    QUERIES = [
+        {"scenario": "simple-omission", "p": 0.1, "n": 3, "trials": 4096,
+         "seed": 1},
+        {"scenario": "windowed-malicious", "p": 0.25, "n": 2, "trials": 200,
+         "seed": 5},
+        {"scenario": "layered-opt", "p": 0.0, "n": 3, "trials": 1,
+         "seed": 0},
+        {"op": "run_until", "scenario": "flooding", "p": 0.4, "n": 16,
+         "params": {"rounds": 26}, "target_width": 0.05,
+         "max_trials": 8192, "seed": 9},
+    ]
+    #: Served from the strict run above by prefix truncation.
+    WIDER = dict(QUERIES[-1], target_width=0.2)
+
+    def test_hits_bind_spans_once_and_never_touch_the_indicators(
+            self, tmp_path, monkeypatch):
+        import numpy as np
+
+        import repro.serve.cache as cache_module
+        from repro.obs import MetricsRegistry
+
+        calls = collections.Counter()
+
+        def count(owner, name):
+            original = getattr(owner, name)
+
+            def counted(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, counted)
+
+        count(MetricsRegistry, "histogram")
+        count(cache_module, "sha256")
+        count(np, "count_nonzero")
+        memo_path = tmp_path / "memo.ndjson"
+
+        async def rounds(service, batches):
+            """Sources and cumulative call counts after each batch."""
+            server = SimulationServer(service)
+            host, port = await server.start()
+            try:
+                seen = []
+                for requests in batches:
+                    answers = await query_many(host, port, requests)
+                    assert all(answer["ok"] for answer in answers), answers
+                    seen.append(([answer["source"] for answer in answers],
+                                 dict(calls)))
+                return seen
+            finally:
+                await server.close()
+                service.close()
+
+        hits = self.QUERIES + [self.WIDER]
+
+        async def scenario():
+            with use_registry():
+                served = await rounds(SimulationService(memo_path=memo_path),
+                                      [self.QUERIES, hits, hits, hits])
+                rehydrated = SimulationService(memo_path=memo_path)
+                loaded = dict(calls)
+                warm = await rounds(rehydrated, [hits, hits])
+            return served, loaded, warm
+
+        served, loaded, warm = run(scenario())
+        (computed, after_compute), (first, after_first), *repeats = served
+        assert computed == ["computed"] * 4
+        assert after_compute["sha256"] == 4  # one per computed result
+        # The first hits hash only the truncated prefix, once.
+        assert first == ["cache"] * 5
+        assert after_first["sha256"] == 5
+        # Repeated hits: no histogram lookup, no digest, no count.
+        for sources, counts in repeats:
+            assert sources == ["cache"] * 5
+            assert counts == after_first
+        # One digest per journal-rehydrated result; the new memo then
+        # hashes the prefix it serves once, and nothing else.
+        assert loaded["sha256"] == after_first["sha256"] + 4
+        (sources, after_warm), (sources_again, after_again) = warm
+        assert sources == sources_again == ["cache"] * 5
+        assert after_warm["sha256"] == loaded["sha256"] + 1
+        assert after_warm["histogram"] == loaded["histogram"]
+        assert after_again == after_warm
+
+
+class TestPipelining:
+    """Many pipelined lines on one connection: answered once, intact."""
+
+    HITS = [
+        {"scenario": "simple-omission", "p": 0.1, "n": 3, "trials": 512,
+         "seed": seed} for seed in range(4)
+    ] + [
+        {"scenario": "windowed-malicious", "p": 0.25, "n": 2, "trials": 128,
+         "seed": 3},
+        {"scenario": "layered-opt", "p": 0.0, "n": 2, "trials": 1,
+         "seed": 0},
+    ]
+    MISS = {"scenario": "simple-omission", "p": 0.1, "n": 3, "trials": 512,
+            "seed": 99}
+    BURST = {"scenario": "windowed-malicious", "p": 0.25, "n": 2,
+             "trials": 160, "seed": 8}
+    UNTIL = {"op": "run_until", "scenario": "flooding", "p": 0.4, "n": 16,
+             "params": {"rounds": 26}, "target_width": 0.2,
+             "max_trials": 4096, "seed": 4}
+    BAD_JSON = b"{this is not json\n"
+    ELAPSED = re.compile(rb'"elapsed_ms":[-+.0-9eE]+')
+
+    @staticmethod
+    async def _warm_server(hits):
+        server = SimulationServer(SimulationService())
+        host, port = await server.start()
+        await query_many(host, port, hits)
+        return server, host, port
+
+    def _requests(self):
+        """``(id, request)`` pairs: 500 hits with a miss, a burst of four
+        identical fresh queries, a run_until and a stats op among them."""
+        requests = [dict(self.HITS[index % len(self.HITS)])
+                    for index in range(500)]
+        requests[100:100] = [dict(self.BURST) for _ in range(4)]
+        requests.insert(250, dict(self.MISS))
+        requests.insert(300, dict(self.UNTIL))
+        requests.insert(400, {"op": "stats"})
+        return [(index, dict(request, id=index))
+                for index, request in enumerate(requests)]
+
+    def test_pipelined_answers_match_lone_queries_byte_for_byte(self):
+        requests = self._requests()
+        lines = [json.dumps(request).encode() + b"\n"
+                 for _, request in requests]
+        lines.insert(200, self.BAD_JSON)
+
+        async def scenario():
+            server, host, port = await self._warm_server(self.HITS)
+            reference, ref_host, ref_port = await self._warm_server(self.HITS)
+            try:
+                reader, writer = await asyncio.open_connection(host, port)
+                writer.write(b"".join(lines))
+                raw = [await reader.readline() for _ in lines]
+                writer.close()
+                alone = {index: await query_one(ref_host, ref_port, request)
+                         for index, request in requests}
+                bad_alone = await TestWireProtocol._raw_exchange(
+                    ref_host, ref_port, self.BAD_JSON)
+                return raw, alone, bad_alone
+            finally:
+                await server.close()
+                await reference.close()
+
+        raw, alone, bad_alone = run(scenario())
+        assert all(line.endswith(b"\n") for line in raw)
+        answers = [json.loads(line) for line in raw]
+        ids = [answer["id"] for answer in answers if "id" in answer]
+        assert sorted(ids) == [index for index, _ in requests]
+        (bad,) = [line for line, answer in zip(raw, answers)
+                  if "id" not in answer]
+        assert json.loads(bad) == bad_alone[0]
+        assert bad_alone[0]["error"] == "bad-json"
+        by_id = {answer["id"]: line for line, answer in zip(raw, answers)
+                 if "id" in answer}
+        sources = collections.Counter()
+        for index, request in requests:
+            line = by_id[index]
+            if request.get("op") == "stats":
+                assert json.loads(line)["ok"] is True
+                continue
+            expected = alone[index]
+            got = json.loads(line)
+            if got["source"] == "coalesced":
+                # A lone query cannot share an in-flight run; beside
+                # the source tag the answer is the lone one.
+                line = line.replace(b'"source":"coalesced"',
+                                    b'"source":"cache"')
+            if dict(request, id=None) == dict(self.BURST, id=None):
+                sources[got["source"]] += 1
+            lone = json.dumps(expected, separators=(",", ":")).encode()
+            assert (self.ELAPSED.sub(b"", line.rstrip(b"\n"))
+                    == self.ELAPSED.sub(b"", lone)), index
+        assert sources["coalesced"] == 3 and sources["computed"] == 1
+
+    def test_a_client_closing_mid_burst_logs_nothing(self, caplog):
+        # More lines than one read takes in, so the server stops reading
+        # at the backlog bound before it sees the client go.
+        requests = [request for _, request in self._requests()] * 16
+        # Fresh work too, so tasks are still running when the client
+        # goes away.
+        requests += [dict(self.BURST, seed=seed) for seed in range(20, 24)]
+        payload = b"".join(json.dumps(request).encode() + b"\n"
+                           for request in requests)
+
+        async def scenario():
+            loop = asyncio.get_running_loop()
+            reported = []
+            loop.set_exception_handler(
+                lambda loop, context: reported.append(context))
+            server, host, port = await self._warm_server(self.HITS)
+            try:
+                for half_close, reset in ((False, False), (False, True),
+                                          (True, True)):
+                    # Small buffers: the server is holding answers back
+                    # (the backlog bound) when the client goes away.
+                    reader, writer = await _open_small_buffered(
+                        server, host, port, reset)
+                    writer.write(payload)
+                    await reader.readline()
+                    await asyncio.sleep(0.3)
+                    if half_close:
+                        writer.write_eof()
+                        await asyncio.sleep(0.1)
+                    writer.close()
+                # Let the server finish both connections.
+                deadline = time.monotonic() + 30
+                while (len(asyncio.all_tasks()) > 1
+                       and time.monotonic() < deadline):
+                    await asyncio.sleep(0.05)
+                after = await query_one(host, port, self.HITS[0])
+            finally:
+                await server.close()
+            gc.collect()
+            await asyncio.sleep(0)
+            return reported, after
+
+        with caplog.at_level(logging.DEBUG, logger="asyncio"):
+            reported, after = run(scenario())
+        assert reported == []
+        # Debug mode (-X dev) also warns of slow callbacks ("Executing
+        # ... took"): timing notes, not failures.
+        assert [record.getMessage() for record in caplog.records
+                if record.name == "asyncio"
+                and record.levelno >= logging.WARNING
+                and not record.getMessage().startswith("Executing ")] == []
+        assert after["ok"] is True and after["source"] == "cache"
 
 
 class TestTraffic:
