@@ -33,6 +33,7 @@ from pathlib import Path
 
 from repro.serve import Query, SimulationServer, SimulationService
 from repro.serve.traffic import run_inprocess
+from repro.wire import decode_line
 
 #: One burst of the benchmark workload: heavily duplicated Monte-Carlo
 #: queries, small trial counts (the serving overhead is the subject,
@@ -142,7 +143,7 @@ def test_serve_hit_cost_flat_in_trials(benchmark):
 
     async def hits(request, count):
         for _ in range(count):
-            payload = await server._process_line(request)
+            payload = await server.handle(decode_line(request))
         return payload
 
     def best_hit_seconds(trials):

@@ -8,10 +8,6 @@ section for how placement freedom follows from the bit-identity
 invariant.
 """
 
-from repro.distrib.protocol import (
-    MAX_LINE_BYTES,
-    PROTOCOL_VERSION,
-    WORKER_ROLE,
-)
+from repro.distrib.protocol import PROTOCOL_VERSION, WORKER_ROLE
 
-__all__ = ["MAX_LINE_BYTES", "PROTOCOL_VERSION", "WORKER_ROLE"]
+__all__ = ["PROTOCOL_VERSION", "WORKER_ROLE"]

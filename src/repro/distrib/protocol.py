@@ -1,12 +1,14 @@
-"""Wire format of the distributed shard-worker protocol.
+"""Ops and result encoding of the distributed shard-worker protocol.
 
-Same framing idiom as the serving layer (:mod:`repro.serve.protocol`):
+The transport is the serving layer's (:mod:`repro.wire`):
 newline-delimited JSON over TCP, one request object per line, one
-response object per line, responses echo the request ``id``.  Every
-field is plain JSON data.  A ``run`` request names a catalog scenario
-by its canonical wire spec — the sorted-key JSON of ``[family, p, n,
-params]`` that :func:`repro.montecarlo.scenario_fingerprint` hashes —
-plus the dispatch tier and the absolute trial range.  The reply
+response object per line, responses echo the request ``id``, and
+malformed lines answer ``bad-json`` / ``bad-request`` exactly as the
+simulation service answers them.  Every field is plain JSON data.  A
+``run`` request names a catalog scenario by its canonical wire spec —
+the sorted-key JSON of ``[family, p, n, params]`` that
+:func:`repro.montecarlo.scenario_fingerprint` hashes — plus the
+dispatch tier and the absolute trial range.  The reply
 carries the shard's indicators as base64 :func:`numpy.packbits` bytes
 with their length and SHA-256 digest (:func:`encode_bits`), so a
 corrupted or truncated frame is rejected (:func:`decode_bits`), never
@@ -24,8 +26,10 @@ is ever turned into code — the spec selects a registered family
 builder, which validates its parameters — so a peer that reaches a
 worker port can make it simulate, not execute.  Workers still belong
 on trusted networks (loopback or a private interface): the digest
-gives integrity, not authentication, and frames are hard-capped at
-:data:`MAX_LINE_BYTES` so a garbage peer cannot balloon memory.
+gives integrity, not authentication, and lines are hard-capped — a
+request at :data:`repro.wire.MAX_LINE_BYTES`, a reply at
+:data:`repro.wire.MAX_REPLY_BYTES` — so a garbage peer cannot balloon
+memory.
 
 Ops::
 
@@ -44,7 +48,7 @@ Ops::
         -> {"id": 2, "ok": false, "error": "shard-error",
             "type": "ValueError", "message": "..."}
             # the shard raised (bad spec, bad params); deterministic
-        -> {"id": 2, "ok": false, "error": "bad-request" | "bad-json",
+        -> {"id": 2, "ok": false, "error": "bad-request",
             "message": "..."}  # protocol-level rejection
 """
 
@@ -52,21 +56,17 @@ from __future__ import annotations
 
 import base64
 import hashlib
-import json
-from typing import Any, Dict, Tuple
+from typing import Any, Optional, Tuple
 
 import numpy as np
 
 __all__ = [
     "PROTOCOL_VERSION",
-    "MAX_LINE_BYTES",
     "MAX_SHARD_TRIALS",
     "WORKER_ROLE",
     "SHARD_FIELDS",
     "encode_bits",
     "decode_bits",
-    "encode_line",
-    "decode_line",
 ]
 
 #: Bumped on any incompatible wire change; ``run`` requests carry it
@@ -75,14 +75,9 @@ __all__ = [
 #: packed bits.
 PROTOCOL_VERSION = 3
 
-#: Hard frame cap.  Requests are a spec and four scalars; the bulky
-#: frame is a result, at one bit per trial plus a third for base64, so
-#: the cap fits :data:`MAX_SHARD_TRIALS` while still bounding what a
-#: garbage peer can make either side buffer.
-MAX_LINE_BYTES = 32 * 1024 * 1024
-
 #: Largest trial range one ``run`` request may ask for: its packed,
-#: base64-encoded result stays well inside :data:`MAX_LINE_BYTES`.
+#: base64-encoded result stays well inside the client's reply cap,
+#: :data:`repro.wire.MAX_REPLY_BYTES`.
 MAX_SHARD_TRIALS = 2 ** 27
 
 #: Role string echoed by the hello op, so an executor that connected
@@ -99,14 +94,22 @@ def _digest(raw: bytes) -> str:
 
 
 def encode_bits(indicators: np.ndarray) -> Tuple[str, int, str]:
-    """Boolean indicators as ``(base64 packbits, length, digest)``."""
+    """Boolean indicators as ``(base64 packbits, length, digest)``.
+
+    The one packed-bits codec: shard results carry all three, memo
+    journal records (:mod:`repro.serve.persistence`) the first two.
+    """
     raw = np.packbits(np.asarray(indicators, dtype=bool)).tobytes()
     return (base64.b64encode(raw).decode("ascii"), int(len(indicators)),
             _digest(raw))
 
 
-def decode_bits(bits: Any, length: Any, digest: Any) -> np.ndarray:
+def decode_bits(bits: Any, length: Any,
+                digest: Optional[str] = None) -> np.ndarray:
     """The boolean indicators an :func:`encode_bits` triple carries.
+
+    ``digest=None`` skips the digest check, for records that carry
+    their own checksum.
 
     Raises
     ------
@@ -115,7 +118,8 @@ def decode_bits(bits: Any, length: Any, digest: Any) -> np.ndarray:
         byte count does not fit ``length`` or the digest does not match
         the decoded bytes — the frame was corrupted or tampered with.
     """
-    if (not isinstance(bits, str) or not isinstance(digest, str)
+    if (not isinstance(bits, str)
+            or not isinstance(digest, (str, type(None)))
             or not isinstance(length, int) or isinstance(length, bool)
             or length < 0):
         raise ValueError("bits frame needs string bits/digest and an "
@@ -127,7 +131,7 @@ def decode_bits(bits: Any, length: Any, digest: Any) -> np.ndarray:
     if len(raw) != (length + 7) // 8:
         raise ValueError(f"{len(raw)} packed bytes cannot hold "
                          f"{length} indicators")
-    actual = _digest(raw)
+    actual = None if digest is None else _digest(raw)
     if actual != digest:
         raise ValueError(
             f"bits digest mismatch: frame says {digest[:12]}..., "
@@ -135,25 +139,3 @@ def decode_bits(bits: Any, length: Any, digest: Any) -> np.ndarray:
         )
     return np.unpackbits(np.frombuffer(raw, dtype=np.uint8),
                          count=length).astype(bool)
-
-
-def encode_line(message: Dict[str, Any]) -> bytes:
-    """One NDJSON frame: compact JSON plus the terminating newline."""
-    return json.dumps(message, separators=(",", ":")).encode("utf-8") + b"\n"
-
-
-def decode_line(line: bytes) -> Dict[str, Any]:
-    """Parse one NDJSON frame into a dict.
-
-    Raises
-    ------
-    ValueError
-        When the line is not valid JSON or not a JSON object.
-    """
-    try:
-        message = json.loads(line.decode("utf-8"))
-    except Exception as error:
-        raise ValueError(f"frame is not valid JSON: {error}") from error
-    if not isinstance(message, dict):
-        raise ValueError("frame must be a JSON object")
-    return message

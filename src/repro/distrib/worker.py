@@ -1,9 +1,10 @@
 """The stateless shard worker behind ``python -m repro.distrib worker``.
 
-One asyncio TCP server per worker process.  Each connection is served
-sequentially (NDJSON request in, NDJSON response out, ids echoed), but
-``run`` ops execute on a dedicated single-thread pool so the event
-loop stays responsive: a heartbeat ``ping`` on another connection is
+A :class:`~repro.wire.LineServer` that supplies only the worker's op
+handler: the NDJSON transport (pipelined lines, line cap, malformed-
+line replies, backpressure, teardown) is the one the simulation
+service runs on.  ``run`` ops execute on a dedicated single-thread
+pool so the event loop stays responsive: a heartbeat ``ping`` is
 answered immediately even while a multi-second shard is simulating.
 One execution thread per worker is deliberate — the executor ships at
 most one shard per worker connection at a time, so extra threads would
@@ -34,21 +35,19 @@ from concurrent.futures import ThreadPoolExecutor
 from typing import Any, Dict, Optional, Tuple
 
 from repro.distrib.protocol import (
-    MAX_LINE_BYTES,
     MAX_SHARD_TRIALS,
     PROTOCOL_VERSION,
     SHARD_FIELDS,
     WORKER_ROLE,
-    decode_line,
     encode_bits,
-    encode_line,
 )
 from repro.montecarlo.trials import run_spec_shard
+from repro.wire import LineServer
 
 __all__ = ["ShardWorker"]
 
 
-class ShardWorker:
+class ShardWorker(LineServer):
     """A stateless NDJSON shard worker serving one TCP endpoint."""
 
     def __init__(self, host: str = "127.0.0.1", port: int = 0, *,
@@ -56,72 +55,17 @@ class ShardWorker:
         if die_after_runs is not None and die_after_runs < 0:
             raise ValueError(
                 f"die_after_runs must be >= 0, got {die_after_runs}")
-        self._host = host
-        self._port = port
+        super().__init__(host, port)
         self._die_after_runs = die_after_runs
         self._runs_served = 0
-        self._server: Optional[asyncio.AbstractServer] = None
         self._pool = ThreadPoolExecutor(
             max_workers=1, thread_name_prefix="repro-distrib-shard")
 
-    async def start(self) -> None:
-        self._server = await asyncio.start_server(
-            self._handle, self._host, self._port, limit=MAX_LINE_BYTES)
-
-    @property
-    def address(self) -> Tuple[str, int]:
-        """The bound (host, port) — resolves port 0 to the real port."""
-        assert self._server is not None, "worker not started"
-        sock = self._server.sockets[0]
-        host, port = sock.getsockname()[:2]
-        return host, port
-
-    async def serve_forever(self) -> None:
-        assert self._server is not None, "worker not started"
-        async with self._server:
-            await self._server.serve_forever()
-
     async def close(self) -> None:
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
+        await super().close()
         self._pool.shutdown(wait=False, cancel_futures=True)
 
-    # -- connection handling ------------------------------------------
-
-    async def _handle(self, reader: asyncio.StreamReader,
-                      writer: asyncio.StreamWriter) -> None:
-        try:
-            while True:
-                try:
-                    line = await reader.readline()
-                except (ValueError, asyncio.LimitOverrunError):
-                    # Oversized frame: the stream position is lost, so
-                    # reject and hang up rather than resynchronise.
-                    writer.write(encode_line(
-                        {"ok": False, "error": "bad-request",
-                         "message": f"frame exceeds {MAX_LINE_BYTES} bytes"}))
-                    await writer.drain()
-                    break
-                if not line:
-                    break
-                reply = await self._dispatch(line)
-                writer.write(encode_line(reply))
-                await writer.drain()
-        except ConnectionError:
-            pass
-        finally:
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except ConnectionError:
-                pass
-
-    async def _dispatch(self, line: bytes) -> Dict[str, Any]:
-        try:
-            message = decode_line(line)
-        except ValueError as error:
-            return {"ok": False, "error": "bad-json", "message": str(error)}
+    async def handle(self, message: Dict[str, Any]) -> Dict[str, Any]:
         ident = message.get("id")
         if type(ident) is not int:
             return {"ok": False, "error": "bad-request",

@@ -1,8 +1,9 @@
 """Remote-socket backend: shards shipped to ``repro.distrib`` workers.
 
-Each ``run_sharded`` call opens one NDJSON TCP connection per
-configured peer (the hello handshake doubles as registration: role and
-protocol version are verified before any shard is shipped), then
+Each ``run_sharded`` call opens one NDJSON connection, a
+:class:`repro.wire.LineClient`, per configured peer (the hello
+handshake doubles as registration: role and protocol version are
+verified before any shard is shipped), then
 drives the same round/retry merge loop as the local pool (both run
 :class:`~repro.montecarlo.executors.base.RetryingExecutor`) — a thread
 per in-flight shard checks an idle connection out of a small peer
@@ -36,22 +37,17 @@ from __future__ import annotations
 
 import functools
 import math
-import socket
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
-from typing import (Any, Callable, Dict, Iterator, List, Optional, Sequence,
-                    Tuple)
+from typing import Any, Callable, Dict, Iterator, List, Sequence, Tuple
 
 from repro.distrib.protocol import (
-    MAX_LINE_BYTES,
     PROTOCOL_VERSION,
     SHARD_FIELDS,
     WORKER_ROLE,
     decode_bits,
-    decode_line,
-    encode_line,
 )
 from repro.montecarlo.executors.base import (
     RetryingExecutor,
@@ -60,8 +56,13 @@ from repro.montecarlo.executors.base import (
     WorkerDisconnect,
     _summarise_args,
 )
+from repro.wire import LineClient
 
 __all__ = ["RemoteSocketExecutor", "RemoteShardError", "parse_peers"]
+
+#: Seconds to connect and handshake with a worker; a shard itself takes
+#: as long as it takes.
+CONNECT_TIMEOUT = 5.0
 
 
 class RemoteShardError(RuntimeError):
@@ -102,63 +103,23 @@ def parse_peers(spec: str) -> List[Tuple[str, int]]:
     return peers
 
 
-class _PeerConnection:
-    """One NDJSON request/response channel to a worker."""
+class _PeerConnection(LineClient):
+    """A :class:`LineClient` to one worker.
 
-    def __init__(self, peer: Tuple[str, int], timeout: float):
+    Any transport failure raises :class:`WorkerDisconnect`, because
+    after one the shard's fate on that worker is unknown.
+    """
+
+    def __init__(self, peer: Tuple[str, int]):
+        super().__init__(peer, CONNECT_TIMEOUT)
         self.address = _format_peer(peer)
-        self._sock = socket.create_connection(peer, timeout=timeout)
-        self._sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        self._file = self._sock.makefile("rwb")
-        self._next_id = 0
-
-    def settimeout(self, timeout: Optional[float]) -> None:
-        self._sock.settimeout(timeout)
 
     def request(self, message: Dict[str, Any]) -> Dict[str, Any]:
-        """Send one frame, block for the id-echoed reply.
-
-        Raises :class:`WorkerDisconnect` on any transport failure —
-        EOF, reset, timeout — because after one the shard's fate on
-        that worker is unknown.
-        """
-        ident = self._next_id
-        self._next_id += 1
-        message = dict(message, id=ident)
         try:
-            self._file.write(encode_line(message))
-            self._file.flush()
-            line = self._file.readline(MAX_LINE_BYTES + 1)
-        except (OSError, ValueError) as error:
+            return super().request(message)
+        except ConnectionError as error:
             raise WorkerDisconnect(
-                f"worker {self.address} dropped the "
-                f"connection: {error}") from error
-        if not line:
-            raise WorkerDisconnect(
-                f"worker {self.address} closed the "
-                f"connection mid-request (killed?)")
-        if len(line) > MAX_LINE_BYTES:
-            raise WorkerDisconnect(
-                f"worker {self.address} sent an oversized "
-                f"frame (> {MAX_LINE_BYTES} bytes)")
-        try:
-            reply = decode_line(line)
-        except ValueError as error:
-            raise WorkerDisconnect(
-                f"worker {self.address} sent a garbage "
-                f"frame: {error}") from error
-        if reply.get("id") != ident:
-            raise WorkerDisconnect(
-                f"worker {self.address} echoed id "
-                f"{reply.get('id')!r} for request {ident}")
-        return reply
-
-    def close(self) -> None:
-        for closer in (self._file.close, self._sock.close):
-            try:
-                closer()
-            except OSError:
-                pass
+                f"worker {self.address} {error}") from error
 
 
 class _PeerPool:
@@ -215,15 +176,13 @@ class RemoteSocketExecutor(RetryingExecutor):
     name = "remote-socket"
 
     def __init__(self, peers: Sequence[Tuple[str, int]] | str, *,
-                 max_shard_retries: int = 2,
-                 connect_timeout: float = 5.0):
+                 max_shard_retries: int = 2):
         if isinstance(peers, str):
             peers = parse_peers(peers)
         self._peers = [(str(host), int(port)) for host, port in peers]
         if not self._peers:
             raise ValueError("RemoteSocketExecutor needs at least one peer")
         super().__init__(max_shard_retries=max_shard_retries)
-        self._connect_timeout = connect_timeout
 
     def worker_count(self) -> int:
         return len(self._peers)
@@ -239,12 +198,9 @@ class RemoteSocketExecutor(RetryingExecutor):
         for peer in self._peers:
             key = _format_peer(peer)
             try:
-                connection = _PeerConnection(peer, self._connect_timeout)
-                try:
-                    reply = connection.request({"op": "ping"})
-                    alive[key] = bool(reply.get("ok"))
-                finally:
-                    connection.close()
+                with _PeerConnection(peer) as connection:
+                    alive[key] = bool(connection.request({"op": "ping"})
+                                      .get("ok"))
             except (OSError, WorkerDisconnect):
                 alive[key] = False
         return alive
@@ -280,7 +236,7 @@ class RemoteSocketExecutor(RetryingExecutor):
         for peer in self._peers:
             key = _format_peer(peer)
             try:
-                connection = _PeerConnection(peer, self._connect_timeout)
+                connection = _PeerConnection(peer)
                 hello = connection.request({"op": "hello"})
                 if not hello.get("ok") or hello.get("role") != WORKER_ROLE:
                     connection.close()

@@ -21,30 +21,18 @@ from __future__ import annotations
 
 import argparse
 import json
-import socket
 import sys
 from typing import Any, Dict, List, Optional
 
 from repro.obs.render import render_prometheus
+from repro.wire import LineClient
 
 
 def _fetch_over_wire(host: str, port: int, timeout: float) -> Dict[str, Any]:
     """One ``{"op": "metrics"}`` round trip against a live server."""
-    with socket.create_connection((host, port), timeout=timeout) as sock:
-        sock.sendall(b'{"op":"metrics"}\n')
-        chunks = []
-        while True:
-            chunk = sock.recv(65536)
-            if not chunk:
-                break
-            chunks.append(chunk)
-            if chunk.endswith(b"\n"):
-                break
-    line = b"".join(chunks)
-    if not line:
-        raise ConnectionError("server closed without responding")
-    response = json.loads(line)
-    if not isinstance(response, dict) or not response.get("ok"):
+    with LineClient((host, port), timeout) as client:
+        response = client.request({"op": "metrics"})
+    if not response.get("ok"):
         raise RuntimeError(f"metrics op failed: {response}")
     return response
 

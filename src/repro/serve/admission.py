@@ -2,9 +2,9 @@
 
 The service's expensive work — a fresh batch execution on the executor
 — runs through an :class:`AdmissionController`.  Each op class
-(``"query"``, ``"run_until"``) has a concurrency limit; runs beyond it
-wait in a bounded queue, and once the queue-depth watermark is reached
-the controller *sheds* the run with a structured
+(``"query"``, ``"run_until"``) has the same concurrency limit; runs
+beyond it wait in a bounded queue, and once the queue-depth watermark
+is reached the controller *sheds* the run with a structured
 :class:`OverloadedError` (wire code ``overloaded``) carrying a
 ``retry_after_ms`` hint, instead of queueing unboundedly and timing
 out.  That is the Královič-style trade the fingerprint makes safe:
@@ -26,12 +26,16 @@ import asyncio
 from collections import deque
 from contextlib import asynccontextmanager
 from dataclasses import dataclass, field
-from typing import Deque, Dict, Mapping, Optional
+from typing import Deque, Dict
 
 from repro._validation import check_non_negative_int, check_positive_int
 from repro.serve.errors import OverloadedError
 
 __all__ = ["AdmissionController", "OverloadedError", "AdmissionStats"]
+
+#: Base retry hint of an ``overloaded`` answer; the error scales it by
+#: the queue depth at rejection (deeper queue, longer hint).
+RETRY_AFTER_MS = 250.0
 
 
 @dataclass(frozen=True)
@@ -60,43 +64,20 @@ class AdmissionController:
 
     Parameters
     ----------
-    limits:
-        ``op -> max concurrent runs``.  Ops absent from the mapping use
-        ``default_limit``.
+    limit:
+        Concurrent runs per op.
     max_waiting:
         Queue-depth watermark per op: a run arriving with this many
         already waiting is rejected with :class:`OverloadedError`
         (``0`` means shed as soon as every slot is busy).
-    retry_after_ms:
-        Base retry hint; the raised error scales it by the queue depth
-        at rejection (deeper queue, longer hint).
-    default_limit:
-        Concurrency limit for ops not named in ``limits``.
     """
 
-    def __init__(self, limits: Optional[Mapping[str, int]] = None,
-                 *, max_waiting: int = 64,
-                 retry_after_ms: float = 250.0,
-                 default_limit: int = 8):
-        self._limits: Dict[str, int] = {
-            op: check_positive_int(limit, f"limit[{op}]")
-            for op, limit in dict(limits or {}).items()
-        }
+    def __init__(self, *, limit: int = 8, max_waiting: int = 64):
+        self._limit = check_positive_int(limit, "limit")
         self._max_waiting = check_non_negative_int(max_waiting,
                                                    "max_waiting")
-        if not (retry_after_ms > 0):
-            raise ValueError(
-                f"retry_after_ms must be positive, got {retry_after_ms}"
-            )
-        self._retry_after_ms = float(retry_after_ms)
-        self._default_limit = check_positive_int(default_limit,
-                                                 "default_limit")
         #: Run slots and counts, by op (read them, never write them).
         self.ops: Dict[str, _OpState] = {}
-
-    def limit(self, op: str) -> int:
-        """The concurrency limit applied to ``op``."""
-        return self._limits.get(op, self._default_limit)
 
     def stats(self) -> AdmissionStats:
         """Current counters snapshot (summed over ops)."""
@@ -121,7 +102,7 @@ class AdmissionController:
         entirely at admission time.
         """
         state = self._state(op)
-        if state.inflight < self.limit(op):
+        if state.inflight < self._limit:
             state.inflight += 1
         elif len(state.waiters) >= self._max_waiting:
             state.rejected += 1
@@ -130,7 +111,7 @@ class AdmissionController:
                 op,
                 f"run queue for op {op!r} is full "
                 f"({state.inflight} running, {depth} waiting)",
-                retry_after_ms=self._retry_after_ms * (depth + 1),
+                retry_after_ms=RETRY_AFTER_MS * (depth + 1),
             )
         else:
             future = asyncio.get_running_loop().create_future()

@@ -22,14 +22,16 @@ that produced it.  This module owns the on-disk format:
        "payload": {...}, "crc": <crc32>}
 
   ``payload`` packs the indicator booleans as base64 bit-packed bytes
-  plus the result metadata (backend, workers, seed, confidence; for
-  sequential records also the step trace, target width, bound and the
-  honest ``met`` flag).  ``crc`` is the CRC-32 of the canonical JSON
-  of the other three fields — a torn or bit-flipped line fails the
-  check, is **dropped and logged** (``repro.serve.persistence``
-  logger, counted in ``records_dropped``), and never crashes the
-  server; every other record still loads.  Later records for the same
-  key win, so an append-only file doubles as a last-writer-wins map.
+  (the shard protocol's :func:`~repro.distrib.protocol.encode_bits`,
+  without its digest) plus the result metadata (backend, workers,
+  seed, confidence; for sequential records also the step trace,
+  target width, bound and the honest ``met`` flag).  ``crc`` is the
+  CRC-32 of the canonical JSON of the other three fields — a torn or
+  bit-flipped line fails the check, is **dropped and logged**
+  (``repro.serve.persistence`` logger, counted in
+  ``records_dropped``), and never crashes the server; every other
+  record still loads.  Later records for the same key win, so an
+  append-only file doubles as a last-writer-wins map.
 
 * **Compaction** rewrites the journal to one record per live cache
   entry, atomically: write to ``<path>.tmp``, ``os.replace`` over the
@@ -44,7 +46,6 @@ preserved by construction (property-pinned in
 
 from __future__ import annotations
 
-import base64
 import json
 import logging
 import os
@@ -52,8 +53,7 @@ import zlib
 from pathlib import Path
 from typing import Any, Dict, Iterable, List, Optional, Tuple, Union
 
-import numpy as np
-
+from repro.distrib.protocol import decode_bits, encode_bits
 from repro.montecarlo.fingerprint import FINGERPRINT_VERSION
 from repro.montecarlo.trials import (
     SequentialResult,
@@ -79,11 +79,10 @@ MemoRecord = Tuple[str, MemoValue]
 
 
 def _encode_trial(result: TrialResult) -> Dict[str, Any]:
-    indicators = np.ascontiguousarray(result.indicators, dtype=bool)
-    packed = np.packbits(indicators.view(np.uint8))
+    bits, trials, _ = encode_bits(result.indicators)
     return {
-        "indicators": base64.b64encode(packed.tobytes()).decode("ascii"),
-        "trials": int(indicators.size),
+        "indicators": bits,
+        "trials": trials,
         "backend": result.backend,
         "workers": int(result.workers),
         "seed": int(result.seed),
@@ -92,14 +91,8 @@ def _encode_trial(result: TrialResult) -> Dict[str, Any]:
 
 
 def _decode_trial(payload: Dict[str, Any]) -> TrialResult:
-    packed = np.frombuffer(base64.b64decode(payload["indicators"]),
-                           dtype=np.uint8)
-    trials = int(payload["trials"])
-    if packed.size * 8 < trials:
-        raise ValueError("indicator payload shorter than trial count")
-    indicators = np.unpackbits(packed)[:trials].astype(bool)
     return TrialResult(
-        indicators=indicators,
+        indicators=decode_bits(payload["indicators"], payload["trials"]),
         backend=str(payload["backend"]),
         workers=int(payload["workers"]),
         seed=int(payload["seed"]),
@@ -168,14 +161,14 @@ class MemoJournal:
     Usage::
 
         journal = MemoJournal(path)
-        for key, value in journal.load():   # rehydrate (oldest first)
-            cache.put(key, MemoEntry.of(value))
+        records = journal.load()            # rehydrate (oldest first)
         journal.append(key, result)         # after each fresh compute
         journal.compact(live)               # drop superseded records
 
-    The service wraps each rehydrated result in a
-    :class:`~repro.serve.cache.MemoEntry`, hashing its indicators once
-    there, and compacts to its live ``(key, entry.value)`` pairs.
+    The service keeps the last record per key, wraps the most recent
+    ``cache_capacity`` of them in a
+    :class:`~repro.serve.cache.MemoEntry`, hashing their indicators
+    once there, and compacts to its live ``(key, entry.value)`` pairs.
 
     ``load()`` must be called before ``append()``; it creates the file
     (with header) when missing and opens the append handle.

@@ -39,20 +39,11 @@ control shed the run; see :mod:`repro.serve.admission`) additionally
 carry ``retry_after_ms``, a back-off hint scaled by the queue depth at
 rejection.
 
-Requests on one connection may be **pipelined**: the server processes
-each line as its own task and answers as each completes (the ``id`` is
-the correlation key; responses can arrive out of order).  That is what
-lets N duplicate queries from one client coalesce into a single batch
-execution.  A connection buffers the reply lines its tasks produce and
-writes them with one ``transport.write`` per event-loop turn, flushing
-what is left before it closes.
-
-Each connection's backlog is bounded: while the transport's write
-buffer is above its high-water mark — the client is not reading its
-answers — the server stops reading that client's lines, so a client
-that only writes cannot make the server buffer unbounded replies or
-tasks.  A client must therefore read while it writes; :func:`query_many`
-does.
+The transport is :mod:`repro.wire`, shared with the shard worker.
+Requests on one connection may be **pipelined** and are answered as
+each completes, which is what lets N duplicate queries from one client
+coalesce into a single batch execution; a client must read while it
+writes, as :func:`query_many` does.
 
 The ``metrics`` op (``{"ok": true, "metrics": {counters, gauges,
 histograms}}``) is the machine-readable twin of ``stats``: its
@@ -67,10 +58,9 @@ with ``--host``/``--port``) for the Prometheus text exposition.
 from __future__ import annotations
 
 import asyncio
-import json
 from collections import Counter
 from dataclasses import asdict
-from typing import Any, Dict, List, Mapping, Optional, Set, Tuple, Union
+from typing import Any, Dict, List, Mapping, Tuple, Union
 
 from repro.experiments.registry import all_families
 from repro.obs import get_registry
@@ -83,18 +73,17 @@ from repro.serve.service import (
     SequentialQuery,
     SimulationService,
 )
+from repro.wire import (
+    MAX_LINE_BYTES,
+    MAX_REPLY_BYTES,
+    LineServer,
+    decode_line,
+    encode_line,
+    error_reply,
+)
 
 __all__ = ["SimulationServer", "query_one", "query_many",
            "MAX_LINE_BYTES"]
-
-#: Request-line size limit — a serving-layer guard against unbounded
-#: buffering, far above any legitimate query.
-MAX_LINE_BYTES = 64 * 1024
-
-#: Encodes every reply line: compact separators, otherwise
-#: ``json.dumps``'s defaults, so the bytes are what ``json.dumps(payload,
-#: separators=(",", ":"))`` gives without building an encoder per reply.
-_ENCODER = json.JSONEncoder(separators=(",", ":"))
 
 
 class _OpSchema:
@@ -168,14 +157,8 @@ def _with_id(payload: Dict[str, Any], request_id: Any) -> Dict[str, Any]:
     return payload
 
 
-def _error(code: str, message: str,
-           request_id: Any = None) -> Dict[str, Any]:
-    return _with_id({"ok": False, "error": code, "message": message},
-                    request_id)
-
-
 def _query_error(error: QueryError, request_id: Any) -> Dict[str, Any]:
-    payload = _error(error.code, error.message, request_id)
+    payload = error_reply(error.code, error.message, request_id)
     if isinstance(error, OverloadedError):
         payload["retry_after_ms"] = round(error.retry_after_ms, 3)
     return payload
@@ -212,150 +195,21 @@ def _answer_payload(answer: Union[Answer, SequentialAnswer],
     return _with_id(payload, request_id)
 
 
-class SimulationServer:
-    """Asyncio TCP front end over a :class:`SimulationService`."""
+class SimulationServer(LineServer):
+    """The :class:`SimulationService`'s NDJSON front end."""
 
     def __init__(self, service: SimulationService,
                  host: str = "127.0.0.1", port: int = 0):
+        super().__init__(host, port)
         self._service = service
-        self._host = host
-        self._port = port
-        self._server: Optional[asyncio.AbstractServer] = None
-        self._connections = 0
-        self._inflight = 0
         self._ops: "Counter[str]" = Counter()
-        self._wire_errors: "Counter[str]" = Counter()
 
     @property
     def service(self) -> SimulationService:
         """The in-process service this server fronts."""
         return self._service
 
-    @property
-    def address(self) -> Tuple[str, int]:
-        """``(host, port)`` actually bound (port 0 resolves on start)."""
-        if self._server is None:
-            raise RuntimeError("server is not started")
-        sock = self._server.sockets[0]
-        host, port = sock.getsockname()[:2]
-        return host, port
-
-    async def start(self) -> Tuple[str, int]:
-        """Bind and start accepting; returns the bound address."""
-        if self._server is not None:
-            raise RuntimeError("server is already started")
-        self._server = await asyncio.start_server(
-            self._handle_connection, self._host, self._port,
-            limit=MAX_LINE_BYTES,
-        )
-        return self.address
-
-    async def close(self) -> None:
-        """Stop accepting and close the listening sockets."""
-        if self._server is None:
-            return
-        self._server.close()
-        await self._server.wait_closed()
-        self._server = None
-
-    async def serve_forever(self) -> None:
-        """Run until cancelled (the ``python -m repro.serve`` loop)."""
-        if self._server is None:
-            await self.start()
-        assert self._server is not None
-        async with self._server:
-            await self._server.serve_forever()
-
-    # -- connection handling -------------------------------------------
-
-    async def _handle_connection(self, reader: asyncio.StreamReader,
-                                 writer: asyncio.StreamWriter) -> None:
-        self._connections += 1
-        loop = asyncio.get_running_loop()
-        transport = writer.transport
-        high_water = transport.get_write_buffer_limits()[1]
-        # Reply lines answered since this loop turn's write.
-        replies: List[str] = []
-        # Line tasks not yet done; each leaves the set as it finishes.
-        pending: Set[asyncio.Task] = set()
-
-        def flush() -> None:
-            if replies and not transport.is_closing():
-                transport.write("".join(replies).encode("utf8"))
-            replies.clear()
-
-        def respond(payload: Dict[str, Any]) -> None:
-            if not replies:
-                loop.call_soon(flush)
-            replies.append(_ENCODER.encode(payload) + "\n")
-
-        def finished(task: asyncio.Task) -> None:
-            pending.discard(task)
-            self._inflight -= 1
-
-        try:
-            while True:
-                if transport.get_write_buffer_size() > high_water:
-                    # The client is not reading its answers: read no
-                    # more of its lines until it catches up.
-                    await writer.drain()
-                try:
-                    line = await reader.readline()
-                except (asyncio.LimitOverrunError, ValueError):
-                    respond(_error(
-                        "bad-request",
-                        f"request line exceeds {MAX_LINE_BYTES} bytes"
-                    ))
-                    break
-                if not line:
-                    break
-                if not line.strip():
-                    continue
-                task = asyncio.create_task(
-                    self._handle_line(line, respond)
-                )
-                pending.add(task)
-                self._inflight += 1
-                task.add_done_callback(finished)
-            if pending:
-                await asyncio.gather(*pending, return_exceptions=True)
-        except asyncio.CancelledError:
-            # Loop/server shutdown with the connection still open:
-            # drop in-flight line tasks and unsent answers (a client
-            # that is not reading would hold a graceful close open
-            # forever) and close quietly instead of letting the
-            # cancellation escape into asyncio's stream callback
-            # (which logs it as an error).
-            for task in list(pending):
-                task.cancel()
-            transport.abort()
-        except ConnectionError:
-            # The client reset the connection or vanished while its
-            # answers were held back.
-            pass
-        finally:
-            flush()
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (asyncio.CancelledError, ConnectionError):
-                # Teardown may cancel the handler while it drains the
-                # close; the transport is going away either way.
-                pass
-
-    async def _handle_line(self, line: bytes, respond) -> None:
-        payload = await self._process_line(line)
-        if not payload.get("ok"):
-            self._wire_errors[payload.get("error", "unknown")] += 1
-        respond(payload)
-
-    async def _process_line(self, line: bytes) -> Dict[str, Any]:
-        try:
-            request = json.loads(line.decode("utf8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as error:
-            return _error("bad-json", f"request is not valid JSON: {error}")
-        if not isinstance(request, dict):
-            return _error("bad-request", "request must be a JSON object")
+    async def handle(self, request: Dict[str, Any]) -> Dict[str, Any]:
         request_id = request.get("id")
         op = request.get("op", "query")
         if op in ("query", "run_until", "stats", "catalog", "metrics"):
@@ -368,15 +222,17 @@ class SimulationServer:
             return self._metrics_payload(request_id)
         schema = _SCHEMAS.get(op)
         if schema is None:
-            return _error("bad-request", f"unknown op {op!r}", request_id)
+            return error_reply("bad-request", f"unknown op {op!r}",
+                               request_id)
         try:
             query = _parse_query(schema, request)
             answer = await getattr(self._service, schema.submit)(query)
         except QueryError as error:
             return _query_error(error, request_id)
         except Exception as error:  # pragma: no cover - defensive
-            return _error("internal", f"{type(error).__name__}: {error}",
-                          request_id)
+            return error_reply("internal",
+                               f"{type(error).__name__}: {error}",
+                               request_id)
         return _answer_payload(answer, request_id)
 
     def _stats_payload(self, request_id: Any) -> Dict[str, Any]:
@@ -519,36 +375,29 @@ async def query_many(host: str, port: int,
     if not requests:
         return []
     reader, writer = await asyncio.open_connection(host, port,
-                                                   limit=MAX_LINE_BYTES)
+                                                   limit=MAX_REPLY_BYTES)
     try:
         tagged: List[Dict[str, Any]] = []
         for index, request in enumerate(requests):
             request = dict(request)
             request.setdefault("id", f"q{index}")
             tagged.append(request)
-        payload = "".join(
-            json.dumps(request, separators=(",", ":")) + "\n"
-            for request in tagged
-        )
-        writer.write(payload.encode("utf8"))
+        writer.write(b"".join(encode_line(request) for request in tagged))
         by_id: Dict[Any, Dict[str, Any]] = {}
         unmatched: List[Dict[str, Any]] = []
         for _ in tagged:
             line = await reader.readline()
             if not line:
                 raise ConnectionError("server closed before all responses")
-            response = json.loads(line)
-            if isinstance(response, dict) and "id" in response:
+            response = decode_line(line)
+            if "id" in response:
                 by_id[response["id"]] = response
             else:
                 unmatched.append(response)
-        ordered = []
-        for request in tagged:
-            ordered.append(by_id.get(request["id"],
-                                     unmatched.pop(0) if unmatched
-                                     else _error("internal",
-                                                 "response missing")))
-        return ordered
+        return [by_id[request["id"]] if request["id"] in by_id
+                else unmatched.pop(0) if unmatched
+                else error_reply("internal", "response missing")
+                for request in tagged]
     finally:
         writer.close()
         try:

@@ -401,16 +401,11 @@ class SimulationService:
         is replayed into the LRU, so a restarted server serves warm
         queries from cache, byte-identically; every fresh compute is
         appended.
-    admission:
-        Optional pre-built :class:`AdmissionController` (for per-op
-        limit maps); ``None`` builds one from the three knobs below.
     max_concurrent_runs:
         Fresh executions allowed in flight per op class.
     max_queued_runs:
         Runs allowed to wait per op class before the service sheds
         with a structured ``overloaded`` error.
-    retry_after_ms:
-        Base retry hint carried by ``overloaded`` errors.
 
     The service is single-loop: all bookkeeping (cache, coalescer,
     journal, admission counters) happens on the event-loop thread,
@@ -423,10 +418,8 @@ class SimulationService:
                  executor: Optional[Executor] = None,
                  shard_executor: Optional[Union[str, ShardExecutor]] = None,
                  memo_path: Optional[str] = None,
-                 admission: Optional[AdmissionController] = None,
                  max_concurrent_runs: int = 8,
-                 max_queued_runs: int = 64,
-                 retry_after_ms: float = 250.0):
+                 max_queued_runs: int = 64):
         self._workers = check_positive_int(workers, "workers")
         self._shard_executor = make_executor(shard_executor,
                                              workers=self._workers)
@@ -435,18 +428,21 @@ class SimulationService:
         self._cache = ResultCache(cache_capacity)
         self._coalescer = Coalescer()
         self._executor = executor
-        self._admission = admission if admission is not None else (
-            AdmissionController(
-                max_waiting=max_queued_runs,
-                retry_after_ms=retry_after_ms,
-                default_limit=max_concurrent_runs,
-            )
-        )
+        self._admission = AdmissionController(limit=max_concurrent_runs,
+                                              max_waiting=max_queued_runs)
         self._journal: Optional[MemoJournal] = None
         if memo_path is not None:
             self._journal = MemoJournal(memo_path)
+            # The last record per key wins, ordered by its last write;
+            # only the most recent ``cache_capacity`` of those would
+            # stay in the LRU, so only those are hashed.
+            live: Dict[str, Any] = {}
             for key, value in self._journal.load():
-                self._cache.put(key, MemoEntry.of(value))
+                live.pop(key, None)
+                live[key] = value
+            skip = max(len(live) - self._cache.capacity, 0)
+            for key in list(live)[skip:]:
+                self._cache.put(key, MemoEntry.of(live[key]))
         # Scenario resolution is itself worth memoising: building a
         # runner validates the spec and re-probes dispatch (builds the
         # algorithm, scans the registry, checks batchsim eligibility).

@@ -1,5 +1,6 @@
-"""Shared test helpers: scripted protocols, distrib worker spawning and
-a server driven through every serving event."""
+"""Shared test helpers: scripted protocols, distrib worker spawning, a
+small-buffered client connection and a server driven through every
+serving event."""
 
 from __future__ import annotations
 
@@ -7,6 +8,8 @@ import asyncio
 import json
 import os
 import re
+import socket
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -118,6 +121,26 @@ class WorkerProcess:
         self.process.wait()
 
 
+async def open_small_buffered(server, host, port, reset=False):
+    """A connection with small kernel buffers at both ends.
+
+    Kernel socket buffers are outside the server's backlog bound; keeping
+    them small lets the bound itself show.  Accepted connections inherit
+    the listener's send buffer.  ``reset`` makes closing send a TCP reset
+    instead of a FIN.
+    """
+    server._server.sockets[0].setsockopt(
+        socket.SOL_SOCKET, socket.SO_SNDBUF, 16384)
+    sock = socket.socket()
+    sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+    if reset:
+        sock.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER,
+                        struct.pack("ii", 1, 0))
+    sock.setblocking(False)
+    await asyncio.get_running_loop().sock_connect(sock, (host, port))
+    return await asyncio.open_connection(sock=sock)
+
+
 #: A batchsim cell slow enough that pipelined seeds contend for one
 #: run slot.
 _BATCH = {"scenario": "windowed-malicious", "p": 0.25, "n": 2,
@@ -134,7 +157,7 @@ def serve_every_event(memo_path: Path
     ``run_until``, an exact ``layered-opt`` query, a ``bad-parameters``
     query and a bad-JSON line.  The memo journal starts with 32 records
     and one corrupt line, and the cache holds 4 entries, so the load
-    evicts and the first fresh run compacts the journal.
+    keeps the last 4 and the first fresh run compacts the journal.
     """
     journal = MemoJournal(memo_path)
     journal.load()

@@ -38,14 +38,11 @@ import pytest
 
 from repro.core import SimpleOmission
 from repro.distrib.protocol import (
-    MAX_LINE_BYTES,
     MAX_SHARD_TRIALS,
     PROTOCOL_VERSION,
     WORKER_ROLE,
     decode_bits,
-    decode_line,
     encode_bits,
-    encode_line,
 )
 from repro.distrib.worker import ShardWorker
 from repro.engine import MESSAGE_PASSING
@@ -60,6 +57,7 @@ from repro.montecarlo import (
 from repro.montecarlo.executors.remote import RemoteShardError
 from repro.montecarlo.trials import run_spec_shard
 from repro.serve import Query, SimulationService
+from repro.wire import MAX_REPLY_BYTES, LineError, decode_line, encode_line
 from tests.helpers import WorkerProcess
 from tests.test_serve_catalog import SAMPLES
 
@@ -123,10 +121,14 @@ class TestProtocolUnits:
         frame = encode_line({"op": "ping", "id": 3})
         assert frame.endswith(b"\n")
         assert decode_line(frame) == {"op": "ping", "id": 3}
-        with pytest.raises(ValueError, match="not valid JSON"):
+        with pytest.raises(LineError, match="not valid JSON") as caught:
             decode_line(b"{nope\n")
-        with pytest.raises(ValueError, match="JSON object"):
+        assert caught.value.code == "bad-json"
+        # A JSON value that is not an object is a bad request, as the
+        # simulation service answers it.
+        with pytest.raises(LineError, match="JSON object") as caught:
             decode_line(b"[1,2]\n")
+        assert caught.value.code == "bad-request"
 
 
 async def _with_worker(interact, **worker_kwargs):
@@ -297,7 +299,7 @@ class TestWorkerWire:
         # range a request may ask for still fits with room to spare.
         bits, _, _ = encode_bits(np.zeros(1_000_000, dtype=bool))
         assert len(bits) == 4 * -(-125_000 // 3)
-        assert 4 * -(-MAX_SHARD_TRIALS // 8 // 3) + 4096 < MAX_LINE_BYTES
+        assert 4 * -(-MAX_SHARD_TRIALS // 8 // 3) + 4096 < MAX_REPLY_BYTES
 
     def test_negative_die_after_runs_is_rejected(self):
         with pytest.raises(ValueError, match="die_after_runs"):

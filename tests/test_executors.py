@@ -280,16 +280,14 @@ class TestRemoteCrashSemantics:
             worker.close()
 
     def test_unreachable_peers_fail_fast(self):
-        executor = RemoteSocketExecutor([("127.0.0.1", 1)],
-                                        connect_timeout=0.5)
+        executor = RemoteSocketExecutor([("127.0.0.1", 1)])
         with pytest.raises(WorkerCrashError, match="no remote workers"):
             executor.run_sharded(run_spec_shard, [_shard(0, 1)])
 
     def test_heartbeat_reports_per_peer_liveness(self, worker_pair):
         live, dead_port = worker_pair[0], 1
         executor = RemoteSocketExecutor(
-            [(live.host, live.port), ("127.0.0.1", dead_port)],
-            connect_timeout=0.5)
+            [(live.host, live.port), ("127.0.0.1", dead_port)])
         beat = executor.heartbeat()
         assert beat[live.address] is True
         assert beat[f"127.0.0.1:{dead_port}"] is False

@@ -24,8 +24,6 @@ import json
 import logging
 import pickle
 import re
-import socket
-import struct
 import time
 
 import pytest
@@ -51,7 +49,7 @@ from repro.serve import (
 from repro.serve.cache import MemoEntry
 from repro.serve.catalog import KUCERA_PROBE_BUDGET
 from repro.serve.traffic import make_query_pool, run_inprocess
-from tests.helpers import serve_every_event
+from tests.helpers import open_small_buffered, serve_every_event
 
 MC_QUERY = Query("windowed-malicious", 0.25, 2, 200, seed=5)
 FASTSIM_QUERY = Query("simple-omission", 0.1, 3, 400, seed=1)
@@ -820,26 +818,6 @@ class TestWireProtocol:
         assert fast_response["backend"].startswith("fastsim:")
 
 
-async def _open_small_buffered(server, host, port, reset=False):
-    """A connection with small kernel buffers at both ends.
-
-    Kernel socket buffers are outside the server's backlog bound; keeping
-    them small lets the bound itself show.  Accepted connections inherit
-    the listener's send buffer.  ``reset`` makes closing send a TCP reset
-    instead of a FIN.
-    """
-    server._server.sockets[0].setsockopt(
-        socket.SOL_SOCKET, socket.SO_SNDBUF, 16384)
-    sock = socket.socket()
-    sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
-    if reset:
-        sock.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER,
-                        struct.pack("ii", 1, 0))
-    sock.setblocking(False)
-    await asyncio.get_running_loop().sock_connect(sock, (host, port))
-    return await asyncio.open_connection(sock=sock)
-
-
 class TestConnectionBacklog:
     """A client that writes without reading cannot grow the server."""
 
@@ -858,7 +836,7 @@ class TestConnectionBacklog:
             host, port = await server.start()
             try:
                 await query_one(host, port, self.HIT)
-                reader, writer = await _open_small_buffered(
+                reader, writer = await open_small_buffered(
                     server, host, port)
                 writer.write(b"".join(
                     json.dumps(dict(self.HIT, id=index)).encode() + b"\n"
@@ -979,6 +957,40 @@ class TestHitWork:
         assert after_warm["histogram"] == loaded["histogram"]
         assert after_again == after_warm
 
+    def test_rehydration_hashes_only_live_records(self, tmp_path,
+                                                  monkeypatch):
+        import numpy as np
+
+        import repro.serve.cache as cache_module
+        from repro.montecarlo import TrialResult
+        from repro.serve import MemoJournal
+
+        memo_path = tmp_path / "memo.ndjson"
+        journal = MemoJournal(memo_path)
+        journal.load()
+        # Ten records over six keys: four are superseded by a later
+        # record for their key, and of the six live keys the two least
+        # recently written fall past a capacity of four.
+        for seed, key in enumerate([0, 1, 2, 3, 4, 5, 3, 1, 5, 0]):
+            journal.append(f"key{key}", TrialResult(
+                np.array([seed % 2 == 0, True]), "batchsim", 1, seed))
+        journal.close()
+        digests = collections.Counter()
+        sha256 = cache_module.sha256
+
+        def counted(data):
+            digests["sha256"] += 1
+            return sha256(data)
+
+        monkeypatch.setattr(cache_module, "sha256", counted)
+        service = SimulationService(memo_path=memo_path, cache_capacity=4)
+        service.close()
+        live = service._cache.items()
+        assert digests["sha256"] == len(live) == 4
+        # Last write wins, and the LRU runs in last-write order.
+        assert [(key, entry.value.seed) for key, entry in live] == [
+            ("key3", 6), ("key1", 7), ("key5", 8), ("key0", 9)]
+
 
 class TestPipelining:
     """Many pipelined lines on one connection: answered once, intact."""
@@ -1096,7 +1108,7 @@ class TestPipelining:
                                           (True, True)):
                     # Small buffers: the server is holding answers back
                     # (the backlog bound) when the client goes away.
-                    reader, writer = await _open_small_buffered(
+                    reader, writer = await open_small_buffered(
                         server, host, port, reset)
                     writer.write(payload)
                     await reader.readline()
@@ -1105,14 +1117,14 @@ class TestPipelining:
                         writer.write_eof()
                         await asyncio.sleep(0.1)
                     writer.close()
-                # Let the server finish both connections.
-                deadline = time.monotonic() + 30
-                while (len(asyncio.all_tasks()) > 1
-                       and time.monotonic() < deadline):
-                    await asyncio.sleep(0.05)
+                # Let the server finish the three connections.
+                if server._handlers:
+                    await asyncio.wait(server._handlers, timeout=30)
                 after = await query_one(host, port, self.HITS[0])
             finally:
                 await server.close()
+            # close() awaits every connection it ends.
+            assert asyncio.all_tasks() == {asyncio.current_task()}
             gc.collect()
             await asyncio.sleep(0)
             return reported, after

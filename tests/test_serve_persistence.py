@@ -276,6 +276,41 @@ class TestCorruption:
 
 
 class TestFormatDiscipline:
+    #: One record line per kind, as format version 1 writes them.  The
+    #: indicators are packed bits: ``ssA=`` is 10110010 11000000 for the
+    #: eleven trial indicators, ``YA==`` is 01100000.
+    PINNED = [
+        '{"crc":505801030,"key":"' + "a" * 64 + '","kind":"trial",'
+        '"payload":{"backend":"batchsim","confidence":0.95,'
+        '"indicators":"ssA=","seed":7,"trials":11,"workers":2}}',
+        '{"crc":3909825447,"key":"' + "b" * 64 + '","kind":"sequential",'
+        '"payload":{"bound":"hoeffding","met":true,"result":{'
+        '"backend":"engine","confidence":0.99,"indicators":"YA==",'
+        '"seed":3,"trials":3,"workers":1},"steps":[[2,1,0.5],'
+        '[3,2,0.25]],"target_width":0.3}}',
+    ]
+
+    def test_record_lines_are_pinned_byte_for_byte(self, tmp_path):
+        trial = TrialResult(np.array([True, False, True, True, False, False,
+                                      True, False, True, True, False]),
+                            "batchsim", 2, 7, confidence=0.95)
+        sequential = SequentialResult(
+            result=TrialResult(np.array([False, True, True]), "engine", 1,
+                               3),
+            steps=(SequentialStep(trials=2, successes=1, width=0.5),
+                   SequentialStep(trials=3, successes=2, width=0.25)),
+            target_width=0.3, bound="hoeffding", met=True)
+        path = tmp_path / "memo.ndjson"
+        journal = MemoJournal(path)
+        journal.load()
+        journal.append("a" * 64, trial)
+        journal.append("b" * 64, sequential)
+        journal.close()
+        assert path.read_text().splitlines()[1:] == self.PINNED
+        loaded = MemoJournal(path).load()
+        assert _values_equal(loaded[0][1], trial)
+        assert _values_equal(loaded[1][1], sequential)
+
     def test_mangled_header_restarts_fresh(self, tmp_path):
         path = tmp_path / "memo.ndjson"
         self._seed_one_record(path)
