@@ -66,12 +66,7 @@ async def _worker_main(args: argparse.Namespace) -> None:
     host, port = worker.address
     print(f"repro.distrib worker listening on {host}:{port} "
           f"(pid {os.getpid()})", flush=True)
-    try:
-        await worker.serve_forever()
-    except asyncio.CancelledError:
-        pass
-    finally:
-        await worker.close()
+    await worker.serve_forever()
 
 
 def _smoke() -> int:

@@ -56,7 +56,7 @@ from __future__ import annotations
 
 import base64
 import hashlib
-from typing import Any, Optional, Tuple
+from typing import Any, Tuple
 
 import numpy as np
 
@@ -65,6 +65,8 @@ __all__ = [
     "MAX_SHARD_TRIALS",
     "WORKER_ROLE",
     "SHARD_FIELDS",
+    "pack_bits",
+    "unpack_bits",
     "encode_bits",
     "decode_bits",
 ]
@@ -93,36 +95,24 @@ def _digest(raw: bytes) -> str:
     return hashlib.sha256(raw).hexdigest()
 
 
-def encode_bits(indicators: np.ndarray) -> Tuple[str, int, str]:
-    """Boolean indicators as ``(base64 packbits, length, digest)``.
-
-    The one packed-bits codec: shard results carry all three, memo
-    journal records (:mod:`repro.serve.persistence`) the first two.
-    """
+def pack_bits(indicators: np.ndarray) -> Tuple[bytes, str, int]:
+    """Boolean indicators as ``(packed bytes, their base64, length)``:
+    the one packed-bits codec.  Memo journal records carry the last two
+    under their own checksum; shard results add a digest."""
     raw = np.packbits(np.asarray(indicators, dtype=bool)).tobytes()
-    return (base64.b64encode(raw).decode("ascii"), int(len(indicators)),
-            _digest(raw))
+    return raw, base64.b64encode(raw).decode("ascii"), int(len(indicators))
 
 
-def decode_bits(bits: Any, length: Any,
-                digest: Optional[str] = None) -> np.ndarray:
-    """The boolean indicators an :func:`encode_bits` triple carries.
+def unpack_bits(bits: Any, length: Any) -> Tuple[bytes, np.ndarray]:
+    """The packed bytes and the indicators a base64/length pair carries.
 
-    ``digest=None`` skips the digest check, for records that carry
-    their own checksum.
-
-    Raises
-    ------
-    ValueError
-        When a field has the wrong type, the base64 is malformed, the
-        byte count does not fit ``length`` or the digest does not match
-        the decoded bytes — the frame was corrupted or tampered with.
+    Raises ``ValueError`` when a field has the wrong type, the base64 is
+    malformed or the byte count does not fit ``length``.
     """
     if (not isinstance(bits, str)
-            or not isinstance(digest, (str, type(None)))
             or not isinstance(length, int) or isinstance(length, bool)
             or length < 0):
-        raise ValueError("bits frame needs string bits/digest and an "
+        raise ValueError("bits frame needs string bits and an "
                          "int length >= 0")
     try:
         raw = base64.b64decode(bits.encode("ascii"), validate=True)
@@ -131,11 +121,30 @@ def decode_bits(bits: Any, length: Any,
     if len(raw) != (length + 7) // 8:
         raise ValueError(f"{len(raw)} packed bytes cannot hold "
                          f"{length} indicators")
-    actual = None if digest is None else _digest(raw)
+    return raw, np.unpackbits(np.frombuffer(raw, dtype=np.uint8),
+                              count=length).astype(bool)
+
+
+def encode_bits(indicators: np.ndarray) -> Tuple[str, int, str]:
+    """Boolean indicators as ``(base64 packbits, length, digest)``."""
+    raw, bits, length = pack_bits(indicators)
+    return bits, length, _digest(raw)
+
+
+def decode_bits(bits: Any, length: Any, digest: Any) -> np.ndarray:
+    """The boolean indicators an :func:`encode_bits` triple carries.
+
+    Raises ``ValueError`` as :func:`unpack_bits` does, and when the
+    digest is not a string or does not match the decoded bytes — the
+    frame was corrupted or tampered with.
+    """
+    if not isinstance(digest, str):
+        raise ValueError("bits frame needs a string digest")
+    raw, indicators = unpack_bits(bits, length)
+    actual = _digest(raw)
     if actual != digest:
         raise ValueError(
             f"bits digest mismatch: frame says {digest[:12]}..., "
             f"bytes hash to {actual[:12]}..."
         )
-    return np.unpackbits(np.frombuffer(raw, dtype=np.uint8),
-                         count=length).astype(bool)
+    return indicators

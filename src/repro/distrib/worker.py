@@ -42,7 +42,7 @@ from repro.distrib.protocol import (
     encode_bits,
 )
 from repro.montecarlo.trials import run_spec_shard
-from repro.wire import LineServer
+from repro.wire import LineServer, error_reply
 
 __all__ = ["ShardWorker"]
 
@@ -68,8 +68,7 @@ class ShardWorker(LineServer):
     async def handle(self, message: Dict[str, Any]) -> Dict[str, Any]:
         ident = message.get("id")
         if type(ident) is not int:
-            return {"ok": False, "error": "bad-request",
-                    "message": "id must be an int"}
+            return error_reply("bad-request", "id must be an int")
         op = message.get("op")
         if op == "hello":
             return {"id": ident, "ok": True, "role": WORKER_ROLE,
@@ -78,16 +77,16 @@ class ShardWorker(LineServer):
             return {"id": ident, "ok": True}
         if op == "run":
             return await self._run(ident, message)
-        return {"id": ident, "ok": False, "error": "bad-request",
-                "message": f"unknown op: {str(op)[:64]!r}"}
+        return error_reply("bad-request", f"unknown op: {str(op)[:64]!r}",
+                           ident)
 
     async def _run(self, ident: int,
                    message: Dict[str, Any]) -> Dict[str, Any]:
         if message.get("protocol") != PROTOCOL_VERSION:
-            return {"id": ident, "ok": False, "error": "bad-request",
-                    "message": f"protocol mismatch: worker speaks "
-                               f"{PROTOCOL_VERSION}, request says "
-                               f"{str(message.get('protocol'))[:64]!r}"}
+            return error_reply(
+                "bad-request", f"protocol mismatch: worker speaks "
+                f"{PROTOCOL_VERSION}, request says "
+                f"{str(message.get('protocol'))[:64]!r}", ident)
         if self._die_after_runs is not None:
             if self._runs_served >= self._die_after_runs:
                 # Fault injection: die mid-shard, no reply, no goodbye.
@@ -98,19 +97,18 @@ class ShardWorker(LineServer):
         if not (isinstance(spec, str) and isinstance(tier, str)
                 and all(type(value) is int for value in args[2:])
                 and 0 <= start <= stop <= start + MAX_SHARD_TRIALS):
-            return {"id": ident, "ok": False, "error": "bad-request",
-                    "message": f"run needs a string spec and tier, an int "
-                               f"root_seed and ints 0 <= start <= stop <= "
-                               f"start + {MAX_SHARD_TRIALS}"}
+            return error_reply(
+                "bad-request", f"run needs a string spec and tier, an int "
+                f"root_seed and ints 0 <= start <= stop <= "
+                f"start + {MAX_SHARD_TRIALS}", ident)
         loop = asyncio.get_running_loop()
         try:
             seconds, indicators = await loop.run_in_executor(
                 self._pool, self._execute, args)
         except Exception as error:  # the shard raised: deterministic
             # Cut, so an error quoting a huge field still fits a frame.
-            return {"id": ident, "ok": False, "error": "shard-error",
-                    "type": type(error).__name__,
-                    "message": str(error)[:2000]}
+            return dict(error_reply("shard-error", str(error)[:2000], ident),
+                        type=type(error).__name__)
         bits, length, digest = encode_bits(indicators)
         return {"id": ident, "ok": True, "bits": bits, "length": length,
                 "digest": digest, "seconds": seconds}

@@ -116,7 +116,6 @@ async def _serve(args: argparse.Namespace) -> int:
     except asyncio.CancelledError:
         pass
     finally:
-        await server.close()
         service.close()
     return 0
 

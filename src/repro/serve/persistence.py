@@ -22,8 +22,8 @@ that produced it.  This module owns the on-disk format:
        "payload": {...}, "crc": <crc32>}
 
   ``payload`` packs the indicator booleans as base64 bit-packed bytes
-  (the shard protocol's :func:`~repro.distrib.protocol.encode_bits`,
-  without its digest) plus the result metadata (backend, workers,
+  (:func:`~repro.distrib.protocol.pack_bits`, the shard protocol's
+  codec without its digest) plus the result metadata (backend, workers,
   seed, confidence; for sequential records also the step trace,
   target width, bound and the honest ``met`` flag).  ``crc`` is the
   CRC-32 of the canonical JSON of the other three fields — a torn or
@@ -53,7 +53,7 @@ import zlib
 from pathlib import Path
 from typing import Any, Dict, Iterable, List, Optional, Tuple, Union
 
-from repro.distrib.protocol import decode_bits, encode_bits
+from repro.distrib.protocol import pack_bits, unpack_bits
 from repro.montecarlo.fingerprint import FINGERPRINT_VERSION
 from repro.montecarlo.trials import (
     SequentialResult,
@@ -79,7 +79,7 @@ MemoRecord = Tuple[str, MemoValue]
 
 
 def _encode_trial(result: TrialResult) -> Dict[str, Any]:
-    bits, trials, _ = encode_bits(result.indicators)
+    _, bits, trials = pack_bits(result.indicators)
     return {
         "indicators": bits,
         "trials": trials,
@@ -92,7 +92,7 @@ def _encode_trial(result: TrialResult) -> Dict[str, Any]:
 
 def _decode_trial(payload: Dict[str, Any]) -> TrialResult:
     return TrialResult(
-        indicators=decode_bits(payload["indicators"], payload["trials"]),
+        indicators=unpack_bits(payload["indicators"], payload["trials"])[1],
         backend=str(payload["backend"]),
         workers=int(payload["workers"]),
         seed=int(payload["seed"]),

@@ -80,6 +80,7 @@ from repro.wire import (
     decode_line,
     encode_line,
     error_reply,
+    with_id,
 )
 
 __all__ = ["SimulationServer", "query_one", "query_many",
@@ -151,12 +152,6 @@ def _parse_query(schema: _OpSchema, request: Dict[str, Any]) -> Any:
     return schema.query_type(**fields)
 
 
-def _with_id(payload: Dict[str, Any], request_id: Any) -> Dict[str, Any]:
-    if request_id is not None:
-        payload["id"] = request_id
-    return payload
-
-
 def _query_error(error: QueryError, request_id: Any) -> Dict[str, Any]:
     payload = error_reply(error.code, error.message, request_id)
     if isinstance(error, OverloadedError):
@@ -192,7 +187,7 @@ def _answer_payload(answer: Union[Answer, SequentialAnswer],
             "steps": [[step.trials, step.successes, step.width]
                       for step in sequential.steps],
         })
-    return _with_id(payload, request_id)
+    return with_id(payload, request_id)
 
 
 class SimulationServer(LineServer):
@@ -257,14 +252,14 @@ class SimulationServer(LineServer):
                               overloaded_answers=stats.overloaded),
             "executor": dict(stats.executor),
         }
-        return _with_id(payload, request_id)
+        return with_id(payload, request_id)
 
     def _metrics_payload(self, request_id: Any) -> Dict[str, Any]:
         metrics = get_registry().snapshot()
         for kind, entries in self._serving_series().items():
             metrics[kind] = sorted(metrics[kind] + entries, key=lambda e: (
                 e["name"], sorted(e["labels"].items())))
-        return _with_id({"ok": True, "metrics": metrics}, request_id)
+        return with_id({"ok": True, "metrics": metrics}, request_id)
 
     def _serving_series(self) -> Dict[str, List[Dict[str, Any]]]:
         """The ``serve.*`` counters and gauges in the registry snapshot
@@ -345,7 +340,7 @@ class SimulationServer(LineServer):
                 for family in all_families()
             ],
         }
-        return _with_id(payload, request_id)
+        return with_id(payload, request_id)
 
 
 # -- client helpers ----------------------------------------------------

@@ -42,7 +42,7 @@ from collections import Counter
 from typing import Any, Dict, List, Optional, Set, Tuple
 
 __all__ = ["MAX_LINE_BYTES", "MAX_REPLY_BYTES", "DRAIN_SECONDS",
-           "LineError", "encode_line", "decode_line", "error_reply",
+           "LineError", "encode_line", "decode_line", "with_id", "error_reply",
            "LineServer", "LineClient"]
 
 #: Request-line cap of every server: far above any legitimate request
@@ -95,13 +95,18 @@ def decode_line(line: bytes) -> Dict[str, Any]:
     return message
 
 
+def with_id(payload: Dict[str, Any], request_id: Any) -> Dict[str, Any]:
+    """``payload`` echoing ``request_id`` when one parsed."""
+    if request_id is not None:
+        payload["id"] = request_id
+    return payload
+
+
 def error_reply(code: str, message: str,
                 request_id: Any = None) -> Dict[str, Any]:
     """A structured error reply, echoing ``request_id`` when one parsed."""
-    reply: Dict[str, Any] = {"ok": False, "error": code, "message": message}
-    if request_id is not None:
-        reply["id"] = request_id
-    return reply
+    return with_id({"ok": False, "error": code, "message": message},
+                   request_id)
 
 
 class LineServer:
@@ -157,12 +162,16 @@ class LineServer:
         self._server = None
 
     async def serve_forever(self) -> None:
-        """Run until cancelled, starting first if needed."""
+        """Run until cancelled, starting first if needed; then close."""
         if self._server is None:
             await self.start()
-        assert self._server is not None
-        async with self._server:
-            await self._server.serve_forever()
+        try:
+            # Not ``asyncio.Server.serve_forever``: cancelled, it awaits
+            # ``wait_closed``, which on Python >= 3.12.1 waits for every
+            # open connection, idle ones included, before ``close`` runs.
+            await asyncio.get_running_loop().create_future()
+        finally:
+            await self.close()
 
     # -- connection handling -------------------------------------------
 

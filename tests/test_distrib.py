@@ -86,6 +86,8 @@ class TestProtocolUnits:
             decode_bits(bits, 9, digest)  # a short frame
         with pytest.raises(ValueError, match="int length"):
             decode_bits(bits, True, digest)
+        with pytest.raises(ValueError, match="string digest"):
+            decode_bits(bits, length, None)
 
     def test_malformed_base64_is_rejected(self):
         _, length, digest = encode_bits(np.ones(3, dtype=bool))
@@ -547,6 +549,29 @@ class TestNoCodeOverTheWire:
         finally:
             worker.close()
         assert not sentinel.exists()
+
+    @pytest.mark.parametrize("digest", ["missing", None])
+    def test_reply_fields_need_a_digest(self, digest):
+        bits, length, _ = encode_bits(run_spec_shard(SPEC, "engine", 7, 0, 2))
+
+        def reply(request):
+            answer = {"id": request["id"], "ok": True, "bits": bits,
+                      "length": length, "seconds": 0.1}
+            if digest != "missing":
+                answer["digest"] = digest
+            return answer
+
+        worker = _ScriptedWorker(reply)
+        try:
+            executor = RemoteSocketExecutor([worker.peer],
+                                            max_shard_retries=0)
+            with pytest.raises(WorkerCrashError) as caught:
+                executor.run_sharded(run_spec_shard,
+                                     [(SPEC, "engine", 7, 0, 2)])
+            assert isinstance(caught.value.__cause__, WorkerDisconnect)
+            assert "digest" in str(caught.value.__cause__)
+        finally:
+            worker.close()
 
     def test_no_distrib_module_names_pickle(self):
         import repro.distrib

@@ -32,6 +32,7 @@ from hypothesis import strategies as st
 
 import repro.batchsim.engine as engine_module
 import repro.serve.service as service_module
+import repro.wire as wire
 from repro.experiments.registry import all_families, get_family, resolve_scenario
 from repro.montecarlo import TrialRunner
 from repro.obs import NULL, render_prometheus, set_registry, use_registry
@@ -830,7 +831,12 @@ class TestConnectionBacklog:
     #: few hundred 350-byte answers.
     LINES = 12_000
 
-    def test_server_stops_reading_a_client_that_does_not_read(self):
+    def test_server_stops_reading_a_client_that_does_not_read(
+            self, monkeypatch):
+        # The client reads only after its polls; however slow the host,
+        # the server must not cut it off first.
+        monkeypatch.setattr(wire, "DRAIN_SECONDS", 600.0)
+
         async def scenario():
             server = SimulationServer(SimulationService())
             host, port = await server.start()

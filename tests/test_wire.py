@@ -11,8 +11,9 @@ against each of them:
   ``bad-request``, and the connection answers the next good line; an
   oversized line answers ``bad-request`` and closes the connection;
 * **bounded teardown** — a client that half-closes without reading its
-  answers is cut off within :data:`~repro.wire.DRAIN_SECONDS`, and
-  ``close()`` returns only once no connection handler is left.
+  answers is cut off within :data:`~repro.wire.DRAIN_SECONDS`,
+  ``close()`` returns only once no connection handler is left, and a
+  cancelled ``serve_forever()`` ends an idle connection the same way.
 """
 
 import asyncio
@@ -157,3 +158,27 @@ class TestTeardown:
         ended, left = asyncio.run(scenario())
         assert ended is not None and ended < self.BOUND + 2, ended
         assert left == set()
+
+    def test_cancelled_serve_forever_ends_an_idle_connection(
+            self, start_server):
+        async def scenario():
+            server, good, _ = await start_server()
+            serving = asyncio.create_task(server.serve_forever())
+            # Connected, answered once, then neither sending nor
+            # half-closed: nothing but shutdown ends its handler.
+            reader, writer = await asyncio.open_connection(*server.address)
+            writer.write(_line(good, 1))
+            assert json.loads(await reader.readline())["id"] == 1
+            assert len(server._handlers) == 1
+            serving.cancel()
+            done, _ = await asyncio.wait([serving], timeout=5)
+            left = asyncio.all_tasks() - {asyncio.current_task()}
+            eof = await asyncio.wait_for(reader.read(), 5)
+            writer.close()
+            await server.close()
+            return done == {serving}, set(server._handlers), left, eof
+
+        stopped, handlers, left, eof = asyncio.run(scenario())
+        assert stopped
+        assert handlers == set() and left == set()
+        assert eof == b""
