@@ -12,12 +12,20 @@ vectorised ``apply_batch`` hook, delivers through
 sparse product with the topology's adjacency) /
 :func:`~repro.engine.simulator.deliver_mp_batch` (one row gather
 through the program's static sender map), and hands the program the
-``(n, B)`` codes every node heard, in either model.  The chunk's fault
-masks are laid out once as ``(rounds, n, B)``, so a round's slice is
-contiguous.  Selects are bitwise arithmetic on the narrow codes rather
-than per-element branches, and nothing touches Python-level per-node
-state, so the per-trial cost collapses to a handful of cheap numpy
-operations per round.
+``(n, B)`` codes every node heard, in either model.  The failure model
+samples the chunk's fault masks straight into one round-major
+``(rounds, n, B)`` ``int8`` array, so a round's slice is contiguous and
+no other copy of the masks exists.  Selects are bitwise arithmetic on
+the narrow codes rather than per-element branches, and nothing touches
+Python-level per-node state, so the per-trial cost collapses to a
+handful of cheap numpy operations per round.
+
+Chunk size: a chunk holds as many trials as :data:`MASK_BUDGET` bytes
+of those masks allow (``rounds × n`` bytes per trial), at least one
+and at most :data:`MAX_CHUNK_TRIALS`.  Per-round numpy call overhead
+is paid once per chunk, so short, narrow scenarios gain from long
+chunks, while a scenario whose masks are large keeps its chunk — and
+its memory — bounded by the budget.
 
 Stream contract (what makes the tier safe to auto-dispatch): trial
 ``i`` consumes the stream ``root.child("mc", i)`` — the
@@ -28,9 +36,10 @@ calls would.  The plain oblivious adversaries consume no randomness at
 all, and the randomised slowing reduction *replays* its coin tosses
 from each trial's ``child("adversary")`` stream
 (:meth:`~repro.failures.adversaries.SlowingAdversary.
-thin_faulty_batch`).  Both seed a chunk's child streams together
-through :func:`repro.rng.child_generators` — one numpy pass over the
-``SeedSequence`` mixing and one reused PCG64 — whose draws equal each
+thin_faulty_batch`).  A chunk builds no per-trial stream object:
+:func:`repro.rng.derive_seeds` gives its trial seeds,
+:func:`repro.rng.child_seeds` their child seeds, and one reused PCG64
+is set to each child seed's state in turn, whose draws equal each
 child stream's own generator's.  So the batched per-trial success
 indicators are **bit-identical** to the scalar engine's on matched
 streams (property-tested in ``tests/test_batchsim.py``), for any
@@ -77,17 +86,30 @@ from repro.engine.simulator import (
     deliver_radio_batch,
 )
 from repro.failures.base import FailureModel
-from repro.rng import RngStream, derive_seed
+# derive_seed and RngStream stay bound here although a chunk no longer
+# calls them: perfbench's traced run wraps both by name.
+from repro.rng import RngStream, derive_seed, derive_seeds  # noqa: F401
 
 __all__ = ["BatchExecution", "batch_execution", "run_batch_shard",
            "supports_batchsim"]
 
-#: Trials advanced together per chunk: large enough to amortise numpy
-#: call overhead and the chunk's batched stream seeding, small enough
-#: to keep the (rounds, n, chunk) fault masks and the programs'
-#: per-trial state (e.g. the Kučera (n, contexts, chunk) bit table)
-#: cache-friendly.
-DEFAULT_CHUNK = 512
+#: Bytes of ``int8`` fault masks one chunk may hold.  At 8 MiB every
+#: full-mode ``run-all`` cell keeps at least 512 trials per chunk (the
+#: largest, 15 876 mask bytes per trial, gets 528), and a scenario whose
+#: masks outgrow the budget runs as few trials per chunk as it must,
+#: down to one.
+MASK_BUDGET = 8 << 20
+#: Most trials per chunk.  Longer chunks still amortise per-round numpy
+#: calls a little further, but the masks and the programs' per-trial
+#: state (e.g. the Kučera ``(n, contexts, B)`` table) grow with them:
+#: 2048-trial chunks raised the batch-sweep's peak RSS by 17 %.
+MAX_CHUNK_TRIALS = 1024
+
+
+def chunk_trials(rounds: int, order: int) -> int:
+    """Trials per chunk for ``rounds × order`` mask bytes per trial."""
+    return min(MAX_CHUNK_TRIALS,
+               max(1, MASK_BUDGET // max(1, rounds * order)))
 
 
 class BatchExecution:
@@ -123,19 +145,26 @@ class BatchExecution:
         """The scenario's payload codec."""
         return self._codec
 
+    @property
+    def chunk(self) -> int:
+        """Trials per chunk: :func:`chunk_trials` of the scenario."""
+        return chunk_trials(self._algorithm.rounds,
+                            self._algorithm.topology.order)
+
     def run(self, trials: int, root_seed: int,
-            chunk: int = DEFAULT_CHUNK) -> np.ndarray:
+            chunk: Optional[int] = None) -> np.ndarray:
         """Success indicators of trials ``0..trials-1`` under ``root_seed``.
 
         The result is a pure function of the root seed: chunking is
         invisible because every trial draws only from its own
-        ``root.child("mc", i)`` stream.
+        ``root.child("mc", i)`` stream.  ``chunk`` overrides the
+        budget-sized :attr:`chunk` (tests pin chunking with it).
         """
         trials = check_positive_int(trials, "trials")
         return self.run_range(0, trials, root_seed, chunk=chunk)
 
     def run_range(self, start: int, stop: int, root_seed: int,
-                  chunk: int = DEFAULT_CHUNK) -> np.ndarray:
+                  chunk: Optional[int] = None) -> np.ndarray:
         """Success indicators of the trial subrange ``start..stop-1``.
 
         Trial indices are *absolute*: trial ``i`` draws from
@@ -143,7 +172,8 @@ class BatchExecution:
         partitioned into contiguous ranges — the process-sharding path
         — concatenates to exactly :meth:`run`'s vector.
         """
-        chunk = check_positive_int(chunk, "chunk")
+        chunk = self.chunk if chunk is None else check_positive_int(
+            chunk, "chunk")
         if start < 0 or stop <= start:
             raise ValueError(
                 f"need 0 <= start < stop, got start={start}, stop={stop}"
@@ -168,18 +198,10 @@ class BatchExecution:
         topology = algorithm.topology
         rounds = algorithm.rounds
         program = self._program
-        streams = [
-            RngStream(derive_seed(root_seed, "mc", index), ("mc", index))
-            for index in range(start, stop)
-        ]
-        masks = self._failure_model.sample_failures_batch(
-            streams, rounds, topology.order
+        faults = self._failure_model.sample_failures_batch(
+            derive_seeds(root_seed, "mc", start, stop), rounds,
+            topology.order,
         )
-        # Round-major, node-major, trials innermost, and a set bit as
-        # the all-ones int8 mask apply_batch selects with.
-        faults = np.negative(masks.view(np.int8).transpose(1, 2, 0),
-                             order="C")
-        del masks
         program.reset(stop - start)
         radio = algorithm.model != MESSAGE_PASSING
         senders = None if radio else program.mp_senders()

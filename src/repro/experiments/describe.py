@@ -110,11 +110,12 @@ def experiment_rows() -> List[Dict[str, str]]:
             topologies.append(spec.topology)
             trials.append(spec.trials)
             sequentials.append(spec.sequential or "—")
-            if spec.cell is None:  # purely combinatorial scenario
+            cell = spec.resolve()
+            if cell is None:  # purely combinatorial scenario
                 backends.append("—")
                 failures.append("—")
             else:
-                runner = ExperimentConfig().runner(*spec.cell)
+                runner = ExperimentConfig().runner(*cell)
                 backends.append(runner.dispatch_backend())
                 failures.append(runner.failure_model.describe())
             if spec.note:

@@ -233,7 +233,10 @@ class ScenarioSpec:
         runner, so the documented backend is always the dispatched one.
         ``None`` marks a non-Monte-Carlo (purely combinatorial)
         scenario: the topology/trials strings are still rendered, the
-        backend and failure columns show ``—``.
+        backend and failure columns show ``—``.  ``p`` may be a
+        zero-argument callable where computing it is costly to import
+        (the radio threshold solve loads ``scipy.optimize``);
+        :meth:`resolve` calls it only when a cell is needed.
     topology:
         Human-readable topology summary (e.g. ``"binary tree d=4"``).
     trials:
@@ -253,6 +256,13 @@ class ScenarioSpec:
     trials: str
     sequential: str = ""
     note: str = ""
+
+    def resolve(self) -> Optional[Cell]:
+        """:attr:`cell`, with a callable ``p`` evaluated."""
+        if self.cell is None or not callable(self.cell[1]):
+            return self.cell
+        family, p, n, params = self.cell
+        return family, p(), n, params
 
 
 @dataclass(frozen=True)

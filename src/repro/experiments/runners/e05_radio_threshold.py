@@ -57,8 +57,8 @@ def _exact_chain_success(tree, m: int, p: float) -> float:
     "Theorem 2.4 — feasible iff p < (1-p)^(delta+1) (radio)",
     scenarios=[ScenarioSpec(
         label="simple-malicious radio worst case",
-        cell=("malicious-radio-star", 0.75 * radio_malicious_threshold(2), 2,
-              {}),
+        cell=("malicious-radio-star",
+              lambda: 0.75 * radio_malicious_threshold(2), 2, {}),
         topology="leaf-sourced stars, delta=2..16",
         trials="≤ 4000 / 20000",
         sequential="width ≤ 0.06 / 0.025 (bernstein)",

@@ -23,6 +23,8 @@ engine loop could afford.
 
 from __future__ import annotations
 
+from functools import partial
+
 from repro.analysis.estimation import clopper_pearson
 from repro.analysis.thresholds import radio_malicious_threshold
 from repro.experiments.registry import (
@@ -41,7 +43,8 @@ from repro.rng import RngStream
     "Theorem 2.4 — not feasible for p >= (1-p)^(delta+1) (radio)",
     scenarios=[ScenarioSpec(
         label="equalizing star attack",
-        cell=("equalizing-star", radio_malicious_threshold(2), 2, {}),
+        cell=("equalizing-star", partial(radio_malicious_threshold, 2), 2,
+              {}),
         topology="leaf-sourced stars, delta=2/4",
         trials="4000 / 20000",
         note="the adaptive attack has an exact fastsim law "

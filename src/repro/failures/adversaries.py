@@ -39,7 +39,6 @@ import numpy as np
 from repro._validation import check_probability
 from repro.engine.protocol import MESSAGE_PASSING, RADIO
 from repro.failures.malicious import Adversary, Restriction
-from repro.rng import child_generators
 
 __all__ = [
     "SilentAdversary",
@@ -426,30 +425,23 @@ class SlowingAdversary(Adversary):
     def batch_payloads(self) -> tuple:
         return self._inner.batch_payloads()
 
-    def thin_faulty_batch(self, trial_streams, masks):
-        """Replay the per-trial slowing coins onto the faulty masks.
+    def thin_faulty_batch(self, mask, generator):
+        """Replay one trial's slowing coins onto its faulty mask.
 
         The scalar :meth:`rewrite` draws one Bernoulli per faulty node
         — in round order, then ascending node order, and only in rounds
         with at least one faulty node — from the execution's
         ``child("adversary")`` stream; that is exactly one draw per set
-        mask bit, in the row-major order of the ``(rounds, order)``
-        mask.  Numpy generators fill vector draws sequentially, so one
-        ``random(count)`` per trial — from the generator
-        :func:`~repro.rng.child_generators` sets to the trial's
+        bit, in the row-major order of the trial's ``(rounds, order)``
+        bool ``mask``.  Numpy generators fill vector draws sequentially,
+        so one ``random(count)`` from ``generator`` — set to the trial's
         ``child("adversary")`` state — replays those coins bit for bit,
-        and the released nodes simply drop out of the faulty masks
+        and the released nodes are cleared from ``mask`` in place
         (their intents then pass through like any fault-free node's).
         """
-        thinned = masks.copy()
-        generators = child_generators(trial_streams, "adversary")
-        for flat, generator in zip(thinned.reshape(len(masks), -1),
-                                   generators):
-            faulty = np.flatnonzero(flat)
-            if faulty.size:
-                flat[faulty] = (generator.random(faulty.size)
-                                < self._keep_probability)
-        return thinned
+        count = np.count_nonzero(mask)
+        if count:
+            mask[mask] = generator.random(count) < self._keep_probability
 
     def batch_rewrite(self, round_index: int, faulty: np.ndarray,
                       codes: np.ndarray, codec, model: str) -> np.ndarray:

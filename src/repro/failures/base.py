@@ -36,13 +36,14 @@ History-oblivious models additionally support the vectorised
 :mod:`repro.batchsim` engine through three hooks:
 
 * :meth:`FailureModel.supports_batch` — eligibility predicate;
-* :meth:`FailureModel.sample_failures_batch` — stack the per-round
-  faulty-transmitter masks of a whole trial batch, consuming each
-  trial's ``child("faults")`` stream **exactly** like the scalar
-  engine's round-by-round :meth:`sample_faulty` calls (this is what
-  makes batched indicators bit-identical to scalar ones).  The batch's
-  streams are seeded together by :func:`repro.rng.child_generators`:
-  one numpy pass over the batch and one reused PCG64;
+* :meth:`FailureModel.sample_failures_batch` — a whole trial chunk's
+  faulty-transmitter masks, round-major as ``(rounds, n, batch)``
+  ``int8`` ``0``/``-1``, consuming each trial's ``child("faults")``
+  stream **exactly** like the scalar engine's round-by-round
+  :meth:`sample_faulty` calls (this is what makes batched indicators
+  bit-identical to scalar ones).  The chunk's child seeds come from
+  :func:`repro.rng.child_seeds` and one reused PCG64 is set to each in
+  turn (:func:`repro.rng.seeded_generators`);
 * :meth:`FailureModel.apply_batch` — the vectorised counterpart of
   :meth:`apply`, operating on ``(n, batch)`` ``int8`` payload-code
   arrays with one round's ``(n, batch)`` ``0``/``-1`` fault mask.
@@ -56,9 +57,16 @@ from typing import Any, Dict, FrozenSet, Optional, Sequence
 import numpy as np
 
 from repro._validation import check_probability
-from repro.rng import RngStream, child_generators
+from repro.rng import RngStream, child_seeds, seeded_generators
 
 __all__ = ["FailureModel", "FaultFree", "OmissionFailures"]
+
+#: Trials whose masks :meth:`FailureModel.sample_failures_batch` draws
+#: into one ``(MASK_BLOCK, rounds, n)`` bool block before one
+#: transposing copy writes them into the chunk's round-major masks: a
+#: block small enough to stay in cache, large enough that the copy is
+#: one numpy call per 64 trials rather than a strided write per trial.
+MASK_BLOCK = 64
 
 
 def _check_rate_vector(p_v) -> np.ndarray:
@@ -197,30 +205,64 @@ class FailureModel(ABC):
         """
         return False
 
-    def sample_failures_batch(self, trial_streams: Sequence[RngStream],
+    def sample_failures_batch(self, trial_seeds: Sequence[int],
                               rounds: int, order: int) -> np.ndarray:
-        """Stacked faulty-transmitter masks for a batch of trials.
+        """A trial chunk's faulty-transmitter masks, round-major.
 
-        Returns a ``(len(trial_streams), rounds, order)`` boolean array
-        whose trial ``b`` slice consumes ``trial_streams[b]``'s
+        ``trial_seeds[b]`` is trial ``b``'s ``("mc", i)`` stream seed.
+        Returns a ``(rounds, order, len(trial_seeds))`` ``int8`` array,
+        ``-1`` where a transmitter fails and ``0`` elsewhere, so round
+        ``r``'s slice is the contiguous ``(order, batch)`` mask
+        :meth:`apply_batch` takes.  Trial ``b``'s column consumes its
         ``child("faults")`` stream exactly as ``rounds`` consecutive
         :meth:`sample_faulty` calls would — numpy generators fill
         multi-round draws sequentially, so one ``(rounds, order)`` draw
         per trial reproduces the scalar engine's masks bit for bit.
-        :func:`~repro.rng.child_generators` sets one reused generator
-        to each trial's ``child("faults")`` state in turn, so the batch
-        builds no per-trial PCG64.
+
+        Trials are drawn :data:`MASK_BLOCK` at a time into a bool
+        block, each from one reused generator set to the trial's
+        ``child("faults")`` state (so the chunk builds no per-trial
+        PCG64) and, where :meth:`_batch_thinning` names a hook, thinned
+        from its ``child("adversary")`` state; one transposing copy
+        then writes the block into the chunk's masks.
         """
-        batch = len(trial_streams)
-        masks = np.zeros((batch, rounds, order), dtype=bool)
+        batch = len(trial_seeds)
+        faults = np.zeros((rounds, order, batch), dtype=np.int8)
         rates = self.rates(order)
         if self._p_v is None and rates == 0.0:
-            return masks
+            return faults
+        thin = self._batch_thinning()
+        seeds = child_seeds(trial_seeds, "faults")
+        if thin is not None:
+            # One generator serves both streams: trial b's faults
+            # state, then its adversary state.
+            seeds = [seed for pair in zip(
+                seeds, child_seeds(trial_seeds, "adversary"))
+                for seed in pair]
+        generators = seeded_generators(seeds)
         draws = np.empty((rounds, order))
-        generators = child_generators(trial_streams, "faults")
-        for mask, generator in zip(masks, generators):
-            np.less(generator.random(out=draws), rates, out=mask)
-        return masks
+        block = np.empty((min(batch, MASK_BLOCK), rounds, order), dtype=bool)
+        for lo in range(0, batch, MASK_BLOCK):
+            masks = block[:batch - lo]
+            for mask in masks:
+                np.less(next(generators).random(out=draws), rates, out=mask)
+                if thin is not None:
+                    thin(mask, next(generators))
+            # A set bit as the all-ones int8 mask apply_batch selects with.
+            np.negative(masks.view(np.int8).transpose(1, 2, 0),
+                        out=faults[:, :, lo:lo + len(masks)])
+        return faults
+
+    def _batch_thinning(self):
+        """The per-trial hook that releases faulty nodes, or ``None``.
+
+        A hook takes one trial's ``(rounds, order)`` bool mask and a
+        generator set to the trial's ``child("adversary")`` state, and
+        clears in place the nodes it releases.  Only
+        :class:`~repro.failures.malicious.MaliciousFailures` names one
+        (its adversary's ``thin_faulty_batch``).
+        """
+        return None
 
     def apply_batch(self, round_index: int, faulty: np.ndarray,
                     codes: np.ndarray, codec, model: str) -> np.ndarray:
@@ -230,7 +272,7 @@ class FailureModel(ABC):
         with ``-1`` for silence; the return value has the same shape,
         dtype and encoding.  ``faulty`` is the round's ``(n, batch)``
         ``int8`` mask, ``-1`` (all bits set) where the node's
-        transmitter fails and ``0`` elsewhere — the transposed
+        transmitter fails and ``0`` elsewhere — one round's
         :meth:`sample_failures_batch` slice — so a select is bitwise
         arithmetic, not a branch.  Only models answering ``True`` from
         :meth:`supports_batch` need to implement this.

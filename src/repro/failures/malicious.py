@@ -105,18 +105,17 @@ class Adversary(ABC):
             return frozenset({Restriction.FULL})
         return frozenset()
 
-    def thin_faulty_batch(self, trial_streams, masks):
-        """Hook for wrappers that release faulty nodes with private coins.
-
-        Called once per trial chunk by
-        :meth:`MaliciousFailures.sample_failures_batch` with the
-        per-trial root streams and the ``(batch, rounds, order)``
-        faulty masks; the returned masks replace them.  The slowing
-        reduction replays its Bernoulli releases here so batched
-        executions stay bit-identical; everything else passes the
-        masks through unchanged.
-        """
-        return masks
+    #: Hook for wrappers that release faulty nodes with private coins:
+    #: ``thin_faulty_batch(mask, generator)`` clears, in place, the
+    #: nodes it releases from one trial's ``(rounds, order)`` bool
+    #: faulty mask, drawing from ``generator``, which is set to that
+    #: trial's ``child("adversary")`` state.
+    #: :meth:`MaliciousFailures.sample_failures_batch` calls it per
+    #: trial, before the trial's mask joins the chunk's round-major
+    #: ``int8`` masks.  The slowing reduction replays its Bernoulli
+    #: releases here so batched executions stay bit-identical;
+    #: ``None`` (no hook) leaves the masks as sampled.
+    thin_faulty_batch = None
 
     def batch_rewrite(self, round_index: int, faulty: np.ndarray,
                       codes: np.ndarray, codec, model: str) -> np.ndarray:
@@ -252,10 +251,8 @@ class MaliciousFailures(FailureModel):
         # the error surfaces identically.
         return all(payload == 0 or payload == 1 for payload in payloads)
 
-    def sample_failures_batch(self, trial_streams, rounds: int,
-                              order: int) -> np.ndarray:
-        masks = super().sample_failures_batch(trial_streams, rounds, order)
-        return self._adversary.thin_faulty_batch(trial_streams, masks)
+    def _batch_thinning(self):
+        return self._adversary.thin_faulty_batch
 
     def apply_batch(self, round_index: int, faulty: np.ndarray,
                     codes: np.ndarray, codec, model: str) -> np.ndarray:

@@ -86,21 +86,17 @@ def sample_layered_omission(graph: LayeredGraph, steps: Sequence[Set[int]],
     weights = (1 << np.arange(m, dtype=np.int64))
     fault_masks = (faults * weights).sum(axis=2)
     alive = step_masks[None, :] & ~fault_masks
-    # Popcount of alive & P_v per value, per trial, per step.
+    # Value v hears a step iff exactly one bit of alive & P_v is set.
     success = source_ok.copy()
-    values = np.arange(1, graph.n_values, dtype=np.int64)
-    for value in values:
-        mask = int(value)  # P_v as a bitmask *is* the value itself
-        overlap = alive & mask
-        # vectorised popcount via the unsigned byte view
-        counts = np.zeros(overlap.shape, dtype=np.int64)
-        work = overlap.copy()
-        while np.any(work):
-            counts += work & 1
-            work >>= 1
-        heard = (counts == 1).any(axis=1)
-        success &= heard
+    for value in range(1, graph.n_values):
+        # P_v as a bitmask *is* the value itself.
+        success &= _exactly_one_bit(alive & value).any(axis=1)
     return success
+
+
+def _exactly_one_bit(words: np.ndarray) -> np.ndarray:
+    """Whether each non-negative word has exactly one set bit."""
+    return (words != 0) & ((words & (words - 1)) == 0)
 
 
 def layered_success_estimate(graph: LayeredGraph, steps: Sequence[Set[int]],

@@ -506,8 +506,8 @@ def _shard_bounds(trials: int, shards: int) -> List[Tuple[int, int]]:
 #: Minimum trials per batchsim process chunk.  One batchsim trial costs
 #: a sliver of a numpy call, so a chunk must hold a few hundred trials
 #: before the fork + eligibility-reprobe startup (milliseconds) is
-#: amortised; below the floor the batch stays in-process.  A quarter of
-#: the engine's internal ``DEFAULT_CHUNK`` keeps every spawned worker's
+#: amortised; below the floor the batch stays in-process.  An eighth
+#: of the engine's ``MAX_CHUNK_TRIALS`` keeps every spawned worker's
 #: first vectorised call reasonably full.
 MIN_BATCHSIM_SHARD = 128
 

@@ -20,28 +20,32 @@ their ``child("faults")`` / ``child("adversary")`` streams to the
 failure model and never draw themselves — so they never pay for one.
 Laziness changes no seed, path or draw.
 
-Batched consumers — the :mod:`repro.batchsim` fault and adversary
-streams of a whole trial chunk — skip the per-stream PCG64 altogether:
-:func:`child_generators` runs ``SeedSequence``'s mixing over all the
+Batched consumers — the :mod:`repro.batchsim` trial chunks — build
+no :class:`RngStream` and no per-stream PCG64 at all.
+:func:`derive_seeds` gives a chunk's ``("mc", i)`` trial seeds from one
+hashed ``"{root}/'mc'/"`` prefix, :func:`child_seeds` their
+``child("faults")`` / ``child("adversary")`` seeds, and
+:func:`seeded_generators` runs ``SeedSequence``'s mixing over all the
 chunk's seeds at once as ``uint32`` numpy arrays, turns each result
 into a PCG64 ``(state, inc)`` pair, and yields one reused generator set
-to each trial's state in turn.  The draws are those of
-``Generator(PCG64(seed))`` bit for bit.  NEP 19 keeps bit generator
-streams and their ``SeedSequence`` seeding stable across numpy
-releases, and ``tests/test_rng.py`` pins the helper against numpy's own
-implementation.
+to each trial's state in turn.  Every seed equals :func:`derive_seed`'s
+and the draws are those of ``Generator(PCG64(seed))`` bit for bit.
+NEP 19 keeps bit generator streams and their ``SeedSequence`` seeding
+stable across numpy releases, and ``tests/test_rng.py`` pins the
+helpers against :func:`derive_seed` and numpy's own implementation.
 """
 
 from __future__ import annotations
 
 import hashlib
+import struct
 import threading
 from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
-__all__ = ["RngStream", "derive_seed", "as_stream", "seeded_generators",
-           "child_generators"]
+__all__ = ["RngStream", "derive_seed", "derive_seeds", "child_seeds",
+           "as_stream", "seeded_generators"]
 
 
 def derive_seed(seed: int, *names: object) -> int:
@@ -56,6 +60,33 @@ def derive_seed(seed: int, *names: object) -> int:
     path = "/".join([str(int(seed)), *map(repr, names)])
     digest = hashlib.sha256(path.encode("utf8")).digest()
     return int.from_bytes(digest[:8], "big")
+
+
+#: The leading eight digest bytes as one big-endian 64-bit seed.
+_SEED_WORD = struct.Struct(">Q").unpack_from
+
+
+def derive_seeds(seed: int, name: object, start: int, stop: int) -> list:
+    """``derive_seed(seed, name, i)`` for each ``i`` in ``range(start, stop)``.
+
+    The shared ``"{seed}/{name!r}/"`` prefix is hashed once; each index
+    copies that SHA-256 state and hashes only its own digits.
+    """
+    prefix = hashlib.sha256(f"{int(seed)}/{name!r}/".encode("utf8"))
+    seeds = []
+    for index in range(start, stop):
+        digest = prefix.copy()
+        digest.update(b"%d" % index)
+        seeds.append(_SEED_WORD(digest.digest())[0])
+    return seeds
+
+
+def child_seeds(seeds: Sequence[int], name: object) -> list:
+    """``derive_seed(seed, name)`` for each seed, in order."""
+    suffix = f"/{name!r}".encode("utf8")
+    sha256 = hashlib.sha256
+    return [_SEED_WORD(sha256(b"%d%s" % (int(seed), suffix)).digest())[0]
+            for seed in seeds]
 
 
 # ``SeedSequence`` hashing constants (numpy/random/bit_generator.pyx).
@@ -170,23 +201,17 @@ def _set_in_turn(states: list) -> Iterator[np.random.Generator]:
     _idle.generator = None
     try:
         bit_generator = generator.bit_generator
-        for state, inc in states:
-            bit_generator.state = {
-                "bit_generator": "PCG64",
-                "state": {"state": state, "inc": inc},
-                "has_uint32": 0, "uinteger": 0,
-            }
+        # One state dict serves every trial: only its two words change.
+        words = {"state": 0, "inc": 0}
+        state = {"bit_generator": "PCG64", "state": words,
+                 "has_uint32": 0, "uinteger": 0}
+        for state_word, inc in states:
+            words["state"] = state_word
+            words["inc"] = inc
+            bit_generator.state = state
             yield generator
     finally:
         _idle.generator = generator
-
-
-def child_generators(streams: Sequence["RngStream"],
-                     name: object) -> Iterator[np.random.Generator]:
-    """``stream.child(name).generator`` for each stream, as
-    :func:`seeded_generators` yields them: same draws, one PCG64."""
-    return seeded_generators([derive_seed(stream.seed, name)
-                              for stream in streams])
 
 
 class RngStream:

@@ -17,6 +17,7 @@ numbers.
 """
 
 import sys
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from functools import partial
 
@@ -25,6 +26,7 @@ import pytest
 
 from repro.batchsim import PayloadCodec, batch_execution, supports_batchsim
 from repro.batchsim.codec import CODE_DTYPE, MAX_CODES, SILENCE
+from repro.batchsim.engine import MASK_BUDGET, MAX_CHUNK_TRIALS, chunk_trials
 from repro.batchsim.programs import (
     HelloProgram,
     PlanLift,
@@ -59,11 +61,12 @@ from repro.failures import (
     SilentAdversary,
     SlowingAdversary,
 )
+from repro.failures.base import MASK_BLOCK
 from repro.graphs import binary_tree, grid, layered_graph, line, star, two_node
 from repro.montecarlo import TrialRunner
 from repro.radio.closed_form import line_schedule
 from repro.radio.layered_broadcast import LayeredScheduleBroadcast
-from repro.rng import RngStream, derive_seed
+from repro.rng import RngStream, derive_seed, derive_seeds
 from repro.serve import catalog as _catalog  # noqa: F401  (registers families)
 
 TRIALS = 48
@@ -296,6 +299,13 @@ class TestShardedBatchsim:
             results[1].indicators, results[4].indicators
         )
 
+    def test_budget_chunks_match_small_chunks(self, factory, failure):
+        execution = batch_execution(factory(), failure)
+        budget = execution.run(TRIALS, SEED)
+        for chunk in (1, 13):
+            np.testing.assert_array_equal(
+                execution.run(TRIALS, SEED, chunk=chunk), budget)
+
     def test_sharded_prefix_matches_scalar_engine(self, factory, failure):
         # Per-trial streams depend only on (seed, index), so the first
         # TRIALS indicators of a sharded run must equal the scalar
@@ -326,9 +336,11 @@ class TestTrialForTrialAgreement:
     def test_chunking_is_invisible(self, make_algorithm, make_failure):
         algorithm = make_algorithm()
         failure = make_failure()
-        whole = batch_indicators(algorithm, failure, chunk=TRIALS)
-        slivers = batch_indicators(algorithm, failure, chunk=5)
-        np.testing.assert_array_equal(whole, slivers)
+        # chunk=None: the budget-sized chunk the runners use.
+        budget = batch_indicators(algorithm, failure, chunk=None)
+        for chunk in (1, 13):
+            np.testing.assert_array_equal(
+                batch_indicators(algorithm, failure, chunk=chunk), budget)
 
 
 #: (label, algorithm factory, failure factory) for the windowed
@@ -767,6 +779,49 @@ CATALOG_CELLS = [
     ("prime-schedule", 0.3, 5, {"rounds": 200}),
 ]
 
+
+class TestChunkBudget:
+    """A chunk holds as many trials as :data:`MASK_BUDGET` bytes of
+    round-major ``int8`` fault masks allow, within
+    ``[1, MAX_CHUNK_TRIALS]``, and never a second copy of them."""
+
+    def test_sizing_follows_the_mask_bytes_per_trial(self):
+        assert chunk_trials(16, 2) == MAX_CHUNK_TRIALS
+        # SimpleOmission on the 63-node tree, 252 rounds: the largest
+        # chunk consumer of a full-mode run-all keeps 512+ trials.
+        assert chunk_trials(252, 63) == MASK_BUDGET // (252 * 63) >= 512
+        assert chunk_trials(MASK_BUDGET + 1, 1) == 1
+
+    def test_a_trial_larger_than_the_budget_runs_alone(self):
+        # 14 MB of masks per trial; 512-trial chunks asked for 7.3 GB.
+        algorithm, failure = _catalog_scenario(
+            "windowed-malicious", 0.45, 16, {})
+        assert algorithm.rounds * algorithm.topology.order > MASK_BUDGET
+        assert batch_execution(algorithm, failure).chunk == 1
+
+    @pytest.mark.parametrize("cell", CATALOG_CELLS[:2],
+                             ids=lambda cell: cell[0])
+    def test_sweep_cells_peak_within_the_budget(self, cell):
+        algorithm, failure = _catalog_scenario(*cell)
+        execution = batch_execution(algorithm, failure)
+        rounds, order = algorithm.rounds, algorithm.topology.order
+        execution.run(64, SEED)
+        seeds = derive_seeds(SEED, "mc", 0, execution.chunk)
+        tracemalloc.start()
+        try:
+            execution.run(2048, SEED)
+            run_peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            faults = failure.sample_failures_batch(seeds, rounds, order)
+            sample_peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert run_peak <= MASK_BUDGET + MASK_BLOCK * rounds * order
+        # One mask copy: a bool array beside its int8 transpose would
+        # peak at twice the masks.
+        assert sample_peak < 1.5 * faults.nbytes
+
+
 #: The code-valued per-trial state of each program family.
 CODE_STATE = {
     ScheduleLift: ("_adopted",),
@@ -801,10 +856,10 @@ def test_codes_keep_the_codec_dtype_every_round(make):
     codec = execution.codec
     program = algorithm.batch_program(codec)
     order, rounds, batch = algorithm.topology.order, algorithm.rounds, 64
-    streams = [RngStream(derive_seed(SEED, "mc", index), ("mc", index))
-               for index in range(batch)]
-    masks = failure.sample_failures_batch(streams, rounds, order)
-    faults = -masks.transpose(1, 2, 0).astype(CODE_DTYPE)
+    faults = failure.sample_failures_batch(
+        derive_seeds(SEED, "mc", 0, batch), rounds, order)
+    assert faults.dtype == CODE_DTYPE
+    assert faults.shape == (rounds, order, batch)
     program.reset(batch)
     senders = program.mp_senders()
 

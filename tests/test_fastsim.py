@@ -4,6 +4,9 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from repro.analysis.estimation import estimate_success
 from repro.core import FastFlooding, SimpleMalicious
@@ -21,6 +24,7 @@ from repro.fastsim import (
     sample_simple_omission,
     simple_omission_success_probability,
 )
+from repro.fastsim.layered import _exactly_one_bit
 from repro.graphs import bfs_tree, binary_tree, layered_graph, line, star
 from repro.rng import RngStream
 
@@ -197,6 +201,19 @@ class TestLayeredSampler:
         a = sample_layered_omission(graph, steps, 0.3, 500, 11)
         b = sample_layered_omission(graph, steps, 0.3, 500, 11)
         np.testing.assert_array_equal(a, b)
+
+    @settings(max_examples=200, deadline=None)
+    @given(words=hnp.arrays(np.int64, hnp.array_shapes(max_dims=2),
+                            elements=st.integers(0, 2**63 - 1)))
+    @example(words=np.array([0, 1, 2, 3, 6, 8, 2**62, 2**62 + 1, 2**63 - 1]))
+    def test_exactly_one_bit_matches_the_popcount_loop(self, words):
+        # The shift-loop popcount the sampler used before the bit trick.
+        counts = np.zeros(words.shape, dtype=np.int64)
+        work = words.copy()
+        while np.any(work):
+            counts += work & 1
+            work >>= 1
+        np.testing.assert_array_equal(_exactly_one_bit(words), counts == 1)
 
 
 class TestHeterogeneousRateSamplers:

@@ -19,6 +19,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from tests.test_serve_catalog import SAMPLES
 
 _REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -59,3 +61,31 @@ def test_serving_every_family_loads_neither_stats_nor_optimize():
         input=json.dumps(rows), capture_output=True, text=True,
         env=env, cwd=str(_REPO_ROOT), timeout=300, check=True)
     assert json.loads(completed.stdout.splitlines()[-1]) == []
+
+
+_EXPERIMENTS_CLI = """
+import runpy, sys
+sys.argv = ["repro.experiments", *sys.argv[1:]]
+try:
+    runpy.run_module("repro.experiments", run_name="__main__")
+except SystemExit as stop:
+    assert not stop.code, stop.code
+print("scipy.optimize" in sys.modules, file=sys.stderr)
+"""
+
+
+@pytest.mark.parametrize("argv", [["list"], ["run", "E09", "--quick"]],
+                         ids=["list", "run-E09-quick"])
+def test_experiments_cli_resolves_thresholds_lazily(argv):
+    """Registering E05/E06 solves no radio threshold: an experiments
+    process loads ``scipy.optimize`` only for a run or a ``describe``
+    that needs it.  E09 draws no interval (``scipy.stats`` imports
+    ``scipy.optimize`` itself, so an experiment reporting
+    Clopper–Pearson intervals, such as E13, loads it anyway)."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(_REPO_ROOT / "src")
+    completed = subprocess.run(
+        [sys.executable, "-c", _EXPERIMENTS_CLI, *argv],
+        capture_output=True, text=True, env=env, cwd=str(_REPO_ROOT),
+        timeout=300, check=True)
+    assert completed.stderr.splitlines()[-1] == "False"

@@ -20,8 +20,9 @@ from repro.graphs import binary_tree
 from repro.rng import (
     RngStream,
     as_stream,
-    child_generators,
+    child_seeds,
     derive_seed,
+    derive_seeds,
     seeded_generators,
 )
 
@@ -215,6 +216,27 @@ def _assert_matches_numpy(generator, seed: int, count: int) -> None:
     assert generator.integers(0, 2**40) == reference.integers(0, 2**40)
 
 
+class TestBatchedDerivation:
+    """The chunk seed paths equal :func:`derive_seed` seed for seed."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(root=st.integers(0, 2**64 - 1), start=st.integers(0, 2**40),
+           count=st.integers(0, 6))
+    @example(root=2**64 - 1, start=0, count=3)
+    def test_trial_seeds_match_derive_seed(self, root, start, count):
+        assert derive_seeds(root, "mc", start, start + count) == [
+            derive_seed(root, "mc", index)
+            for index in range(start, start + count)]
+
+    @settings(max_examples=80, deadline=None)
+    @given(seeds=st.lists(st.integers(0, 2**64 - 1), max_size=6),
+           name=st.sampled_from(["faults", "adversary"]))
+    @example(seeds=EDGE_SEEDS, name="faults")
+    def test_child_seeds_match_derive_seed(self, seeds, name):
+        assert child_seeds(seeds, name) == [derive_seed(seed, name)
+                                            for seed in seeds]
+
+
 class TestSeededGenerators:
     """The batched ``SeedSequence`` pinned against numpy's own seeding.
 
@@ -247,11 +269,11 @@ class TestSeededGenerators:
     def test_empty_batch_yields_nothing(self):
         assert list(seeded_generators([])) == []
 
-    def test_child_generators_match_child_streams(self):
+    def test_child_seed_generators_match_child_streams(self):
         streams = [RngStream(derive_seed(2005, "mc", index))
                    for index in range(6)]
-        for stream, generator in zip(streams,
-                                     child_generators(streams, "faults")):
+        seeds = child_seeds([stream.seed for stream in streams], "faults")
+        for stream, generator in zip(streams, seeded_generators(seeds)):
             np.testing.assert_array_equal(
                 generator.random((3, 4)),
                 stream.child("faults").random((3, 4)),
