@@ -8,9 +8,8 @@ the genuinely smallest repetition counts at finite ``n``).
 
 The exact tails call the ``scipy.special`` ufuncs behind
 ``scipy.stats.binom``, so a process loads ``scipy.special`` for them
-and ``scipy.sparse`` for radio delivery; ``scipy.stats`` and
-``scipy.optimize`` load only at a first interval
-(:mod:`~repro.analysis.estimation`) or threshold solve.
+and ``scipy.sparse`` for radio delivery; ``scipy.optimize`` loads
+only at a first threshold solve.
 """
 
 from __future__ import annotations

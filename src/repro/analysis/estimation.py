@@ -5,10 +5,6 @@
 success probabilities with honest uncertainty.  This module provides
 exact Clopper–Pearson and Wilson intervals, a generic trial runner and
 an almost-safe verdict that only claims what the interval supports.
-
-Clopper–Pearson and Wilson import ``scipy.stats`` at their first call,
-so a process that only uses Hoeffding or Bernstein bounds — as every
-``run_until`` does — never loads it.
 """
 
 from __future__ import annotations
@@ -16,6 +12,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Tuple
+
+from scipy.special import betaincinv, ndtri
 
 from repro._validation import check_non_negative_int, check_positive_int, check_probability
 from repro.rng import RngStream, as_stream
@@ -40,16 +38,15 @@ def clopper_pearson(successes: int, trials: int,
     if successes > trials:
         raise ValueError(f"successes {successes} exceed trials {trials}")
     confidence = check_probability(confidence, "confidence", allow_zero=False)
-    from scipy import stats
     alpha = 1.0 - confidence
     if successes == 0:
         lower = 0.0
     else:
-        lower = float(stats.beta.ppf(alpha / 2, successes, trials - successes + 1))
+        lower = float(betaincinv(successes, trials - successes + 1, alpha / 2))
     if successes == trials:
         upper = 1.0
     else:
-        upper = float(stats.beta.ppf(1 - alpha / 2, successes + 1, trials - successes))
+        upper = float(betaincinv(successes + 1, trials - successes, 1 - alpha / 2))
     return lower, upper
 
 
@@ -61,8 +58,7 @@ def wilson_interval(successes: int, trials: int,
     if successes > trials:
         raise ValueError(f"successes {successes} exceed trials {trials}")
     confidence = check_probability(confidence, "confidence", allow_zero=False)
-    from scipy import stats
-    z = float(stats.norm.ppf(0.5 + confidence / 2))
+    z = float(ndtri(0.5 + confidence / 2))
     phat = successes / trials
     denom = 1.0 + z * z / trials
     center = (phat + z * z / (2 * trials)) / denom

@@ -72,7 +72,7 @@ Eligibility (:func:`batch_execution` returns ``None`` otherwise):
 from __future__ import annotations
 
 import threading
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -90,8 +90,7 @@ from repro.failures.base import FailureModel
 # calls them: perfbench's traced run wraps both by name.
 from repro.rng import RngStream, derive_seed, derive_seeds  # noqa: F401
 
-__all__ = ["BatchExecution", "batch_execution", "run_batch_shard",
-           "supports_batchsim"]
+__all__ = ["BatchExecution", "batch_execution", "supports_batchsim"]
 
 #: Bytes of ``int8`` fault masks one chunk may hold.  At 8 MiB every
 #: full-mode ``run-all`` cell keeps at least 512 trials per chunk (the
@@ -261,31 +260,6 @@ def batch_execution(algorithm: Algorithm, failure_model: FailureModel
     return BatchExecution(
         algorithm, failure_model, program, codec, expected_code
     )
-
-
-def run_batch_shard(factory: Callable[[], Algorithm],
-                    failure_model: FailureModel,
-                    root_seed: int, start: int, stop: int) -> np.ndarray:
-    """Picklable process-shard entrypoint: trials ``start..stop-1``.
-
-    The worker rebuilds the scenario from the (picklable) factory and
-    re-runs the eligibility probe, then executes its contiguous trial
-    range.  Because every trial derives its stream from
-    ``(root_seed, index)`` alone, the shard's indicators are exactly
-    the corresponding slice of a single-process :meth:`BatchExecution.
-    run` — the parent merges shards in index order and gets a
-    bit-identical vector for any worker count.
-    """
-    execution = batch_execution(factory(), failure_model)
-    if execution is None:
-        # The parent only shards scenarios its own probe accepted; a
-        # worker-side rejection means the factory is not a pure
-        # scenario description (e.g. it randomises eligibility).
-        raise RuntimeError(
-            "scenario failed the batchsim eligibility probe inside a "
-            "worker process although the parent accepted it"
-        )
-    return execution.run_range(start, stop, root_seed)
 
 
 def supports_batchsim(algorithm: Algorithm,

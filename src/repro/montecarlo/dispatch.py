@@ -165,48 +165,42 @@ class SamplerEntry:
         success distribution for a given (algorithm, failure model).
     sample:
         ``(algorithm, failure, trials, stream) -> bool ndarray`` of
-        per-trial success indicators.
-    prefix_stable:
-        Whether the sampler honours the **prefix contract**: for any
-        ``m < N`` and the same fresh root stream,
-        ``sample(..., N, stream)[:m]`` is bit-identical to
-        ``sample(..., m, stream)``.  A sampler earns the flag by making
-        every vectorised draw either (a) a single call whose *leading*
-        axis is the trial count (numpy generators fill C-order, so
-        trial ``i``'s values occupy the same bit-stream positions for
-        every budget), or (b) a call on a *named child stream* of the
-        root that is consumed by no other draw site.  Sequential runs
+        per-trial success indicators.  Every sampler must honour the
+        **prefix contract**: for any ``m < N`` and the same fresh root
+        stream, ``sample(..., N, stream)[:m]`` is bit-identical to
+        ``sample(..., m, stream)``.  A sampler meets it by making every
+        vectorised draw either (a) a single call whose *leading* axis
+        is the trial count (numpy generators fill C-order, so trial
+        ``i``'s values occupy the same bit-stream positions for every
+        budget), or (b) a call on a *named child stream* of the root
+        that is consumed by no other draw site.  Sequential runs
         (:meth:`repro.montecarlo.TrialRunner.run_until`) extend a
-        fastsim batch by re-drawing the grown prefix, so only
-        prefix-stable entries may serve them — others are routed to
-        the batchsim/engine tiers, whose per-trial
-        ``root.child("mc", i)`` streams are prefix-stable by
-        construction.  Property-pinned in ``tests/test_sequential.py``.
+        fastsim batch by re-drawing the grown prefix, which is sound
+        only under this contract.  Property-pinned for every registered
+        entry in ``tests/test_sequential.py``.
     """
 
     name: str
     matches: Matcher
     sample: Sampler
-    prefix_stable: bool = False
 
 
 _REGISTRY: Dict[str, SamplerEntry] = {}
 
 
-def register_sampler(name: str, matches: Matcher, sample: Sampler,
-                     prefix_stable: bool = False) -> SamplerEntry:
+def register_sampler(name: str, matches: Matcher,
+                     sample: Sampler) -> SamplerEntry:
     """Register a vectorised sampler under ``name``.
 
     Registration order is lookup order; the first matching entry wins.
-    ``prefix_stable`` declares the sequential-extension contract (see
-    :class:`SamplerEntry`); only flag it on samplers whose draw layout
-    actually guarantees it — the property suite will catch a lie, but
-    after a sequential sweep already mis-stopped.
+    ``sample`` must honour the prefix contract (see
+    :class:`SamplerEntry`): sequential runs rely on it, and the property
+    suite catches a sampler that breaks it only after a sequential sweep
+    already mis-stopped.
     """
     if name in _REGISTRY:
         raise ValueError(f"duplicate sampler name {name!r}")
-    entry = SamplerEntry(name=name, matches=matches, sample=sample,
-                         prefix_stable=prefix_stable)
+    entry = SamplerEntry(name=name, matches=matches, sample=sample)
     _REGISTRY[name] = entry
     return entry
 

@@ -274,41 +274,35 @@ def register_builtin_samplers() -> None:
 
     Every built-in sampler draws either in a single vectorised call
     with the trial count as the leading axis or from named child
-    streams owned by one draw site each, so all entries carry
-    ``prefix_stable=True`` and may serve sequential extensions
-    (``TrialRunner.run_until``) directly; the contract is
-    property-tested in ``tests/test_sequential.py``.
+    streams owned by one draw site each, which is how each meets the
+    registry's prefix contract (property-tested in
+    ``tests/test_sequential.py``).
     """
     register_sampler(
         "simple-omission", _match_simple_omission, _sample_simple_omission,
-        prefix_stable=True,
     )
     register_sampler(
         "simple-malicious-mp", _match_simple_malicious_mp,
-        _sample_simple_malicious_mp, prefix_stable=True,
+        _sample_simple_malicious_mp,
     )
     register_sampler(
         "simple-malicious-radio", _match_simple_malicious_radio,
-        _sample_simple_malicious_radio, prefix_stable=True,
+        _sample_simple_malicious_radio,
     )
-    register_sampler(
-        "flooding", _match_flooding, _sample_flooding, prefix_stable=True
-    )
+    register_sampler("flooding", _match_flooding, _sample_flooding)
     register_sampler(
         "radio-repeat-omission", _match_radio_repeat_omission,
-        _sample_radio_repeat_omission, prefix_stable=True,
+        _sample_radio_repeat_omission,
     )
     register_sampler(
         "radio-repeat-malicious", _match_radio_repeat_malicious,
-        _sample_radio_repeat_malicious, prefix_stable=True,
+        _sample_radio_repeat_malicious,
     )
     register_sampler(
         "equalizing-star", _match_equalizing_star, _sample_equalizing_star,
-        prefix_stable=True,
     )
     register_sampler(
         "layered-omission", _match_layered_omission, _sample_layered_omission,
-        prefix_stable=True,
     )
 
 

@@ -75,11 +75,7 @@ from repro.analysis.estimation import (
     hoeffding_interval,
     wilson_interval,
 )
-from repro.batchsim.engine import (
-    BatchExecution,
-    batch_execution,
-    run_batch_shard,
-)
+from repro.batchsim.engine import BatchExecution, batch_execution
 from repro.engine.protocol import Algorithm
 from repro.engine.simulator import ExecutionResult, run_execution
 from repro.failures.base import FailureModel, FaultFree
@@ -96,8 +92,7 @@ __all__ = ["TrialRunner", "TrialResult", "RunningTally",
 
 AlgorithmFactory = Callable[[], Algorithm]
 SuccessPredicate = Callable[[ExecutionResult], bool]
-_Tiers = Tuple[Optional[SamplerEntry], Optional[BatchExecution],
-               Optional[Algorithm]]
+_Tiers = Tuple[Optional[SamplerEntry], Optional[BatchExecution], Algorithm]
 
 ENGINE_BACKEND = "engine"
 BATCHSIM_BACKEND = "batchsim"
@@ -422,20 +417,12 @@ def _trial_stream(root_seed: int, index: int) -> RngStream:
     return RngStream(derive_seed(root_seed, "mc", index), ("mc", index))
 
 
-def _run_shard(factory: AlgorithmFactory,
-               failure_model: Optional[FailureModel],
-               success: Optional[SuccessPredicate],
-               root_seed: int,
-               start: int, stop: int,
-               algorithm: Optional[Algorithm] = None) -> np.ndarray:
-    """Run trials ``start..stop-1`` serially and return their indicators.
-
-    Top-level (picklable) so process pools can call it; the algorithm
-    is built once and reused for every trial of the shard (in-process
-    callers may hand over an already-built instance instead).
-    """
-    if algorithm is None:
-        algorithm = factory()
+def _run_engine(algorithm: Algorithm,
+                failure_model: FailureModel,
+                success: Optional[SuccessPredicate],
+                root_seed: int, start: int, stop: int) -> np.ndarray:
+    """Run trials ``start..stop-1`` serially on the scalar engine,
+    reusing one built ``algorithm`` for every trial."""
     metadata = _default_metadata(algorithm)
     indicators = np.empty(stop - start, dtype=bool)
     for offset, index in enumerate(range(start, stop)):
@@ -448,6 +435,39 @@ def _run_shard(factory: AlgorithmFactory,
         else:
             indicators[offset] = success(result)
     return indicators
+
+
+def _run_shard(factory: AlgorithmFactory,
+               failure_model: FailureModel,
+               success: Optional[SuccessPredicate],
+               tier: str, root_seed: int,
+               start: int, stop: int) -> np.ndarray:
+    """Run trials ``start..stop-1`` of a scenario on ``tier``.
+
+    The one shard entrypoint of both sharded tiers; top-level
+    (picklable) so process pools can call it.  The shard builds the
+    algorithm once and, because every trial derives its stream from
+    ``(root_seed, index)`` alone, returns exactly the corresponding
+    slice of an in-process run — shards merged in index order are
+    bit-identical for any worker count.
+    """
+    if tier == ENGINE_BACKEND:
+        return _run_engine(factory(), failure_model, success, root_seed,
+                           start, stop)
+    if tier != BATCHSIM_BACKEND:
+        raise ValueError(
+            f"shard tier must be {BATCHSIM_BACKEND!r} or "
+            f"{ENGINE_BACKEND!r}, got {tier!r}")
+    execution = batch_execution(factory(), failure_model)
+    if execution is None:
+        # The parent only shards scenarios its own probe accepted; a
+        # worker-side rejection means the factory is not a pure
+        # scenario description (e.g. it randomises eligibility).
+        raise RuntimeError(
+            "scenario failed the batchsim eligibility probe inside a "
+            "worker process although the parent accepted it"
+        )
+    return execution.run_range(start, stop, root_seed)
 
 
 def _resolve_spec(spec: str) -> Tuple[AlgorithmFactory, FailureModel]:
@@ -471,15 +491,8 @@ def run_spec_shard(spec: str, tier: str, root_seed: int,
     """Run trials ``start..stop-1`` of a canonical catalog spec on
     ``tier``: the shard entrypoint of :meth:`TrialRunner.from_spec`
     runners on every executor, remote workers included."""
-    factory, failure_model = _resolve_spec(spec)
-    if tier == BATCHSIM_BACKEND:
-        return run_batch_shard(factory, failure_model, root_seed, start, stop)
-    if tier == ENGINE_BACKEND:
-        return _run_shard(factory, failure_model, None, root_seed,
-                          start, stop)
-    raise ValueError(
-        f"shard tier must be {BATCHSIM_BACKEND!r} or {ENGINE_BACKEND!r}, "
-        f"got {tier!r}")
+    return _run_shard(*_resolve_spec(spec), None, tier, root_seed,
+                      start, stop)
 
 
 def _record_batch(backend: str, trials: int, seconds: float) -> None:
@@ -593,8 +606,8 @@ class TrialRunner:
         self._parallelism = self._executor.worker_count()
         self._use_fastsim = bool(use_fastsim)
         self._use_batchsim = bool(use_batchsim)
-        # Dispatch probes, keyed by ``sequential`` (see :meth:`_tiers`).
-        self._probes: Dict[bool, _Tiers] = {}
+        # The dispatch probe, cached by :meth:`_tiers`.
+        self._probe: Optional[_Tiers] = None
         self._spec: Optional[str] = None
 
     @classmethod
@@ -648,57 +661,30 @@ class TrialRunner:
         return self._tiers()[0]
 
     def dispatch_backend(self) -> str:
-        """The backend tag ``run()`` would report for this scenario."""
+        """The backend tag ``run()`` and ``run_until()`` report."""
         return _backend(self._tiers())
 
-    def sequential_backend(self) -> str:
-        """The backend tag ``run_until()`` would report.
-
-        Differs from :meth:`dispatch_backend` exactly when the matching
-        fastsim entry is not prefix-stable — sequential runs then fall
-        through to the batchsim or engine tier.
-        """
-        return _backend(self._tiers(sequential=True))
-
-    def _tiers(self, sequential: bool = False) -> _Tiers:
+    def _tiers(self) -> _Tiers:
         """The ``(sampler entry, batch execution, algorithm)`` dispatch triple.
 
-        Probed once per runner and mode, so the factory, the registry
-        scan and the batchsim eligibility check run once no matter how
-        many batches follow — algorithms are immutable (all per-run
-        state lives in their protocols) and safe to share.  A custom
-        success predicate disables both vectorised tiers: they only
-        reproduce the broadcast-success law.
-
-        ``sequential`` selects the triple :meth:`run_until` extensions
-        use: a matching fastsim entry without the ``prefix_stable``
-        contract is replaced by the tier below it, because extensions
-        re-draw the sampler's grown prefix, which is only sound under
-        that contract.
+        Probed once per runner, so the factory, the registry scan and
+        the batchsim eligibility check run once no matter how many
+        batches follow — algorithms are immutable (all per-run state
+        lives in their protocols) and safe to share, so the engine tier
+        reuses the probed algorithm too.  A custom success predicate
+        disables both vectorised tiers: they only reproduce the
+        broadcast-success law.
         """
-        if self._success is not None or not (self._use_fastsim
-                                             or self._use_batchsim):
-            return None, None, None
-        tiers = self._probes.get(sequential)
-        if tiers is None:
-            if sequential:
-                entry, batch, algorithm = self._tiers()
-                if entry is not None and not entry.prefix_stable:
-                    entry, batch = None, self._batch_execution(algorithm)
-            else:
-                algorithm = self._factory()
-                entry = (find_sampler(algorithm, self._failure_model)
-                         if self._use_fastsim else None)
-                batch = (self._batch_execution(algorithm)
-                         if entry is None else None)
-            tiers = self._probes[sequential] = (entry, batch, algorithm)
-        return tiers
-
-    def _batch_execution(self, algorithm: Algorithm
-                         ) -> Optional[BatchExecution]:
-        if not self._use_batchsim:
-            return None
-        return batch_execution(algorithm, self._failure_model)
+        if self._probe is None:
+            algorithm = self._factory()
+            vectorised = self._success is None
+            entry = (find_sampler(algorithm, self._failure_model)
+                     if vectorised and self._use_fastsim else None)
+            batch = (batch_execution(algorithm, self._failure_model)
+                     if vectorised and self._use_batchsim and entry is None
+                     else None)
+            self._probe = (entry, batch, algorithm)
+        return self._probe
 
     def run(self, trials: int, seed_or_stream=0,
             confidence: float = 0.99,
@@ -768,11 +754,9 @@ class TrialRunner:
         trial ``i`` draws from ``root.child("mc", i)`` whatever the
         range bounds, so prefix identity is free.  A dispatched fastsim
         sampler re-draws the whole grown prefix from a fresh root
-        stream and folds in only the tail, which is valid exactly when
-        the entry honours the ``prefix_stable`` contract
-        (:class:`repro.montecarlo.dispatch.SamplerEntry`); a matching
-        entry without the flag is routed to the batchsim or engine tier
-        for the entire sequential run instead.
+        stream and folds in only the tail, which every sampler's prefix
+        contract (:class:`repro.montecarlo.dispatch.SamplerEntry`)
+        makes exact.
 
         Parameters
         ----------
@@ -809,7 +793,7 @@ class TrialRunner:
                 f"bound must be one of {SEQUENTIAL_BOUNDS}, got {bound!r}"
             )
         root_seed = as_stream(seed_or_stream).seed
-        tiers = self._tiers(sequential=True)
+        tiers = self._tiers()
         backend = _backend(tiers)
         tally = RunningTally()
         steps: List[SequentialStep] = []
@@ -882,24 +866,22 @@ class TrialRunner:
             if batch is not None:
                 indicators = batch.run_range(start, stop, root_seed)
             else:
-                indicators = _run_shard(
-                    self._factory, self._failure_model,
-                    self._success, root_seed, start, stop,
-                    algorithm=algorithm,
+                indicators = _run_engine(
+                    algorithm, self._failure_model, self._success,
+                    root_seed, start, stop,
                 )
             fold(0, indicators)
             return indicators, 1
         if self._spec is not None:
-            function, head = run_spec_shard, (self._spec, _backend(tiers))
-        elif batch is not None:
-            function, head = run_batch_shard, (
-                self._factory, self._failure_model)
+            function, head = run_spec_shard, (self._spec,)
         else:
             function, head = _run_shard, (
                 self._factory, self._failure_model, self._success)
+        tier = _backend(tiers)
         parts = self._executor.run_sharded(
             function,
-            [head + (root_seed, lo + start, hi + start) for lo, hi in bounds],
+            [head + (tier, root_seed, lo + start, hi + start)
+             for lo, hi in bounds],
             on_result=fold,
         )
         return np.concatenate(parts), min(self._parallelism, len(bounds))

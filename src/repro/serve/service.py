@@ -246,8 +246,7 @@ class SequentialAnswer(Answer):
     @property
     def width(self) -> float:
         """The final stopping-bound interval width (1.0 pre-extension)."""
-        steps = self.sequential.steps
-        return steps[-1].width if steps else 1.0
+        return self.sequential.width
 
 
 @dataclass(frozen=True)

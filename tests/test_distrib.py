@@ -55,7 +55,7 @@ from repro.montecarlo import (
     WorkerDisconnect,
 )
 from repro.montecarlo.executors.remote import RemoteShardError
-from repro.montecarlo.trials import run_spec_shard
+from repro.montecarlo.trials import _run_shard, run_spec_shard
 from repro.serve import Query, SimulationService
 from repro.wire import MAX_REPLY_BYTES, LineError, decode_line, encode_line
 from tests.helpers import WorkerProcess
@@ -118,6 +118,16 @@ class TestProtocolUnits:
                            "engine", 7, 0, 1)
         with pytest.raises(ValueError, match="shard tier"):
             run_spec_shard(SPEC, "fastsim", 7, 0, 1)
+
+    def test_factory_and_spec_shards_refuse_a_tier_alike(self):
+        # Both shard heads run through one tier switch.
+        runner = TrialRunner.from_spec(*CELL)
+        with pytest.raises(ValueError, match="shard tier") as spec_error:
+            run_spec_shard(SPEC, "fastsim", 7, 0, 1)
+        with pytest.raises(ValueError) as factory_error:
+            _run_shard(runner.algorithm_factory, runner.failure_model, None,
+                       "fastsim", 7, 0, 1)
+        assert str(factory_error.value) == str(spec_error.value)
 
     def test_line_framing_roundtrip(self):
         frame = encode_line({"op": "ping", "id": 3})

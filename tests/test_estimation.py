@@ -1,6 +1,20 @@
-"""Tests for Monte-Carlo estimation and confidence intervals."""
+"""Tests for Monte-Carlo estimation and confidence intervals.
+
+Clopper–Pearson and Wilson call the ``scipy.special`` ufuncs
+``betaincinv`` and ``ndtri`` so that an interval never imports
+``scipy.stats``; the differential below pins them bit for bit against
+``stats.beta.ppf`` / ``stats.norm.ppf``, so a scipy release that moves
+either apart fails here, not in a rendered report.  This file may
+import ``scipy.stats``: it is the oracle.
+"""
+
+import math
+import struct
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from scipy import stats
 
 from repro.analysis.estimation import (
     MonteCarloResult,
@@ -39,6 +53,60 @@ class TestClopperPearson:
         # exact CP for 0/10 at 95%: upper = 1 - (0.025)^(1/10) ~ 0.3085
         _, high = clopper_pearson(0, 10, confidence=0.95)
         assert high == pytest.approx(1 - 0.025 ** 0.1, abs=1e-9)
+
+
+CONFIDENCES = st.one_of(
+    st.sampled_from([0.5, 0.9, 0.95, 0.99, 0.999]),
+    st.floats(min_value=0.0, max_value=1.0, exclude_min=True,
+              exclude_max=True),
+)
+
+
+@st.composite
+def counts(draw):
+    """``(successes, trials, confidence)`` with trials below 10^6."""
+    trials = draw(st.one_of(st.integers(1, 64), st.integers(1, 10**6 - 1)))
+    successes = draw(st.one_of(st.sampled_from([0, trials]),
+                               st.integers(0, trials)))
+    return successes, trials, draw(CONFIDENCES)
+
+
+def bits(value):
+    return struct.pack("<d", value)
+
+
+@settings(max_examples=400, deadline=None)
+@given(counts())
+@example((0, 10, 0.95))
+@example((10, 10, 0.99))
+@example((731, 1000, 0.99))
+@example((1, 10**6 - 1, 0.999))
+def test_clopper_pearson_matches_beta_ppf(case):
+    successes, trials, confidence = case
+    alpha = 1.0 - confidence
+    lower = (0.0 if successes == 0 else float(stats.beta.ppf(
+        alpha / 2, successes, trials - successes + 1)))
+    upper = (1.0 if successes == trials else float(stats.beta.ppf(
+        1 - alpha / 2, successes + 1, trials - successes)))
+    low, high = clopper_pearson(successes, trials, confidence)
+    assert (bits(low), bits(high)) == (bits(lower), bits(upper))
+
+
+@settings(max_examples=400, deadline=None)
+@given(counts())
+@example((0, 10, 0.95))
+@example((731, 1000, 0.99))
+def test_wilson_matches_norm_ppf(case):
+    successes, trials, confidence = case
+    z = float(stats.norm.ppf(0.5 + confidence / 2))
+    phat = successes / trials
+    denom = 1.0 + z * z / trials
+    center = (phat + z * z / (2 * trials)) / denom
+    margin = (z / denom) * math.sqrt(
+        phat * (1 - phat) / trials + z * z / (4 * trials * trials))
+    low, high = wilson_interval(successes, trials, confidence)
+    assert (bits(low), bits(high)) == (
+        bits(max(0.0, center - margin)), bits(min(1.0, center + margin)))
 
 
 class TestWilson:

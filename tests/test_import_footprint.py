@@ -2,15 +2,15 @@
 
 Those two imports cost a server, worker or sweep process about half a
 CPU-second and 45 MB at start-up.  The binomial tails behind every
-repetition count use ``scipy.special`` instead, and only the
-Clopper–Pearson / Wilson intervals and the radio threshold solve import
-``scipy.stats`` / ``scipy.optimize``, at their first call.  A fresh
+repetition count and the Clopper–Pearson / Wilson intervals use
+``scipy.special`` instead, and only the radio threshold solve imports
+``scipy.optimize``, at its first call.  A fresh
 interpreter imports the serving modules, answers every catalog
 family's default sample (which builds every family once, windowed,
 Kučera, flooding and Simple-Malicious repetition counts included) and
 a ``run_until`` under each sequential bound, then reports which of the
 two modules it loaded.  A new top-level import, or a family build that
-reaches an interval or a threshold solve, fails here.
+reaches a threshold solve, fails here.
 """
 
 import json
@@ -64,28 +64,30 @@ def test_serving_every_family_loads_neither_stats_nor_optimize():
 
 
 _EXPERIMENTS_CLI = """
-import runpy, sys
+import json, runpy, sys
 sys.argv = ["repro.experiments", *sys.argv[1:]]
 try:
     runpy.run_module("repro.experiments", run_name="__main__")
 except SystemExit as stop:
     assert not stop.code, stop.code
-print("scipy.optimize" in sys.modules, file=sys.stderr)
+print(json.dumps(sorted(name for name in ("scipy.stats", "scipy.optimize")
+                        if name in sys.modules)), file=sys.stderr)
 """
 
 
-@pytest.mark.parametrize("argv", [["list"], ["run", "E09", "--quick"]],
-                         ids=["list", "run-E09-quick"])
+@pytest.mark.parametrize("argv", [["list"], ["run", "E09", "--quick"],
+                                  ["run", "E13", "--quick"]],
+                         ids=["list", "run-E09-quick", "run-E13-quick"])
 def test_experiments_cli_resolves_thresholds_lazily(argv):
     """Registering E05/E06 solves no radio threshold: an experiments
     process loads ``scipy.optimize`` only for a run or a ``describe``
-    that needs it.  E09 draws no interval (``scipy.stats`` imports
-    ``scipy.optimize`` itself, so an experiment reporting
-    Clopper–Pearson intervals, such as E13, loads it anyway)."""
+    that needs it.  Intervals call ``scipy.special`` ufuncs, so E13,
+    which reports Clopper–Pearson intervals, loads ``scipy.stats``
+    no more than E09, which draws none."""
     env = dict(os.environ)
     env["PYTHONPATH"] = str(_REPO_ROOT / "src")
     completed = subprocess.run(
         [sys.executable, "-c", _EXPERIMENTS_CLI, *argv],
         capture_output=True, text=True, env=env, cwd=str(_REPO_ROOT),
         timeout=300, check=True)
-    assert completed.stderr.splitlines()[-1] == "False"
+    assert json.loads(completed.stderr.splitlines()[-1]) == []

@@ -265,9 +265,27 @@ class TestDispatch:
         assert result.backend == "engine"
         assert result.successes == 20  # the source always knows Ms
 
+    def test_custom_success_predicate_crosses_process_shards(self):
+        # The predicate rides in every engine shard's arguments, so two
+        # worker processes must score each trial as in-process does.
+        serial = TrialRunner(mp_factory, OMISSION,
+                             success=_most_nodes_correct).run(40, 7)
+        sharded = TrialRunner(mp_factory, OMISSION,
+                              success=_most_nodes_correct,
+                              executor="local-process:2").run(40, 7)
+        assert sharded.backend == "engine" and sharded.workers == 2
+        assert 0 < serial.successes < serial.trials
+        np.testing.assert_array_equal(serial.indicators, sharded.indicators)
+
     def test_use_fastsim_false_disables_dispatch(self):
         assert TrialRunner(mp_factory, OMISSION,
                            use_fastsim=False).dispatch_entry() is None
+
+
+def _most_nodes_correct(result):
+    """Module-level (picklable) success predicate: at least 13 of the
+    15 tree nodes output the source message."""
+    return len(result.correct_nodes(1)) >= 13
 
 
 def _shard_square(value):

@@ -5,16 +5,14 @@ Pins the ``TrialRunner.run_until`` contract:
 * **prefix identity** — the indicators of a sequential run are
   bit-identical to the prefix of a fixed-budget ``run()`` under the
   same root seed, on all three backends and for any worker count;
-* **prefix-stable samplers** — every registered fastsim entry flagged
-  ``prefix_stable`` actually satisfies ``sample(N)[:m] == sample(m)``
-  (and every flagged entry is exercised here, so a new sampler cannot
-  claim the flag without joining the property sweep);
+* **prefix-stable samplers** — every registered fastsim entry
+  satisfies the registry's prefix contract
+  ``sample(N)[:m] == sample(m)``, and ``run_until`` on it is a prefix
+  of ``run`` (every registered entry is exercised here, so a new
+  sampler cannot register without joining the property sweep);
 * **deterministic stopping** — the stopping point is a pure function
   of the root seed: worker counts do not move it, and a ``max_trials``
   cap is reported honestly as ``met=False``;
-* **routing** — a matching fastsim entry *without* the flag is routed
-  to the vectorised batchsim tier (or the engine) for the whole
-  sequential run;
 * the edge-case guards the sequential machinery leans on: empty
   tallies and empty ``TrialResult``s report the degenerate ``(0, 1)``
   interval instead of dividing by zero, and
@@ -46,9 +44,7 @@ from repro.montecarlo import (
     SEQUENTIAL_BOUNDS,
     TrialRunner,
     RunningTally,
-    register_sampler,
     registered_samplers,
-    unregister_sampler,
 )
 from repro.montecarlo.trials import TrialResult
 from repro.montecarlo import LocalProcessExecutor, WorkerCrashError
@@ -72,7 +68,7 @@ def _q4():
 
 #: One (factory, failure model) scenario per registered fastsim
 #: sampler, keyed by entry name — the prefix-stability property sweep
-#: below refuses to pass if a ``prefix_stable`` entry has no scenario.
+#: below refuses to pass if a registered entry has no scenario.
 SAMPLER_SCENARIOS = {
     "simple-omission": (
         partial(SimpleOmission, TREE, 0, 1, MESSAGE_PASSING, 2),
@@ -112,15 +108,15 @@ SAMPLER_SCENARIOS = {
 
 
 class TestSamplerPrefixStability:
-    """``sample(N)[:m] == sample(m)`` for every flagged entry."""
+    """``sample(N)[:m] == sample(m)`` for every registered entry."""
 
-    def test_every_prefix_stable_entry_has_a_scenario(self):
-        flagged = {e.name for e in registered_samplers() if e.prefix_stable}
-        missing = flagged - set(SAMPLER_SCENARIOS)
+    def test_every_registered_entry_has_a_scenario(self):
+        registered = {entry.name for entry in registered_samplers()}
+        missing = registered - set(SAMPLER_SCENARIOS)
         assert not missing, (
-            f"prefix_stable sampler(s) {sorted(missing)} have no scenario "
-            f"in SAMPLER_SCENARIOS — the flag is a promise this sweep "
-            f"must be able to check"
+            f"sampler(s) {sorted(missing)} have no scenario in "
+            f"SAMPLER_SCENARIOS — the prefix contract binds every "
+            f"sampler, so this sweep must be able to check it"
         )
 
     @pytest.mark.parametrize("name", sorted(SAMPLER_SCENARIOS))
@@ -129,7 +125,6 @@ class TestSamplerPrefixStability:
         runner = TrialRunner(factory, failure)
         entry = runner.dispatch_entry()
         assert entry is not None and entry.name == name
-        assert entry.prefix_stable
         algorithm = factory()
         full = np.asarray(
             entry.sample(algorithm, failure, 1000, as_stream(7)), dtype=bool
@@ -140,13 +135,27 @@ class TestSamplerPrefixStability:
             )
             np.testing.assert_array_equal(part, full[:m])
 
+    @pytest.mark.parametrize("name", sorted(SAMPLER_SCENARIOS))
+    def test_run_until_is_a_prefix_of_run(self, name):
+        # Width 0.05 at 99 % needs thousands of Hoeffding trials, so
+        # every entry extends more than once and re-draws its prefix.
+        runner = TrialRunner(*SAMPLER_SCENARIOS[name])
+        assert runner.dispatch_backend() == f"fastsim:{name}"
+        outcome = runner.run_until(0.05, 4096, 11, initial_trials=256)
+        fixed = runner.run(4096, 11)
+        assert outcome.backend == f"fastsim:{name}"
+        assert len(outcome.steps) > 1
+        np.testing.assert_array_equal(
+            outcome.indicators, fixed.indicators[:outcome.trials]
+        )
+
 
 class TestPrefixIdentityAcrossBackends:
     """Sequential indicators == fixed-budget prefix, every tier."""
 
     def test_fastsim_prefix(self):
         runner = TrialRunner(mp_factory, OMISSION)
-        assert runner.sequential_backend() == "fastsim:simple-omission"
+        assert runner.dispatch_backend() == "fastsim:simple-omission"
         outcome = runner.run_until(0.08, 8192, 21)
         fixed = runner.run(8192, 21)
         assert 0 < outcome.trials <= 8192
@@ -158,7 +167,7 @@ class TestPrefixIdentityAcrossBackends:
     def test_batchsim_prefix(self, workers):
         runner = TrialRunner(mp_factory, OMISSION, use_fastsim=False,
                              workers=workers)
-        assert runner.sequential_backend() == "batchsim"
+        assert runner.dispatch_backend() == "batchsim"
         outcome = runner.run_until(0.1, 4096, 5)
         fixed = TrialRunner(mp_factory, OMISSION, use_fastsim=False).run(
             4096, 5
@@ -171,7 +180,7 @@ class TestPrefixIdentityAcrossBackends:
     def test_engine_prefix(self, workers):
         runner = TrialRunner(mp_factory, OMISSION, use_fastsim=False,
                              use_batchsim=False, workers=workers)
-        assert runner.sequential_backend() == "engine"
+        assert runner.dispatch_backend() == "engine"
         outcome = runner.run_until(0.3, 512, 13, initial_trials=32)
         fixed = TrialRunner(mp_factory, OMISSION, use_fastsim=False,
                             use_batchsim=False).run(512, 13)
@@ -263,38 +272,6 @@ class TestStoppingRule:
             runner.run_until(1.5, 100, 3)
         with pytest.raises(ValueError):
             runner.run_until(0.1, 0, 3)
-
-
-class TestNonPrefixStableRouting:
-    def test_unflagged_entry_falls_through_to_batchsim(self):
-        # Majority adoption under omission failures has no builtin
-        # sampler; a registered entry *without* prefix_stable may serve
-        # fixed-budget runs but must not serve sequential extensions.
-        factory = partial(RadioRepeat, line_schedule(line(5)), 1,
-                          ADOPT_MAJORITY, 3)
-        failure = OmissionFailures(0.3)
-        register_sampler(
-            "test-unstable",
-            lambda a, f: (isinstance(a, RadioRepeat)
-                          and a.rule == ADOPT_MAJORITY
-                          and type(f) is OmissionFailures),
-            lambda a, f, t, s: s.generator.random(t) < 0.5,
-        )
-        try:
-            runner = TrialRunner(factory, failure)
-            assert runner.dispatch_backend() == "fastsim:test-unstable"
-            assert runner.sequential_backend() == "batchsim"
-            outcome = runner.run_until(0.1, 2048, 7)
-            assert outcome.backend == "batchsim"
-            # ...and stays a prefix of the batchsim fixed-budget run.
-            fixed = TrialRunner(factory, failure, use_fastsim=False).run(
-                2048, 7
-            )
-            np.testing.assert_array_equal(
-                outcome.indicators, fixed.indicators[:outcome.trials]
-            )
-        finally:
-            unregister_sampler("test-unstable")
 
 
 class TestEdgeCaseGuards:
