@@ -42,7 +42,6 @@ from repro.montecarlo.trials import (
     BATCHSIM_BACKEND,
     ENGINE_BACKEND,
     SEQUENTIAL_BOUNDS,
-    RunningTally,
     SequentialResult,
     SequentialStep,
     TrialResult,
@@ -54,7 +53,6 @@ __all__ = [
     "TrialResult",
     "scenario_fingerprint",
     "FINGERPRINT_VERSION",
-    "RunningTally",
     "SequentialResult",
     "SequentialStep",
     "SEQUENTIAL_BOUNDS",

@@ -29,7 +29,6 @@ from __future__ import annotations
 from typing import Optional, Union
 
 from repro.montecarlo.executors.base import (
-    OrderedMerge,
     ShardExecutor,
     WorkerCrashError,
     WorkerDisconnect,
@@ -46,7 +45,6 @@ __all__ = [
     "RemoteSocketExecutor",
     "WorkerCrashError",
     "WorkerDisconnect",
-    "OrderedMerge",
     "make_executor",
     "parse_peers",
     "pool_context",

@@ -10,10 +10,6 @@ always gave:
 * **index-ordered results** — ``run_sharded`` returns per-shard values
   in shard order, never completion order, so merged indicator vectors
   are a pure function of the root seed;
-* **in-order streaming** — the optional ``on_result(index, value)``
-  callback fires strictly in shard-index order (shard ``i`` as soon as
-  shards ``0..i`` all completed), and never at or after the
-  lowest-indexed failing shard;
 * **lowest-index first-error propagation** — when shards raise, every
   not-yet-started shard is cancelled with a **single** sweep and the
   error re-raised is the lowest-indexed one, reproducible no matter
@@ -21,7 +17,8 @@ always gave:
 * **crash attribution** — a worker that dies without raising
   (``os._exit``, segfault, OOM kill, remote disconnect) surfaces as a
   :class:`WorkerCrashError` naming the lowest-indexed shard it took
-  down, never a bare unattributed ``BrokenProcessPool``;
+  down and why the run ended there (retries exhausted, no worker
+  left), never a bare unattributed ``BrokenProcessPool``;
 * **bounded shard retry** — backends that can lose a worker (local
   pool, remote socket) re-run a crashed shard up to
   ``max_shard_retries`` times before the crash surfaces.  Retried
@@ -50,8 +47,7 @@ import time
 from abc import ABC, abstractmethod
 from concurrent.futures import BrokenExecutor, Executor, as_completed
 from dataclasses import dataclass
-from typing import (Any, Callable, ContextManager, Dict, List, Optional,
-                    Sequence, Tuple)
+from typing import Any, Callable, ContextManager, Dict, List, Sequence, Tuple
 
 from repro.obs import get_registry
 
@@ -61,7 +57,6 @@ __all__ = [
     "ShardSession",
     "WorkerCrashError",
     "WorkerDisconnect",
-    "OrderedMerge",
     "pool_context",
 ]
 
@@ -120,71 +115,15 @@ def _summarise_args(args: Tuple, limit: int = 200) -> str:
 CRASH_ERRORS = (BrokenExecutor, WorkerDisconnect)
 
 
-class OrderedMerge:
-    """Index-ordered shard→result merge of :class:`RetryingExecutor`.
-
-    Collects per-shard completions and failures in whatever order a
-    backend delivers them and enforces the streaming contract: the
-    ``on_result`` callback fires strictly in shard-index order and
-    strictly below the lowest failing shard index.  Safe even though
-    ``min(errors)`` can drop as more errors land — callbacks fire in
-    index order, so every index already streamed is backed by a
-    completed (never-failing) shard.
-    """
-
-    def __init__(self, total: int,
-                 on_result: Optional[Callable[[int, Any], None]]):
-        self.results: List[Any] = [None] * total
-        self.errors: Dict[int, BaseException] = {}
-        self._ready: Dict[int, Any] = {}
-        self._next_in_order = 0
-        self._on_result = on_result
-
-    def complete(self, index: int, value: Any) -> None:
-        """Record shard ``index``'s value and stream any ready prefix."""
-        self.results[index] = value
-        if self._on_result is None:
-            return
-        self._ready[index] = value
-        while self._next_in_order in self._ready and (
-                not self.errors or self._next_in_order < min(self.errors)):
-            self._on_result(self._next_in_order,
-                            self._ready.pop(self._next_in_order))
-            self._next_in_order += 1
-
-    def fail(self, index: int, error: BaseException) -> None:
-        """Record shard ``index``'s terminal failure."""
-        self.errors[index] = error
-
-    def finalise(self, shard_args: Sequence[Tuple],
-                 crash_text: Callable[[int, int, Tuple], str]) -> List[Any]:
-        """Return the ordered results, or raise the lowest-index error.
-
-        A crash-class error (:data:`CRASH_ERRORS`) is wrapped as a
-        :class:`WorkerCrashError` whose message comes from the
-        backend's ``crash_text(lowest, total, args)`` hook.
-        """
-        if self.errors:
-            lowest = min(self.errors)
-            error = self.errors[lowest]
-            if isinstance(error, CRASH_ERRORS):
-                raise WorkerCrashError(
-                    crash_text(lowest, len(shard_args),
-                               tuple(shard_args[lowest]))
-                ) from error
-            raise error
-        return self.results
-
-
 class ShardExecutor(ABC):
     """Abstract execution substrate for sharded Monte-Carlo batches.
 
     Implementations run a picklable, module-level ``function`` over a
     sequence of shard argument tuples and uphold the contract in the
-    module docstring: index-ordered results, in-order ``on_result``
-    streaming, lowest-index first-error propagation with a single
-    cancel sweep, :class:`WorkerCrashError` attribution, and bounded
-    deterministic shard retry where workers can die.
+    module docstring: index-ordered results, lowest-index first-error
+    propagation with a single cancel sweep, :class:`WorkerCrashError`
+    attribution, and bounded deterministic shard retry where workers
+    can die.
 
     Attributes
     ----------
@@ -205,9 +144,7 @@ class ShardExecutor(ABC):
 
     @abstractmethod
     def run_sharded(self, function: Callable[..., Any],
-                    shard_args: Sequence[Tuple],
-                    on_result: Optional[Callable[[int, Any], None]] = None
-                    ) -> List[Any]:
+                    shard_args: Sequence[Tuple]) -> List[Any]:
         """Run ``function(*args)`` for every shard; results in shard order."""
 
     def describe(self) -> Dict[str, Any]:
@@ -274,53 +211,67 @@ class RetryingExecutor(ShardExecutor):
         """Open the per-call resources ``function``'s shards run on."""
 
     @abstractmethod
-    def _crash_text(self, lowest: int, total: int, args: Tuple) -> str:
-        """Message of the :class:`WorkerCrashError` for shard ``lowest``."""
+    def _crash_text(self, lowest: int, total: int, args: Tuple,
+                    reason: str) -> str:
+        """Message of the :class:`WorkerCrashError` for shard ``lowest``,
+        which ``reason`` ended."""
 
     def run_sharded(self, function: Callable[..., Any],
-                    shard_args: Sequence[Tuple],
-                    on_result: Optional[Callable[[int, Any], None]] = None
-                    ) -> List[Any]:
-        merge = OrderedMerge(len(shard_args), on_result)
+                    shard_args: Sequence[Tuple]) -> List[Any]:
+        results: List[Any] = [None] * len(shard_args)
+        errors: Dict[int, BaseException] = {}
         attempts: Dict[int, int] = {}
         pending = list(range(len(shard_args)))
         with self._session(function) as session:
             while pending:
                 width = min(session.live(), len(pending))
                 if width == 0:
-                    merge.fail(min(pending), WorkerDisconnect(
-                        "every worker has disconnected"))
+                    errors[min(pending)] = WorkerDisconnect(
+                        "every worker has disconnected")
                     break
                 crashes, incomplete = self._round(
-                    session, width, shard_args, pending, merge)
-                if merge.errors:
+                    session, width, shard_args, pending, results, errors)
+                if errors:
                     # A deterministic shard exception ends the run — it
                     # would raise identically on any worker, so
                     # retrying crashed siblings only delays the
                     # inevitable.  Crashed shards join the error set so
                     # the lowest index wins.
-                    for index, error in crashes.items():
-                        merge.fail(index, error)
+                    errors.update(crashes)
                     break
                 retry: List[int] = []
                 for index in sorted(crashes):
                     attempts[index] = attempts.get(index, 0) + 1
                     if attempts[index] > self._max_shard_retries:
-                        merge.fail(index, crashes[index])
+                        errors[index] = crashes[index]
                     else:
                         retry.append(index)
                         self._record_retry()
-                if merge.errors:
+                if errors:
                     break
                 pending = sorted(retry + incomplete)
-        return merge.finalise(shard_args, self._crash_text)
+        if not errors:
+            return results
+        lowest = min(errors)
+        error = errors[lowest]
+        if not isinstance(error, CRASH_ERRORS):
+            raise error
+        # A crash ends the run when its shard used up its retries, when
+        # no worker is left, or when a sibling shard raised.
+        reason = ("retries exhausted"
+                  if attempts.get(lowest, 0) > self._max_shard_retries
+                  else str(error))
+        raise WorkerCrashError(self._crash_text(
+            lowest, len(shard_args), tuple(shard_args[lowest]), reason)
+        ) from error
 
     def _round(self, session: ShardSession, width: int,
                shard_args: Sequence[Tuple], pending: Sequence[int],
-               merge: OrderedMerge
+               results: List[Any], errors: Dict[int, BaseException]
                ) -> Tuple[Dict[int, BaseException], List[int]]:
-        """Run one pool over ``pending`` shards; report crashes and
-        shards the pool never resolved (cancelled before starting)."""
+        """Run one pool over ``pending`` shards, filling ``results`` and
+        ``errors`` (deterministic failures); report crashes and shards
+        the pool never resolved (cancelled before starting)."""
         crashes: Dict[int, BaseException] = {}
         resolved = set()
         swept = False
@@ -350,10 +301,10 @@ class RetryingExecutor(ShardExecutor):
                     if isinstance(error, CRASH_ERRORS):
                         crashes[index] = error
                     else:
-                        merge.fail(index, error)
+                        errors[index] = error
                     continue
                 self._record_shard(queue_seconds, seconds)
-                merge.complete(index, value)
+                results[index] = value
         incomplete = [index for index in pending if index not in resolved]
         return crashes, incomplete
 

@@ -2,11 +2,10 @@
 
 Shards run one after another on the calling thread in shard-index
 order, which makes the whole executor contract hold trivially:
-results are index-ordered because execution is, ``on_result`` streams
-each shard the moment it finishes, and the first exception *is* the
-lowest-indexed one because no later shard has started (the "cancel
-sweep" is the empty sweep).  There are no workers to die, so
-``WorkerCrashError`` never fires and retry is moot.
+results are index-ordered because execution is, and the first
+exception *is* the lowest-indexed one because no later shard has
+started (the "cancel sweep" is the empty sweep).  There are no workers
+to die, so ``WorkerCrashError`` never fires and retry is moot.
 
 This is the backend behind ``workers=1`` runs and the fallback the
 heuristics pick when a batch is too small to amortise process
@@ -17,7 +16,7 @@ trial index, its results are byte-identical to every other backend's.
 from __future__ import annotations
 
 import time
-from typing import Any, Callable, List, Optional, Sequence, Tuple
+from typing import Any, Callable, List, Sequence, Tuple
 
 from repro.montecarlo.executors.base import ShardExecutor
 
@@ -33,17 +32,12 @@ class InProcessExecutor(ShardExecutor):
         return 1
 
     def run_sharded(self, function: Callable[..., Any],
-                    shard_args: Sequence[Tuple],
-                    on_result: Optional[Callable[[int, Any], None]] = None
-                    ) -> List[Any]:
+                    shard_args: Sequence[Tuple]) -> List[Any]:
         results: List[Any] = []
         queued_at = time.monotonic()
-        for index, args in enumerate(shard_args):
+        for args in shard_args:
             started = time.monotonic()
-            result = function(*args)
+            results.append(function(*args))
             self._record_shard(started - queued_at,
                                time.monotonic() - started)
-            results.append(result)
-            if on_result is not None:
-                on_result(index, result)
         return results

@@ -62,9 +62,10 @@ class LocalProcessExecutor(RetryingExecutor):
             task=functools.partial(_timed_shard, function),
         )
 
-    def _crash_text(self, lowest: int, total: int, args: Tuple) -> str:
+    def _crash_text(self, lowest: int, total: int, args: Tuple,
+                    reason: str) -> str:
         return (
             f"worker process died abruptly (killed / os._exit / "
             f"segfault) while the pool was running shard {lowest} of "
-            f"{total}; shard args: {_summarise_args(args)}"
+            f"{total} ({reason}); shard args: {_summarise_args(args)}"
         )

@@ -8,9 +8,7 @@ drives the same round/retry merge loop as the local pool (both run
 :class:`~repro.montecarlo.executors.base.RetryingExecutor`) — a thread
 per in-flight shard checks an idle connection out of a small peer
 pool, ships ``{"op": "run", ...}`` with the shard's catalog spec,
-tier and trial range, and blocks for the reply.  The *main* thread
-owns the merge, so streaming callbacks fire in shard-index order
-exactly as locally.
+tier and trial range, and blocks for the reply.
 
 Only :func:`repro.montecarlo.trials.run_spec_shard` shards (those of
 :meth:`~repro.montecarlo.TrialRunner.from_spec` runners) cross the
@@ -301,10 +299,11 @@ class RemoteSocketExecutor(RetryingExecutor):
         raise WorkerDisconnect(
             f"worker {connection.address} sent a malformed reply")
 
-    def _crash_text(self, lowest: int, total: int, args: Tuple) -> str:
+    def _crash_text(self, lowest: int, total: int, args: Tuple,
+                    reason: str) -> str:
         peers = ", ".join(_format_peer(peer) for peer in self._peers)
         return (
             f"remote worker died or disconnected while running shard "
-            f"{lowest} of {total} (retries exhausted); shard args: "
+            f"{lowest} of {total} ({reason}); shard args: "
             f"{_summarise_args(args)}; peers: {peers}"
         )

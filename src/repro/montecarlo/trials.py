@@ -41,7 +41,7 @@ spec (:func:`run_spec_shard`), the only shards remote workers run.
 
 Besides fixed budgets (:meth:`TrialRunner.run`), the runner offers a
 **sequential mode** (:meth:`TrialRunner.run_until`): the batch grows in
-powers of two, each extension folding into a :class:`RunningTally`,
+powers of two, each extension adding its successes to a running count,
 until the Chernoff–Hoeffding or empirical-Bernstein interval width
 drops below a target.  Both modes execute trial ranges through one
 core: ``run(T)`` is the range ``[0, T)`` and each extension the range
@@ -73,7 +73,6 @@ from repro.analysis.estimation import (
     clopper_pearson,
     empirical_bernstein_interval,
     hoeffding_interval,
-    wilson_interval,
 )
 from repro.batchsim.engine import BatchExecution, batch_execution
 from repro.engine.protocol import Algorithm
@@ -85,8 +84,7 @@ from repro.montecarlo.fingerprint import canonical_spec
 from repro.obs import get_registry
 from repro.rng import RngStream, as_stream, derive_seed
 
-__all__ = ["TrialRunner", "TrialResult", "RunningTally",
-           "SequentialResult", "SequentialStep", "SEQUENTIAL_BOUNDS",
+__all__ = ["TrialRunner", "TrialResult", "SequentialResult", "SequentialStep", "SEQUENTIAL_BOUNDS",
            "ENGINE_BACKEND", "BATCHSIM_BACKEND", "MIN_BATCHSIM_SHARD",
            "run_spec_shard"]
 
@@ -99,10 +97,9 @@ BATCHSIM_BACKEND = "batchsim"
 
 
 #: Interval estimators by name: the one counts→interval table behind
-#: :class:`RunningTally`, :class:`TrialResult` and the sequential
-#: stopping rule (whose bound names are keys here).
+#: :meth:`TrialResult.stats` and the sequential stopping rule (whose
+#: bound names are keys here).
 _INTERVALS = {
-    "wilson": wilson_interval,
     "hoeffding": hoeffding_interval,
     "bernstein": empirical_bernstein_interval,
     "clopper_pearson": clopper_pearson,
@@ -114,80 +111,12 @@ def _interval(name: str, successes: int, trials: int,
     """The ``name`` interval on the counts; ``(0, 1)`` at zero trials.
 
     Zero trials support no claim narrower than all of ``[0, 1]``, and
-    the sequential stopping rule consults the tally before its first
+    the sequential stopping rule consults the counts before its first
     extension, so the empty case answers instead of raising.
     """
     if trials == 0:
         return 0.0, 1.0
     return _INTERVALS[name](successes, trials, confidence)
-
-
-class RunningTally:
-    """Streaming success/trial counts with on-demand intervals.
-
-    Shards report in as they complete; the tally can answer the point
-    estimate and Wilson / Chernoff–Hoeffding / empirical-Bernstein /
-    Clopper–Pearson intervals at any moment without storing indicators.
-    "Any moment" includes before the first batch lands: an empty tally
-    answers the degenerate all-of-``[0, 1]`` interval instead of
-    raising (the sequential stopping rule consults the tally at trial
-    count zero).
-    """
-
-    __slots__ = ("_successes", "_trials")
-
-    def __init__(self) -> None:
-        self._successes = 0
-        self._trials = 0
-
-    def update(self, indicators: np.ndarray) -> None:
-        """Fold one batch of boolean indicators into the tally."""
-        self._successes += int(np.count_nonzero(indicators))
-        self._trials += int(len(indicators))
-
-    @property
-    def successes(self) -> int:
-        """Successful trials so far."""
-        return self._successes
-
-    @property
-    def trials(self) -> int:
-        """Trials folded in so far."""
-        return self._trials
-
-    @property
-    def estimate(self) -> float:
-        """Point estimate ``successes / trials`` (0.0 before any trial)."""
-        return self._successes / self._trials if self._trials else 0.0
-
-    def wilson(self, confidence: float = 0.99) -> Tuple[float, float]:
-        """Wilson score interval on the current counts (``(0, 1)`` empty)."""
-        return _interval("wilson", self._successes, self._trials, confidence)
-
-    def hoeffding(self, confidence: float = 0.99) -> Tuple[float, float]:
-        """Chernoff–Hoeffding interval on the current counts (``(0, 1)`` empty)."""
-        return _interval("hoeffding", self._successes, self._trials,
-                         confidence)
-
-    def bernstein(self, confidence: float = 0.99) -> Tuple[float, float]:
-        """Empirical-Bernstein interval on the counts (``(0, 1)`` empty).
-
-        The Maurer–Pontil bound of
-        :func:`repro.analysis.estimation.empirical_bernstein_interval`:
-        variance-adaptive, so on decisive counts it shrinks like
-        ``1/t`` where Hoeffding only manages ``1/sqrt(t)`` — the
-        preferred stopping bound for sequential threshold sweeps.
-        """
-        return _interval("bernstein", self._successes, self._trials,
-                         confidence)
-
-    def clopper_pearson(self, confidence: float = 0.99) -> Tuple[float, float]:
-        """Exact Clopper–Pearson interval on the counts (``(0, 1)`` empty)."""
-        return _interval("clopper_pearson", self._successes, self._trials,
-                         confidence)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"RunningTally({self._successes}/{self._trials})"
 
 
 @dataclass(frozen=True)
@@ -246,8 +175,7 @@ class TrialResult:
 
         A zero-length indicator vector — directly constructable, and
         what a sequential run whose target was met before the first
-        extension produces — mirrors :class:`RunningTally`'s empty
-        guard instead of dividing by zero.
+        extension produces — answers 0.0 instead of dividing by zero.
         """
         return self.successes / self.trials if self.trials else 0.0
 
@@ -258,36 +186,20 @@ class TrialResult:
         interval — zero trials support no narrower claim.
         """
         confidence = self.confidence if confidence is None else confidence
-        lower, upper = self._interval_at("clopper_pearson", confidence)
+        lower, upper = _interval("clopper_pearson", self.successes,
+                                 self.trials, confidence)
         return MonteCarloResult(
             successes=self.successes, trials=self.trials,
             confidence=confidence, lower=lower, upper=upper,
         )
-
-    def wilson(self, confidence: Optional[float] = None) -> Tuple[float, float]:
-        """Wilson score interval on the batch counts (``(0, 1)`` empty)."""
-        return self._interval_at("wilson", confidence)
-
-    def hoeffding(self, confidence: Optional[float] = None) -> Tuple[float, float]:
-        """Chernoff–Hoeffding interval on the batch counts (``(0, 1)`` empty)."""
-        return self._interval_at("hoeffding", confidence)
-
-    def bernstein(self, confidence: Optional[float] = None) -> Tuple[float, float]:
-        """Empirical-Bernstein interval on the batch counts (``(0, 1)`` empty)."""
-        return self._interval_at("bernstein", confidence)
-
-    def _interval_at(self, name: str,
-                     confidence: Optional[float]) -> Tuple[float, float]:
-        confidence = self.confidence if confidence is None else confidence
-        return _interval(name, self.successes, self.trials, confidence)
 
     def describe(self) -> str:
         """Human-readable one-liner for tables and logs."""
         return f"{self.stats().describe()} [{self.backend}]"
 
 
-#: The stopping bounds ``TrialRunner.run_until`` accepts, mapping the
-#: bound name to the ``RunningTally`` interval method it consults.
+#: The stopping bounds ``TrialRunner.run_until`` accepts: names of the
+#: interval estimators in ``_INTERVALS`` it consults.
 #: ``"hoeffding"`` is distribution-free with a trials-only margin;
 #: ``"bernstein"`` (Maurer–Pontil) adapts to the empirical variance and
 #: is the one that lets adaptive sweeps leave decisive cells early.
@@ -296,7 +208,7 @@ SEQUENTIAL_BOUNDS = ("hoeffding", "bernstein")
 
 @dataclass(frozen=True)
 class SequentialStep:
-    """One extension of a sequential run: the state after it folded in.
+    """One extension of a sequential run: the state after it landed.
 
     Attributes
     ----------
@@ -495,6 +407,13 @@ def run_spec_shard(spec: str, tier: str, root_seed: int,
                       start, stop)
 
 
+def _bound_width(bound: str, successes: int, trials: int,
+                 confidence: float) -> float:
+    """Interval width of the stopping ``bound`` on the counts."""
+    lower, upper = _interval(bound, successes, trials, confidence)
+    return upper - lower
+
+
 def _record_batch(backend: str, trials: int, seconds: float) -> None:
     """Report one executed batch to the process-wide metrics registry.
 
@@ -687,9 +606,7 @@ class TrialRunner:
         return self._probe
 
     def run(self, trials: int, seed_or_stream=0,
-            confidence: float = 0.99,
-            progress: Optional[Callable[[RunningTally], None]] = None
-            ) -> TrialResult:
+            confidence: float = 0.99) -> TrialResult:
         """Run ``trials`` independent trials and collect the indicators.
 
         Parameters
@@ -704,10 +621,6 @@ class TrialRunner:
             result is a pure function of the root seed.
         confidence:
             Default confidence level stored on the result.
-        progress:
-            Optional callback receiving the :class:`RunningTally` as
-            each shard folds in, in shard order (sharded engine and
-            batchsim paths), or once (fastsim and in-process paths).
         """
         trials = check_positive_int(trials, "trials")
         confidence = check_probability(confidence, "confidence",
@@ -716,9 +629,7 @@ class TrialRunner:
         probe_start = time.perf_counter()
         tiers = self._tiers()
         run_start = time.perf_counter()
-        indicators, workers = self._run_range(
-            tiers, 0, trials, stream, RunningTally(), progress
-        )
+        indicators, workers = self._run_range(tiers, 0, trials, stream)
         run_seconds = time.perf_counter() - run_start
         probe_seconds = run_start - probe_start
         backend = _backend(tiers)
@@ -733,15 +644,14 @@ class TrialRunner:
     def run_until(self, target_width: float, max_trials: int,
                   seed_or_stream=0, confidence: float = 0.99, *,
                   bound: str = "hoeffding",
-                  initial_trials: int = 512,
-                  progress: Optional[Callable[[RunningTally], None]] = None
-                  ) -> SequentialResult:
+                  initial_trials: int = 512) -> SequentialResult:
         """Grow the batch in powers of two until the interval is narrow.
 
         Budgets run ``initial_trials → 2·initial_trials → …``, capped
-        at ``max_trials``; after each extension folds into the running
-        tally, the run stops as soon as the ``bound`` interval width at
-        ``confidence`` drops to ``target_width`` or below.  The
+        at ``max_trials``; after each extension adds its successes to
+        the running count, the run stops as soon as the ``bound``
+        interval width at ``confidence`` drops to ``target_width`` or
+        below.  The
         stopping rule is a pure function of the per-trial indicator
         prefix, so determinism and bit-identity carry over from
         :meth:`run`: the indicators of a sequential run are **exactly
@@ -754,7 +664,7 @@ class TrialRunner:
         trial ``i`` draws from ``root.child("mc", i)`` whatever the
         range bounds, so prefix identity is free.  A dispatched fastsim
         sampler re-draws the whole grown prefix from a fresh root
-        stream and folds in only the tail, which every sampler's prefix
+        stream and keeps only the tail, which every sampler's prefix
         contract (:class:`repro.montecarlo.dispatch.SamplerEntry`)
         makes exact.
 
@@ -762,7 +672,7 @@ class TrialRunner:
         ----------
         target_width:
             Stop once ``upper - lower`` of the stopping bound is at or
-            below this; in ``(0, 1]`` (1.0 is met by the empty tally,
+            below this; in ``(0, 1]`` (1.0 is met at zero trials,
             yielding a zero-trial result).
         max_trials:
             Hard budget cap.  When it is hit before the target, the
@@ -773,9 +683,6 @@ class TrialRunner:
             after a few hundred trials).
         initial_trials:
             First extension's budget (default 512).
-        progress:
-            As in :meth:`run`: called with the running tally as each
-            shard of each extension folds in.
 
         Returns
         -------
@@ -795,13 +702,13 @@ class TrialRunner:
         root_seed = as_stream(seed_or_stream).seed
         tiers = self._tiers()
         backend = _backend(tiers)
-        tally = RunningTally()
         steps: List[SequentialStep] = []
         pieces: List[np.ndarray] = []
         used_workers = 1
         budget = 0
+        successes = 0
         total_seconds = 0.0
-        width = self._bound_width(tally, bound, confidence)
+        width = _bound_width(bound, successes, budget, confidence)
         while width > target_width and budget < max_trials:
             next_budget = min(
                 initial_trials if budget == 0 else 2 * budget, max_trials
@@ -810,18 +717,17 @@ class TrialRunner:
             # A fresh root stream per extension: a fastsim sampler
             # re-draws the whole grown prefix and keeps only the tail.
             part, workers = self._run_range(
-                tiers, budget, next_budget, as_stream(root_seed), tally,
-                progress,
-            )
+                tiers, budget, next_budget, as_stream(root_seed))
             extension_seconds = time.perf_counter() - extension_start
             total_seconds += extension_seconds
             _record_batch(backend, int(len(part)), extension_seconds)
             pieces.append(part)
             used_workers = max(used_workers, workers)
             budget = next_budget
-            width = self._bound_width(tally, bound, confidence)
+            successes += int(np.count_nonzero(part))
+            width = _bound_width(bound, successes, budget, confidence)
             steps.append(SequentialStep(
-                trials=tally.trials, successes=tally.successes, width=width,
+                trials=budget, successes=successes, width=width,
             ))
         indicators = (np.concatenate(pieces) if pieces
                       else np.zeros(0, dtype=bool))
@@ -836,9 +742,7 @@ class TrialRunner:
         )
 
     def _run_range(self, tiers: _Tiers, start: int, stop: int,
-                   stream: RngStream, tally: RunningTally,
-                   progress: Optional[Callable[[RunningTally], None]]
-                   ) -> Tuple[np.ndarray, int]:
+                   stream: RngStream) -> Tuple[np.ndarray, int]:
         """Run trials ``start..stop-1`` on ``tiers``; the one range core.
 
         :meth:`run` is the range ``[0, T)`` and every :meth:`run_until`
@@ -846,32 +750,24 @@ class TrialRunner:
         draws from ``root.child("mc", i)`` whatever the range bounds, so
         ranges concatenate bit-identically; a fastsim sampler draws
         ``stop`` trials from ``stream`` and keeps ``[start, stop)``.
-        Shards fold into ``tally`` in order as they land.  Returns the
-        range's indicators and the worker count it actually used.
+        Returns the range's indicators and the worker count it actually
+        used.
         """
         entry, batch, algorithm = tiers
-        fold = self._fold_shard(tally, progress)
         if entry is not None:
-            indicators = np.asarray(
+            return np.asarray(
                 entry.sample(algorithm, self._failure_model, stop, stream),
                 dtype=bool,
-            )[start:]
-            fold(0, indicators)
-            return indicators, 1
+            )[start:], 1
         root_seed = stream.seed
         length = stop - start
         bounds = _shard_bounds(length,
                                self._shard_count(length, batch is not None))
         if len(bounds) <= 1:
             if batch is not None:
-                indicators = batch.run_range(start, stop, root_seed)
-            else:
-                indicators = _run_engine(
-                    algorithm, self._failure_model, self._success,
-                    root_seed, start, stop,
-                )
-            fold(0, indicators)
-            return indicators, 1
+                return batch.run_range(start, stop, root_seed), 1
+            return _run_engine(algorithm, self._failure_model, self._success,
+                               root_seed, start, stop), 1
         if self._spec is not None:
             function, head = run_spec_shard, (self._spec,)
         else:
@@ -879,33 +775,9 @@ class TrialRunner:
                 self._factory, self._failure_model, self._success)
         tier = _backend(tiers)
         parts = self._executor.run_sharded(
-            function,
-            [head + (tier, root_seed, lo + start, hi + start)
-             for lo, hi in bounds],
-            on_result=fold,
-        )
+            function, [head + (tier, root_seed, lo + start, hi + start)
+                       for lo, hi in bounds])
         return np.concatenate(parts), min(self._parallelism, len(bounds))
-
-    @staticmethod
-    def _bound_width(tally: RunningTally, bound: str,
-                     confidence: float) -> float:
-        """Interval width of the stopping bound on the current counts."""
-        lower, upper = _interval(bound, tally.successes, tally.trials,
-                                 confidence)
-        return upper - lower
-
-    @staticmethod
-    def _fold_shard(tally: RunningTally,
-                    progress: Optional[Callable[[RunningTally], None]]
-                    ) -> Callable[[int, np.ndarray], None]:
-        """The executor's in-order shard callback: fold counts as they land."""
-
-        def fold(index: int, part: np.ndarray) -> None:
-            tally.update(part)
-            if progress is not None:
-                progress(tally)
-
-        return fold
 
     def _shard_count(self, trials: int, batchsim: bool) -> int:
         """Shards for a range of ``trials`` on the executor's workers.

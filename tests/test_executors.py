@@ -1,8 +1,7 @@
 """Executor-contract conformance suite, run against every backend.
 
 The contract (``repro.montecarlo.executors.base``) is what the sharded
-dispatch tiers rely on: index-ordered results, in-order ``on_result``
-streaming cut off strictly below the lowest failing shard, lowest-index
+dispatch tiers rely on: index-ordered results, lowest-index
 deterministic error propagation, ``WorkerCrashError`` attribution and
 bounded shard retry.  Each test here runs against the in-process, the
 local-pool and the remote-socket backend through the *same* assertions,
@@ -102,35 +101,11 @@ class TestConformance:
         assert np.array_equal(np.concatenate(results),
                               run_spec_shard(*_shard(0, 28)))
 
-    def test_on_result_streams_in_shard_order(self, executor):
-        # Shard 0 is the largest, so it completes last on any parallel
-        # backend; the callback must still fire strictly in index order.
-        shards = [_shard(0, 64)] + [_shard(64 + i, 65 + i) for i in range(3)]
-        seen = []
-        results = executor.run_sharded(
-            run_spec_shard, shards,
-            on_result=lambda index, value: seen.append((index, value)),
-        )
-        assert _same(results, shards)
-        assert [index for index, _ in seen] == [0, 1, 2, 3]
-        assert _same([value for _, value in seen], shards)
-
     def test_lowest_shard_index_error_wins(self, executor):
         shards = [_shard(0, 1), _failing(1.1), _shard(1, 2), _failing(1.3),
                   _shard(2, 3), _failing(1.5)]
         with pytest.raises(SHARD_ERRORS, match="got 1.1"):
             executor.run_sharded(run_spec_shard, shards)
-
-    def test_on_result_never_fires_at_or_after_the_failing_shard(
-            self, executor):
-        seen = []
-        with pytest.raises(SHARD_ERRORS, match="got 1.1"):
-            executor.run_sharded(
-                run_spec_shard, [_shard(0, 1), _failing(1.1), _shard(1, 2)],
-                on_result=lambda index, value: seen.append((index, value)),
-            )
-        assert [index for index, _ in seen] == [0]
-        assert _same([seen[0][1]], [_shard(0, 1)])
 
     def test_metrics_labelled_by_backend(self, executor):
         with obs.use_registry() as registry:
@@ -278,6 +253,23 @@ class TestRemoteCrashSemantics:
                 executor.run_sharded(run_spec_shard, [_shard(0, 1)])
         finally:
             worker.close()
+
+    def test_losing_every_worker_names_that_reason(self):
+        # Both workers die on their first shard with retries left, so
+        # the run ends because no worker is left, not on the budget.
+        workers = [WorkerProcess("--die-after-runs", "0") for _ in range(2)]
+        try:
+            executor = RemoteSocketExecutor(
+                [(w.host, w.port) for w in workers], max_shard_retries=5)
+            with pytest.raises(WorkerCrashError) as caught:
+                executor.run_sharded(run_spec_shard,
+                                     [_shard(0, 1), _shard(1, 2)])
+            message = str(caught.value)
+            assert "shard 0 of 2 (every worker has disconnected)" in message
+            assert "retries exhausted" not in message
+        finally:
+            for worker in workers:
+                worker.close()
 
     def test_unreachable_peers_fail_fast(self):
         executor = RemoteSocketExecutor([("127.0.0.1", 1)])

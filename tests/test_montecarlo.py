@@ -5,7 +5,7 @@ for any worker count, and agreement with ``estimate_success`` under the
 same root stream), fastsim auto-dispatch vs engine fallback, the shared
 process-pool harness (ordering, cancellation, deterministic error
 propagation), the truthfulness of ``TrialResult.workers`` on every
-tier, the sampler registry, and the streaming statistics.
+tier, the sampler registry, and the result statistics.
 """
 
 import os
@@ -18,7 +18,6 @@ from repro.analysis.estimation import (
     clopper_pearson,
     estimate_success,
     hoeffding_interval,
-    wilson_interval,
 )
 from repro.analysis.thresholds import radio_malicious_threshold
 from repro.core import FastFlooding, SimpleMalicious, SimpleOmission
@@ -38,7 +37,6 @@ from repro.graphs import bfs_tree, binary_tree, line, star
 from repro.montecarlo import (
     FINGERPRINT_VERSION,
     LocalProcessExecutor,
-    RunningTally,
     TrialRunner,
     find_sampler,
     register_sampler,
@@ -300,30 +298,6 @@ def _shard_fail_on_odd(value):
     return value
 
 
-def _shard_low_slow_high_fails(value):
-    """Module-level pool worker: shards 0-1 are slow, shard 2 crashes fast.
-
-    Drives the index-based ``on_result`` contract: shard 2's error
-    lands on the wall clock *before* the lower shards complete, yet
-    their callbacks must still fire.
-    """
-    import time
-
-    if value < 2:
-        time.sleep(0.3)
-        return value
-    raise ValueError(f"shard {value} failed")
-
-
-def _shard_slow_first(value):
-    """Module-level pool worker where shard 0 finishes last."""
-    if value == 0:
-        import time
-
-        time.sleep(0.3)
-    return value
-
-
 _PARENT_PID = os.getpid()
 
 
@@ -366,42 +340,6 @@ class TestPoolHarness:
         assert LocalProcessExecutor(4, max_shard_retries=0).run_sharded(
             _shard_square, [(5,)]
         ) == [25]
-
-    def test_on_result_streams_in_shard_order(self):
-        # Shard 0 completes last, so shards 1..3 must be buffered and
-        # the callback must still fire strictly in index order.
-        seen = []
-        results = LocalProcessExecutor(2, max_shard_retries=0).run_sharded(
-            _shard_slow_first, [(i,) for i in range(4)],
-            on_result=lambda index, result: seen.append((index, result)),
-        )
-        assert results == [0, 1, 2, 3]
-        assert seen == [(0, 0), (1, 1), (2, 2), (3, 3)]
-
-    def test_on_result_contract_is_index_based_not_time_based(self):
-        # Shard 2 crashes while the slow shards 0 and 1 are still
-        # running: the documented contract ("not called for any shard
-        # at or after the first error") is *index*-based, so the lower
-        # shards' callbacks must fire even though the error reached the
-        # completion loop first on the wall clock.
-        seen = []
-        with pytest.raises(ValueError, match="shard 2 failed"):
-            LocalProcessExecutor(3, max_shard_retries=0).run_sharded(
-                _shard_low_slow_high_fails, [(i,) for i in range(3)],
-                on_result=lambda index, result: seen.append((index, result)),
-            )
-        assert seen == [(0, 0), (1, 1)]
-
-    def test_on_result_never_fires_at_or_after_the_failing_shard(self):
-        # Same worker, but the fast-failing argument now rides on shard
-        # index 0 (the slow ones on 1 and 2): nothing may stream at all.
-        seen = []
-        with pytest.raises(ValueError, match="shard 2 failed"):
-            LocalProcessExecutor(3, max_shard_retries=0).run_sharded(
-                _shard_low_slow_high_fails, [(2,), (0,), (1,)],
-                on_result=lambda index, result: seen.append((index, result)),
-            )
-        assert seen == []
 
     def test_first_error_cancels_siblings_exactly_once(self, monkeypatch):
         # Every shard raises; the cancellation sweep must run only on
@@ -537,34 +475,10 @@ class TestRegistry:
 
 
 class TestStatistics:
-    def test_running_tally_streams_counts(self):
-        tally = RunningTally()
-        tally.update(np.array([True, False, True]))
-        tally.update(np.array([True]))
-        assert tally.successes == 3 and tally.trials == 4
-        assert tally.estimate == 0.75
-        assert tally.wilson() == wilson_interval(3, 4)
-        assert tally.hoeffding() == hoeffding_interval(3, 4)
-        assert tally.clopper_pearson() == clopper_pearson(3, 4)
-
-    def test_progress_callback_sees_growing_tally(self):
-        seen = []
-        runner = TrialRunner(mp_factory, OMISSION, use_fastsim=False,
-                             use_batchsim=False, workers=2)
-        result = runner.run(40, 3, progress=lambda t: seen.append(t.trials))
-        assert seen[-1] == 40 == result.trials
-        assert seen == sorted(seen)
-
     def test_result_intervals_match_analysis_functions(self):
         result = TrialRunner(mp_factory, OMISSION).run(300, 5)
         stats = result.stats()
         assert (stats.lower, stats.upper) == clopper_pearson(
-            result.successes, result.trials, 0.99
-        )
-        assert result.wilson() == wilson_interval(
-            result.successes, result.trials, 0.99
-        )
-        assert result.hoeffding() == hoeffding_interval(
             result.successes, result.trials, 0.99
         )
         assert stats.lower <= result.estimate <= stats.upper

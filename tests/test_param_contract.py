@@ -118,6 +118,12 @@ def _small(n, params) -> bool:
 @example((get_family("hello"), 0.2, 4, {"message": True}, False))
 @example((get_family("simple-omission"), 0.2, 2, {"phase_length": False},
           False))
+# Near the radio majority threshold (max degree 4): the phase-length
+# search runs to m = 5587, which took 3-4 s when every probe
+# recomputed its convolutions from scratch.
+@example((get_family("radio-repeat"), 0.23828125, 6,
+          {"rule": "majority", "graph": "random-tree", "graph_seed": 0},
+          True))
 def test_every_spec_answers_or_refuses_cleanly(spec):
     family, p, n, params, allowed = spec
     query = Query(family.name, p, n, 1, seed=0, params=params)

@@ -3,8 +3,12 @@
 import math
 from itertools import product
 
+import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
+from repro.analysis.chernoff import union_bound_target
 from repro.core.parameters import (
     mp_malicious_phase_length,
     omission_phase_length,
@@ -106,6 +110,51 @@ class TestRepetitionsForSignedMajority:
     def test_equal_rates_rejected(self):
         with pytest.raises(ValueError):
             repetitions_for_signed_majority(0.3, 0.3, 0.01)
+
+
+def reference_signed_majority_error(m, good, bad):
+    """The error by ``m`` convolutions from scratch, as the search once
+    computed it at every probe."""
+    kernel = np.array([bad, max(0.0, 1.0 - good - bad), good], dtype=float)
+    dist = np.array([1.0])
+    for _ in range(m):
+        dist = np.convolve(dist, kernel)
+    return float(dist[: m + 1].sum())
+
+
+def reference_search(good, bad, target):
+    """The doubling-then-bisection search that recomputed every probe:
+    ``O(m² log m)`` convolutions, kept as the differential's oracle."""
+    low, high = 0, 1
+    while reference_signed_majority_error(high, good, bad) > target:
+        low, high = high, high * 2
+    while high - low > 1:
+        mid = (low + high) // 2
+        if reference_signed_majority_error(mid, good, bad) <= target:
+            high = mid
+        else:
+            low = mid
+    return high
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from([1, 2, 3, 4, 6, 8]), st.floats(0.001, 0.35),
+       st.sampled_from([4, 16, 64, 1000]))
+@example(1, 0.3, 1000)
+@example(4, 0.15, 1000)
+@example(8, 0.001, 4)
+def test_phase_length_search_matches_the_from_scratch_search(delta, p, n):
+    # The running convolution does the same float operations as the
+    # from-scratch one, so the error and the phase length are
+    # bit-identical.  A margin of 0.1 keeps the oracle under ~0.1 s.
+    good = (1.0 - p) ** (delta + 1)
+    assume(good - p >= 0.1)
+    target = union_bound_target(n)
+    m = repetitions_for_signed_majority(good, p, target)
+    assert m == reference_search(good, p, target)
+    for probe in {max(1, m - 1), m}:
+        assert signed_majority_error(probe, good, p) == \
+            reference_signed_majority_error(probe, good, p)
 
 
 class TestRadioMaliciousPhaseLength:

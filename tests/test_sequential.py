@@ -13,9 +13,9 @@ Pins the ``TrialRunner.run_until`` contract:
 * **deterministic stopping** — the stopping point is a pure function
   of the root seed: worker counts do not move it, and a ``max_trials``
   cap is reported honestly as ``met=False``;
-* the edge-case guards the sequential machinery leans on: empty
-  tallies and empty ``TrialResult``s report the degenerate ``(0, 1)``
-  interval instead of dividing by zero, and
+* the edge-case guards the sequential machinery leans on: an empty
+  ``TrialResult`` reports the degenerate ``(0, 1)`` interval instead
+  of dividing by zero, and
   ``estimate_success(early_stop_failures=...)`` rejects non-positive
   caps; plus the :class:`WorkerCrashError` shard attribution of the
   shared pool.
@@ -27,7 +27,11 @@ from functools import partial
 import numpy as np
 import pytest
 
-from repro.analysis.estimation import estimate_success
+from repro.analysis.estimation import (
+    empirical_bernstein_interval,
+    estimate_success,
+    hoeffding_interval,
+)
 from repro.analysis.thresholds import radio_malicious_threshold
 from repro.core import FastFlooding, SimpleMalicious, SimpleOmission
 from repro.core.radio_repeat import ADOPT_ANY, ADOPT_MAJORITY, RadioRepeat
@@ -43,7 +47,6 @@ from repro.graphs import binary_tree, layered_graph, line, star
 from repro.montecarlo import (
     SEQUENTIAL_BOUNDS,
     TrialRunner,
-    RunningTally,
     registered_samplers,
 )
 from repro.montecarlo.trials import TrialResult
@@ -258,6 +261,32 @@ class TestStoppingRule:
         assert bernstein.met and hoeffding.met
         assert bernstein.trials < hoeffding.trials
 
+    @pytest.mark.parametrize("bound", SEQUENTIAL_BOUNDS)
+    @pytest.mark.parametrize("tier, options", [
+        ("fastsim", {}),
+        ("batchsim", {"use_fastsim": False}),
+        ("engine", {"use_fastsim": False, "use_batchsim": False}),
+        ("local-process:2", {"use_fastsim": False,
+                             "executor": "local-process:2"}),
+    ])
+    def test_steps_count_the_indicator_prefix(self, tier, options, bound):
+        # Each step's counts are those of the indicators run so far, and
+        # its width is the bound's interval recomputed from them.
+        intervals = {"hoeffding": hoeffding_interval,
+                     "bernstein": empirical_bernstein_interval}
+        outcome = TrialRunner(mp_factory, OMISSION, **options).run_until(
+            0.01, 512, 29, bound=bound, initial_trials=32)
+        assert [step.trials for step in outcome.steps] == [32, 64, 128,
+                                                           256, 512]
+        # The last extension, [256, 512), is two shards on the pool.
+        assert outcome.workers == (2 if tier == "local-process:2" else 1)
+        for step in outcome.steps:
+            assert step.successes == int(
+                np.count_nonzero(outcome.indicators[:step.trials]))
+            lower, upper = intervals[bound](step.successes, step.trials,
+                                            0.99)
+            assert step.width == upper - lower
+
     def test_rejects_unknown_bound(self):
         runner = TrialRunner(mp_factory, OMISSION)
         with pytest.raises(ValueError, match="bound"):
@@ -275,14 +304,6 @@ class TestStoppingRule:
 
 
 class TestEdgeCaseGuards:
-    def test_empty_tally_intervals_are_degenerate(self):
-        tally = RunningTally()
-        assert tally.estimate == 0.0
-        assert tally.wilson() == (0.0, 1.0)
-        assert tally.hoeffding() == (0.0, 1.0)
-        assert tally.bernstein() == (0.0, 1.0)
-        assert tally.clopper_pearson() == (0.0, 1.0)
-
     def test_empty_trial_result_is_degenerate(self):
         result = TrialResult(
             indicators=np.zeros(0, dtype=bool), backend="engine",
@@ -291,29 +312,6 @@ class TestEdgeCaseGuards:
         assert result.trials == 0 and result.estimate == 0.0
         stats = result.stats()
         assert (stats.lower, stats.upper) == (0.0, 1.0)
-        assert result.wilson() == (0.0, 1.0)
-        assert result.hoeffding() == (0.0, 1.0)
-        assert result.bernstein() == (0.0, 1.0)
-
-    @pytest.mark.parametrize("successes, trials", [
-        (0, 0), (0, 1), (1, 1), (0, 40), (17, 40), (40, 40), (731, 1000),
-    ])
-    def test_tally_and_result_share_one_interval_helper(self, successes,
-                                                        trials):
-        indicators = np.zeros(trials, dtype=bool)
-        indicators[:successes] = True
-        tally = RunningTally()
-        tally.update(indicators)
-        result = TrialResult(indicators=indicators, backend="engine",
-                             workers=1, seed=0)
-        for confidence in (None, 0.9):
-            kwargs = {} if confidence is None else {"confidence": confidence}
-            assert tally.wilson(**kwargs) == result.wilson(**kwargs)
-            assert tally.hoeffding(**kwargs) == result.hoeffding(**kwargs)
-            assert tally.bernstein(**kwargs) == result.bernstein(**kwargs)
-            stats = result.stats(confidence)
-            assert tally.clopper_pearson(**kwargs) == (stats.lower,
-                                                       stats.upper)
 
     def test_early_stop_failures_rejects_non_positive_caps(self):
         def trial(stream):
